@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -340,8 +341,15 @@ def _evolve_events(
     return TrajectorySet(foliation, context, coupling, tuple(paths))
 
 
+# Two foliations times two couplings, each reachable positionally, by keyword
+# or by default, which lru_cache keys apart.
+@lru_cache(maxsize=16)
 def evolve(foliation: Foliation, coupling: TransportCoupling = MONOTONE) -> TrajectorySet:
-    """Enumerate every weighted path of the two-beam-splitter experiment."""
+    """Enumerate every weighted path of the two-beam-splitter experiment.
+
+    The input is always the Hardy state, so the result depends on the
+    arguments alone and is memoized; the returned set is frozen and shared.
+    """
     return _evolve_events(foliation.ordering, coupling, foliation, ("Wbar", "W"))
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -14,6 +15,9 @@ from .qcore import InvariantViolation, born_distribution
 
 RATIONAL_TOL = 1e-12
 _MAX_DENOMINATOR = 144
+# The CHSH scan holds grid**4 values per intermediate array: 50 keeps each
+# float64 intermediate near 50 MB.
+MAX_GRID = 50
 
 _FOLIATIONS = {"F": bohm.FOLIATION_F, "Fprime": bohm.FOLIATION_FPRIME}
 _COUPLINGS = {"monotone": bohm.MONOTONE, "independent": bohm.INDEPENDENT}
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=float, nargs=4, metavar=("A", "APRIME", "B", "BPRIME"))
     p.add_argument("--scan", action="store_true")
     p.add_argument("--erased-vs-kept", action="store_true", dest="erased_vs_kept")
-    p.add_argument("--grid", type=int, default=20)
+    p.add_argument("--grid", type=int, default=20, help=f"scan resolution, 1 to {MAX_GRID}")
     return parser
 
 
@@ -390,6 +394,11 @@ def main(argv=None) -> int:
         parser.error("--seed must be a non-negative integer")
     if args.samples is not None and args.samples < 1:
         parser.error("--samples must be at least 1")
+    if args.command == "chsh":
+        if type(args.grid) is not int or not 1 <= args.grid <= MAX_GRID:
+            parser.error(f"--grid must be an integer from 1 to {MAX_GRID}")
+        if args.quad is not None and not all(math.isfinite(x) for x in args.quad):
+            parser.error("--quad angles must be finite")
 
     fmt = args.format or "table"
     try:

@@ -1,10 +1,30 @@
-"""Exact two-qubit quantum kernel: labeled bases, states, local maps, the Born
-rule, projective collapse, density operators, and dephasing.
+"""Exact quantum kernel over labeled two-level systems: labeled bases, states,
+local maps, the Born rule, projective collapse, density operators, and
+dephasing.
 
 Every value is immutable and every operation is a pure function, so the module
 is safe for concurrent use without synchronization.  Amplitudes are complex
-doubles; constructors and operations validate their invariants to 1e-12 and
-raise :class:`InvariantViolation` on breach.
+doubles.
+
+What is checked, and when: every constructor checks its value once, when it
+is built, by computing the largest residual directly and comparing it with
+``NORM_TOL`` (1e-12); a value that is not finite fails the check.  ``Basis``
+and ``LocalUnitary`` check that their matrix is unitary (max |M^H M - I|) and
+raise ValueError("not unitary").  ``StateVector`` checks |norm - 1|,
+``OutcomeDistribution`` the sum and sign of its probabilities, and
+``DensityOperator`` Hermiticity (max |M - M^H|), unit trace and positivity;
+these raise :class:`InvariantViolation`.  Every operation that returns a new
+state or density operator builds it through these constructors, so each
+intermediate is checked too.  Matrices are stored read-only, so a value once
+checked cannot change.
+
+What is cached: ``Basis.matrix`` is built once per basis.
+:func:`basis_change` is memoized on ``(system, source, target)`` by an
+``lru_cache`` of at most ``BASIS_CHANGE_CACHE`` entries, so each distinct
+local unitary is built and checked once while it stays in the cache; the
+least recently used entry is evicted first, and an evicted one is rebuilt and
+checked again.  A local map is applied as a matmul on the flat amplitudes
+reshaped to ``(2**k, 2, -1)``, which works for any number of systems.
 
 Conventions, fixed so that emitted tables and files are deterministic:
 
@@ -20,14 +40,22 @@ Conventions, fixed so that emitted tables and files are deterministic:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 NORM_TOL = 1e-12
 ZERO_BRANCH_TOL = 1e-15
+
+# Distinct (system, source, target) triples kept by basis_change.  Fixed bases
+# need a few per system; a CHSH grid pass reuses about 2*grid direction
+# triples.  Refinement angles rarely repeat, so a larger cache would mostly
+# hold dead entries (about 1.5 KB each).
+BASIS_CHANGE_CACHE = 256
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -79,6 +107,23 @@ FAIL = BasisLabel(System.SPIN, "fail")
 _Vec = tuple[complex, complex]
 
 
+def _is_unitary(m: np.ndarray) -> bool:
+    """max |M^H M - I| <= NORM_TOL for a 2x2 matrix, entry by entry; false
+    when an entry is not finite."""
+    (a, b), (c, d) = m.tolist()
+    residuals = (
+        abs(a) ** 2 + abs(c) ** 2 - 1.0,
+        abs(b) ** 2 + abs(d) ** 2 - 1.0,
+        abs(a.conjugate() * b + c.conjugate() * d),
+    )
+    return all(abs(r) <= NORM_TOL for r in residuals)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Basis:
     """An ordered pair of orthonormal labels for one system.
@@ -92,22 +137,22 @@ class Basis:
     name: str
     labels: tuple[BasisLabel, BasisLabel]
     vectors: tuple[_Vec, _Vec]
+    #: 2x2 read-only complex matrix; column k is labels[k] in the reference frame.
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.labels[0].system is not self.labels[1].system:
             raise ValueError("basis labels must belong to one system")
-        m = self.matrix
-        if not np.allclose(m.conj().T @ m, np.eye(2), atol=NORM_TOL):
+        # Tuples, so that every basis can key the basis_change cache.
+        object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
+        m = np.array(self.vectors, dtype=complex).T
+        if not _is_unitary(m):
             raise ValueError("not unitary")
+        object.__setattr__(self, "matrix", _read_only(m))
 
     @property
     def system(self) -> System:
         return self.labels[0].system
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """2x2 complex matrix; column k is labels[k] in the reference frame."""
-        return np.array(self.vectors, dtype=complex).T
 
     @property
     def label_names(self) -> tuple[str, str]:
@@ -164,12 +209,10 @@ class StateVector:
         a = np.asarray(self.amps, dtype=complex)
         if a.shape != (2 ** len(self.bases),):
             raise ValueError("dimension mismatch")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = _norm(a)
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"state norm {norm} drifted from 1")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
+        object.__setattr__(self, "amps", _read_only(a.copy()))
 
     @property
     def num_systems(self) -> int:
@@ -193,6 +236,10 @@ class StateVector:
         }
 
 
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(float(np.vdot(a, a).real))
+
+
 def make_state(amplitudes, bases: tuple[Basis, ...]) -> StateVector:
     """Build a StateVector, renormalizing exactly on construction.
 
@@ -203,7 +250,7 @@ def make_state(amplitudes, bases: tuple[Basis, ...]) -> StateVector:
     a = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if a.shape != (2 ** len(bases),):
         raise ValueError("dimension mismatch")
-    norm = float(np.linalg.norm(a))
+    norm = _norm(a)
     if norm < 1e-9:
         raise ValueError("null state")
     return StateVector(tuple(bases), a / norm)
@@ -223,19 +270,27 @@ class LocalUnitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("dimension mismatch")
-        if not np.allclose(m.conj().T @ m, np.eye(2), atol=NORM_TOL):
+        if not _is_unitary(m):
             raise ValueError("not unitary")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only(m.copy()))
 
 
+@lru_cache(maxsize=BASIS_CHANGE_CACHE)
 def basis_change(system: int, source: Basis, target: Basis) -> LocalUnitary:
-    """The unitary re-expressing one system from ``source`` into ``target``."""
+    """The unitary re-expressing one system from ``source`` into ``target``.
+
+    Memoized: equal arguments return the same (immutable) LocalUnitary.
+    """
     if source.system is not target.system:
         raise ValueError("basis mismatch: source and target address different systems")
     u = target.matrix.conj().T @ source.matrix
     return LocalUnitary(system, u, source, target)
+
+
+def _on_axis(m: np.ndarray, axis: int, flat: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 matrix ``m`` to one axis of a flat, first-axis-major
+    tensor whose axes all have length 2."""
+    return (m @ flat.reshape(2**axis, 2, -1)).reshape(-1)
 
 
 def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
@@ -248,10 +303,9 @@ def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
             f"basis mismatch: system {u.system} is in {state.bases[u.system].name}, "
             f"unitary expects {u.source.name}"
         )
-    t = np.tensordot(u.matrix, state.tensor(), axes=([1], [u.system]))
-    t = np.moveaxis(t, 0, u.system)
-    bases = tuple(u.target if k == u.system else b for k, b in enumerate(state.bases))
-    return StateVector(bases, t.reshape(-1))
+    k = u.system
+    bases = state.bases[:k] + (u.target,) + state.bases[k + 1 :]
+    return StateVector(bases, _on_axis(u.matrix, k, state.amps))
 
 
 def express(state: StateVector, bases: tuple[Basis, ...]) -> StateVector:
@@ -278,7 +332,7 @@ class OutcomeDistribution:
             if p < -NORM_TOL:
                 raise InvariantViolation(f"negative probability {p} at {key}")
             total += p
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"probabilities sum to {total}")
 
     def __getitem__(self, key: tuple[str, ...]) -> float:
@@ -289,23 +343,21 @@ class OutcomeDistribution:
 
 
 def _distribution_from_diagonal(diag: np.ndarray, bases: tuple[Basis, ...]) -> OutcomeDistribution:
-    names = [b.label_names for b in bases]
-    probs: dict[tuple[str, ...], float] = {}
-    for flat, p in enumerate(diag):
-        idx = np.unravel_index(flat, (2,) * len(bases))
-        probs[tuple(names[k][i] for k, i in enumerate(idx))] = max(float(p), 0.0)
+    keys = itertools.product(*(b.label_names for b in bases))
+    probs = {key: max(p, 0.0) for key, p in zip(keys, diag.tolist())}
     return OutcomeDistribution(tuple(b.name for b in bases), probs)
 
 
 def born_distribution(obj, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     """Born-rule outcome probabilities of a state or density operator in the
     given measurement bases (one per system)."""
+    bases = tuple(bases)
     if isinstance(obj, StateVector):
-        amps = express(obj, tuple(bases)).amps
-        return _distribution_from_diagonal(np.abs(amps) ** 2, tuple(bases))
+        amps = express(obj, bases).amps
+        return _distribution_from_diagonal(np.abs(amps) ** 2, bases)
     if isinstance(obj, DensityOperator):
-        rho = express_density(obj, tuple(bases))
-        return _distribution_from_diagonal(np.real(np.diag(rho.matrix)), tuple(bases))
+        rho = express_density(obj, bases)
+        return _distribution_from_diagonal(rho.matrix.diagonal().real, bases)
     raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
 
 
@@ -320,11 +372,9 @@ def project(state: StateVector, system: int, outcome: str) -> tuple[StateVector,
     if not 0 <= system < state.num_systems:
         raise ValueError("system index out of range")
     i = state.bases[system].index(outcome)
-    t = state.tensor().copy()
-    sel = [slice(None)] * state.num_systems
-    sel[system] = 1 - i
-    t[tuple(sel)] = 0.0
-    prob = float(np.sum(np.abs(t) ** 2))
+    t = state.amps.reshape(2**system, 2, -1).copy()
+    t[:, 1 - i, :] = 0.0
+    prob = float(np.vdot(t, t).real)
     if prob < ZERO_BRANCH_TOL:
         raise ValueError("zero-probability branch")
     return StateVector(state.bases, t.reshape(-1) / math.sqrt(prob)), prob
@@ -345,16 +395,16 @@ class DensityOperator:
         d = 2 ** len(self.bases)
         if m.shape != (d, d):
             raise ValueError("dimension mismatch")
-        if not np.allclose(m, m.conj().T, atol=NORM_TOL):
+        h = m.conj().T
+        if not float(np.abs(m - h).max()) <= NORM_TOL:
             raise InvariantViolation("density operator not Hermitian")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1.0) > NORM_TOL:
             raise InvariantViolation(f"density operator trace {tr}")
-        if float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0))) < -NORM_TOL:
+        # eigvalsh returns the eigenvalues in ascending order.
+        if float(np.linalg.eigvalsh((m + h) / 2.0)[0]) < -NORM_TOL:
             raise InvariantViolation("density operator not positive semidefinite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only(m.copy()))
 
     @property
     def num_systems(self) -> int:
@@ -368,14 +418,19 @@ def density_from_state(state: StateVector) -> DensityOperator:
 
 def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOperator:
     """Re-express a density operator in the given bases."""
-    if len(bases) != rho.num_systems:
+    n = rho.num_systems
+    if len(bases) != n:
         raise ValueError("dimension mismatch")
     if all(b == c for b, c in zip(rho.bases, bases)):
         return rho
-    u = np.eye(1)
+    # The matrix is a tensor with n row axes then n column axes: U rho U^H
+    # applies U to row axis k and conj(U) to column axis n + k.
+    flat = rho.matrix.reshape(-1)
     for k, b in enumerate(bases):
-        u = np.kron(u, basis_change(k, rho.bases[k], b).matrix if rho.bases[k] != b else np.eye(2))
-    return DensityOperator(tuple(bases), u @ rho.matrix @ u.conj().T)
+        if rho.bases[k] != b:
+            u = basis_change(k, rho.bases[k], b).matrix
+            flat = _on_axis(u.conj(), n + k, _on_axis(u, k, flat))
+    return DensityOperator(tuple(bases), flat.reshape(rho.matrix.shape))
 
 
 def dephase(rho: DensityOperator, system: int, basis: Basis) -> DensityOperator:

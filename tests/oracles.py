@@ -7,6 +7,8 @@ stand on their own as oracles.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 INV = 2.0 ** -0.5
@@ -24,6 +26,8 @@ SPIN_VECS = {
     "ok": np.array([-INV, INV], dtype=complex),
     "fail": np.array([INV, INV], dtype=complex),
 }
+
+LABEL_VECS = {**COIN_VECS, **SPIN_VECS}
 
 # Hardy amplitudes, index order (h,down), (h,up), (t,down), (t,up).
 HARDY = np.array([1.0, 0.0, 1.0, 1.0], dtype=complex) / np.sqrt(3.0)
@@ -218,3 +222,35 @@ def born_from_density(context: str, rho: np.ndarray) -> dict[tuple[str, str], fl
             v = outcome_vector(c, s)
             table[(c, s)] = float(np.real(np.vdot(v, rho @ v)))
     return table
+
+
+def change_matrix(source_labels: tuple[str, str], target_labels: tuple[str, str]) -> np.ndarray:
+    """<target_j|source_i>: re-expresses one system's amplitudes from the
+    source labels into the target labels."""
+    src = np.column_stack([LABEL_VECS[label] for label in source_labels])
+    tgt = np.column_stack([LABEL_VECS[label] for label in target_labels])
+    return tgt.conj().T @ src
+
+
+def local_operator(u: np.ndarray, system: int, num_systems: int) -> np.ndarray:
+    """kron(I, ..., u, ..., I) with ``u`` on ``system``, first system major."""
+    out = np.eye(1)
+    for k in range(num_systems):
+        out = np.kron(out, u if k == system else np.eye(2))
+    return out
+
+
+def born_probs(
+    state: np.ndarray, source_labels: list[tuple[str, str]], target_labels: list[tuple[str, str]]
+) -> dict[tuple[str, ...], float]:
+    """Outcome probabilities of an n-system state vector or density matrix,
+    given in the source labels, measured in the target labels, from the full
+    kron product of the per-system changes."""
+    full = np.eye(1)
+    for src, tgt in zip(source_labels, target_labels):
+        full = np.kron(full, change_matrix(src, tgt))
+    if state.ndim == 1:
+        probs = np.abs(full @ state) ** 2
+    else:
+        probs = np.real(np.diag(full @ state @ full.conj().T))
+    return dict(zip(itertools.product(*target_labels), (float(p) for p in probs)))

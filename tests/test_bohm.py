@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -264,3 +267,16 @@ def test_sampler_tracks_enumerated_weights(foliation):
         got = counts.get(p.signature, 0) / n
         sigma = (p.weight * (1 - p.weight) / n) ** 0.5
         assert abs(got - p.weight) <= 4 * sigma
+
+
+@pytest.mark.parametrize("coupling", ALL_COUPLINGS)
+@pytest.mark.parametrize("foliation", ALL_FOLIATIONS)
+def test_evolve_is_memoized_and_returns_equal_frozen_sets(foliation, coupling):
+    assert 0 < evolve.cache_info().maxsize < math.inf
+    first = evolve(foliation, coupling)
+    assert evolve(foliation, coupling) is first
+    assert evolve.__wrapped__(foliation, coupling) == first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.paths = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.paths[0].weight = 1.0

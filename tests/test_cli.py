@@ -178,6 +178,56 @@ def test_chsh_malformed_angles_are_usage_error(capsys):
     assert info.value.code == 2
 
 
+def _usage_error_without_traceback(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chsh", "--scan", "--grid", "0"],
+        ["chsh", "--scan", "--grid", "-3"],
+        ["chsh", "--scan", "--grid", str(cli.MAX_GRID + 1)],
+        ["chsh", "--erased-vs-kept", "--grid", "0"],
+    ],
+    ids=["zero", "negative", "above-cap", "erased-vs-kept-zero"],
+)
+def test_chsh_grid_out_of_range_is_usage_error(capsys, argv):
+    _usage_error_without_traceback(capsys, argv)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_chsh_non_finite_quad_is_usage_error(capsys, bad):
+    _usage_error_without_traceback(capsys, ["chsh", "--quad", "0", bad, "0", "0"])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": "chsh", "scan": True, "grid": 0},
+        {"scenario": "chsh", "scan": True, "grid": -3},
+        {"scenario": "chsh", "scan": True, "grid": True},
+        {"scenario": "chsh", "quad": [float("nan"), 0, 0, 0]},
+    ],
+    ids=["grid-zero", "grid-negative", "grid-bool", "quad-nan"],
+)
+def test_config_bad_chsh_input_is_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(raw))
+    _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+
+
+def test_chsh_grid_bounds_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "chsh", "--scan", "--grid", "1")
+    assert code == 0
+    assert "scan (1^4 grid" in out
+
+
 def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["contexts", "--frobnicate"])

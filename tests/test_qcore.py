@@ -9,19 +9,26 @@ import oracles
 from wignerfriend.qcore import (
     COIN_WBAR,
     COIN_ZBAR,
+    DOWN,
     SPIN_W,
     SPIN_Z,
+    UP,
     Basis,
     BasisLabel,
     DensityOperator,
+    InvariantViolation,
     LocalUnitary,
+    OutcomeDistribution,
+    StateVector,
     System,
     apply_local,
     basis_change,
     born_distribution,
     dephase,
     density_from_state,
+    direction_basis,
     express,
+    express_density,
     fidelity,
     make_state,
     project,
@@ -298,3 +305,107 @@ def test_density_validation_rejects_bad_matrices():
         DensityOperator(HARDY_BASES, np.diag([0.9, 0.3, 0, 0]))  # trace 1.2
     with pytest.raises(InvariantViolation):
         DensityOperator(HARDY_BASES, np.diag([1.5, -0.5, 0, 0]))  # negative eigenvalue
+
+
+def test_near_unitary_basis_is_rejected():
+    # Off by 4e-6: inside np.allclose's default rtol, outside NORM_TOL.
+    with pytest.raises(ValueError, match="not unitary"):
+        Basis("x", (DOWN, UP), ((1 + 4e-6, 0), (0, 1)))
+
+
+def test_near_unitary_local_unitary_is_rejected():
+    with pytest.raises(ValueError, match="not unitary"):
+        LocalUnitary(0, np.diag([1 + 4e-6, 1]), COIN_ZBAR, COIN_ZBAR)
+
+
+def test_non_finite_values_are_rejected():
+    with pytest.raises(ValueError, match="not unitary"):
+        direction_basis(float("nan"))
+    with pytest.raises(ValueError, match="not unitary"):
+        LocalUnitary(0, np.array([[1, float("nan")], [0, 1]]), COIN_ZBAR, COIN_ZBAR)
+    with pytest.raises(InvariantViolation):
+        StateVector(HARDY_BASES, np.array([float("nan"), 0, 0, 0]))
+    with pytest.raises(InvariantViolation):
+        DensityOperator(HARDY_BASES, np.diag([float("nan"), 1.0, 0, 0]))
+    with pytest.raises(InvariantViolation):
+        OutcomeDistribution(("Z",), {("down",): float("nan"), ("up",): 1.0})
+
+
+def test_basis_and_unitary_matrices_are_read_only():
+    for m in (COIN_WBAR.matrix, direction_basis(0.3).matrix, basis_change(1, SPIN_Z, SPIN_W).matrix):
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+
+
+def test_basis_change_is_memoized_in_a_bounded_cache():
+    assert 0 < basis_change.cache_info().maxsize < math.inf
+    assert basis_change(1, SPIN_Z, SPIN_W) is basis_change(1, SPIN_Z, SPIN_W)
+    listed = Basis("Z", (DOWN, UP), [np.array([1, 0]), [0, 1]])
+    assert listed == SPIN_Z
+    assert basis_change(1, listed, SPIN_W) is basis_change(1, SPIN_Z, SPIN_W)
+
+
+# Three systems (coin, spin, spin), to pin that local maps act on the right
+# axis of a first-system-major tensor of any length.
+THREE_SOURCE = (COIN_ZBAR, SPIN_Z, SPIN_Z)
+THREE_TARGET = (COIN_WBAR, SPIN_W, SPIN_W)
+
+
+def _labels(bases):
+    return [b.label_names for b in bases]
+
+
+def _three_system_state(seed):
+    rng = np.random.default_rng(seed)
+    return make_state(rng.normal(size=8) + 1j * rng.normal(size=8), THREE_SOURCE)
+
+
+def _three_system_density(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return DensityOperator(THREE_SOURCE, rho / np.trace(rho).real)
+
+
+def _change_one(system):
+    return tuple(THREE_TARGET[k] if k == system else b for k, b in enumerate(THREE_SOURCE))
+
+
+def _oracle_operator(system):
+    u = oracles.change_matrix(THREE_SOURCE[system].label_names, THREE_TARGET[system].label_names)
+    return oracles.local_operator(u, system, 3)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("system", [0, 1, 2])
+def test_apply_local_matches_kron_oracle_on_three_systems(system, seed):
+    state = _three_system_state(seed)
+    out = apply_local(state, basis_change(system, THREE_SOURCE[system], THREE_TARGET[system]))
+    assert out.bases == _change_one(system)
+    assert np.allclose(out.amps, _oracle_operator(system) @ state.amps, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("system", [0, 1, 2])
+def test_express_density_matches_kron_oracle_on_three_systems(system, seed):
+    rho = _three_system_density(seed)
+    out = express_density(rho, _change_one(system))
+    op = _oracle_operator(system)
+    assert out.bases == _change_one(system)
+    assert np.allclose(out.matrix, op @ rho.matrix @ op.conj().T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("system", [0, 1, 2, None])
+def test_born_distribution_matches_kron_oracle_on_three_systems(system, seed):
+    target = THREE_TARGET if system is None else _change_one(system)
+    state = _three_system_state(seed)
+    rho = _three_system_density(seed)
+    for obj, raw in ((state, state.amps), (rho, rho.matrix)):
+        table = born_distribution(obj, target)
+        expected = oracles.born_probs(raw, _labels(THREE_SOURCE), _labels(target))
+        assert list(dict(table.items())) == list(expected)
+        for key, p in expected.items():
+            assert table[key] == pytest.approx(p, abs=1e-12)
