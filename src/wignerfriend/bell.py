@@ -5,6 +5,7 @@ observer-independent-facts hidden-variable model, and the CHSH comparison
 Measurement directions are restricted to one Bloch great circle (real
 amplitudes), so a setting is a single angle and the hidden-variable responses
 are the familiar cos^2(angle/2) laws.  Outcome +1 means the "plus" port.
+Correlations are bilinear on that circle, so ``chsh_scan`` solves in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .memory import Friend, record_and_erase, record_and_keep
 from .qcore import (
@@ -29,6 +29,8 @@ from .qcore import (
 )
 
 _TWO_PI = 2.0 * math.pi
+# Largest |E - n(a)^T T n(b)| that chsh_scan accepts on its check grid.
+BILINEAR_TOL = 1e-12
 
 # z basis for either particle of the pair, ordered (up, down).
 PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
@@ -146,35 +148,33 @@ class ScanResult:
     max_s: float
     argmax: AngleQuad
     grid_n: int
-    refined: bool
 
 
-def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20, refine: bool = True) -> ScanResult:
-    """Maximize S over a grid_n^4 angle grid, then refine locally.
+def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
+    """Maximize S over coplanar settings in closed form.
 
-    The refinement is a Nelder-Mead descent on -S from the best grid point;
-    this is bound verification, not optimization research.
+    With n(a) = (cos a, sin a), a correlation on one great circle is
+    E(a, b) = n(a)^T T n(b), and T is read off E at a, b in {0, pi/2}.  Then
+    S_max = 2*sqrt(s1^2 + s2^2) over the singular values of T (Horodecki
+    criterion restricted to one plane), reached at a = u1, a' = u2 and
+    b, b' = cos(t) v1 +- sin(t) v2 with tan(t) = s2/s1.  Bilinearity is
+    checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
+    grid_n x grid_n angle grid, or ValueError is raised.
     """
+    ends = (0.0, math.pi / 2.0)
+    t = np.array([[correlation_fn(a, b) for b in ends] for a in ends])
     grid = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
     e = np.array([[correlation_fn(a, b) for b in grid] for a in grid])
-    s = np.abs(
-        e[:, None, :, None] + e[None, :, :, None] + e[:, None, None, :] - e[None, :, None, :]
-    )
-    flat = int(np.argmax(s))
-    i, j, k, l = np.unravel_index(flat, s.shape)
-    best = AngleQuad(grid[i], grid[j], grid[k], grid[l])
-    best_s = float(s[i, j, k, l])
-    if refine:
-        result = minimize(
-            lambda q: -chsh(correlation_fn, AngleQuad(*q)),
-            np.array(best.as_tuple()),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
-        )
-        if -result.fun > best_s:
-            best_s = float(-result.fun)
-            best = AngleQuad(*result.x)
-    return ScanResult(best_s, best, grid_n, refine)
+    n = np.column_stack((np.cos(grid), np.sin(grid)))
+    residual = float(np.max(np.abs(e - n @ t @ n.T)))
+    if not residual <= BILINEAR_TOL:
+        raise ValueError(f"correlation is not bilinear in the settings: residual {residual:.3g}")
+    u, s, vt = np.linalg.svd(t)
+    theta = math.atan2(s[1], s[0])
+    c, si = math.cos(theta), math.sin(theta)
+    dirs = np.column_stack((u, vt.T @ np.array([[c, c], [si, -si]])))
+    quad = AngleQuad(*np.arctan2(dirs[1], dirs[0]))
+    return ScanResult(2.0 * math.hypot(s[0], s[1]), quad, grid_n)
 
 
 @dataclass(frozen=True)

@@ -219,10 +219,11 @@ class TrajectorySet:
     def __post_init__(self) -> None:
         total = 0.0
         for p in self.paths:
-            if p.weight < -WEIGHT_TOL:
-                raise InvariantViolation(f"negative path weight {p.weight}")
+            # Written as "not ok" so that a NaN weight fails too.
+            if not p.weight >= -WEIGHT_TOL:
+                raise InvariantViolation(f"negative or NaN path weight {p.weight}")
             total += p.weight
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolation(f"path weights sum to {total}")
 
     def final_marginal(self) -> dict[tuple[str, str], float]:

@@ -11,13 +11,15 @@ import sys
 from fractions import Fraction
 
 from . import bell, bohm, epistemic, hardy, memory
-from .qcore import InvariantViolation, born_distribution
+from .qcore import InvariantViolation, born_distribution, fidelity
 
 RATIONAL_TOL = 1e-12
 _MAX_DENOMINATOR = 144
-# The CHSH scan holds grid**4 values per intermediate array: 50 keeps each
-# float64 intermediate near 50 MB.
+# The CHSH maximum checks bilinearity with grid**2 calls of each correlation:
+# 50 caps a check at 2,500 calls.
 MAX_GRID = 50
+# Sample counts are drawn into int64 arrays.
+MAX_SAMPLES = 2**63 - 1
 
 _FOLIATIONS = {"F": bohm.FOLIATION_F, "Fprime": bohm.FOLIATION_FPRIME}
 _COUPLINGS = {"monotone": bohm.MONOTONE, "independent": bohm.INDEPENDENT}
@@ -218,7 +220,9 @@ def cmd_memory(args) -> tuple[str, dict]:
         payload["decohered"] = _table_json(kept_table)
     else:
         lines += _table_lines(coherent_table, "(Wbar, W) with all records erased (coherent)")
-        lines.append("erased run returns the input state: fidelity 1")
+    fid = fidelity(state, final)
+    lines.append(f"erased run vs the input state: fidelity {fmt_prob(fid)}")
+    payload["fidelity"] = _json_prob(fid)
     return "\n".join(lines), payload
 
 
@@ -241,7 +245,8 @@ def cmd_chsh(args) -> tuple[str, dict]:
         scan_q = bell.chsh_scan(bell.quantum_correlation, grid_n=args.grid)
         scan_l = bell.chsh_scan(lambda a, b: bell.lhv_correlation(model, a, b), grid_n=args.grid)
         lines.append(
-            f"scan ({args.grid}^4 grid + refinement): quantum max {scan_q.max_s:.15g}, "
+            f"scan (closed form, checked on a {args.grid}x{args.grid} grid): "
+            f"quantum max {scan_q.max_s:.15g}, "
             f"hidden-variable max {scan_l.max_s:.15g}"
         )
         payload["S_quantum_max"] = _json_prob(scan_q.max_s)
@@ -270,20 +275,21 @@ _HANDLERS = {
     "chsh": cmd_chsh,
 }
 
-_CONFIG_KEYS = {
-    "scenario",
-    "foliation",
-    "coupling",
-    "kept",
-    "erased",
-    "quad",
-    "scan",
-    "erased_vs_kept",
-    "forbid_counterfactual",
-    "format",
-    "seed",
-    "samples",
-    "grid",
+# The JSON type each config key must have; bool is not accepted as int.
+_CONFIG_TYPES = {
+    "scenario": str,
+    "foliation": str,
+    "coupling": str,
+    "kept": list,
+    "erased": list,
+    "quad": list,
+    "scan": bool,
+    "erased_vs_kept": bool,
+    "forbid_counterfactual": bool,
+    "format": str,
+    "seed": int,
+    "samples": int,
+    "grid": int,
 }
 
 
@@ -327,18 +333,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=float, nargs=4, metavar=("A", "APRIME", "B", "BPRIME"))
     p.add_argument("--scan", action="store_true")
     p.add_argument("--erased-vs-kept", action="store_true", dest="erased_vs_kept")
-    p.add_argument("--grid", type=int, default=20, help=f"scan resolution, 1 to {MAX_GRID}")
+    p.add_argument("--grid", type=int, default=20, help=f"bilinearity check grid, 1 to {MAX_GRID}")
     return parser
 
 
 def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    unknown = set(raw) - _CONFIG_KEYS
+    if type(raw) is not dict:
+        parser.error("config must be a JSON object")
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if type(value) is not _CONFIG_TYPES[key]:
+            parser.error(f"config key {key!r} must be a JSON {_CONFIG_TYPES[key].__name__}")
     scenario = raw.get("scenario")
     if scenario not in _HANDLERS:
         parser.error(f"unknown scenario name: {scenario!r}")
-    kept = list(raw.get("kept", []))
+    kept = raw.get("kept", [])
     ns = argparse.Namespace(
         command=scenario,
         format=raw.get("format"),
@@ -348,7 +359,7 @@ def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argpar
         coupling=raw.get("coupling", "monotone"),
         forbid_counterfactual=raw.get("forbid_counterfactual", False),
         keep=kept,
-        erased=list(raw.get("erased", [a for a in ("F", "Fbar") if a not in kept])),
+        erased=raw.get("erased", [a for a in ("F", "Fbar") if a not in kept]),
         quad=raw.get("quad"),
         scan=raw.get("scan", False),
         erased_vs_kept=raw.get("erased_vs_kept", False),
@@ -361,11 +372,11 @@ def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argpar
         parser.error(f"invalid foliation: {ns.foliation!r}")
     if ns.coupling not in _COUPLINGS:
         parser.error(f"invalid coupling: {ns.coupling!r}")
-    if any(k not in _FRIENDS for k in ns.keep) or any(k not in _FRIENDS for k in ns.erased):
+    if not all(type(k) is str and k in _FRIENDS for k in ns.keep + ns.erased):
         parser.error(f"invalid agent names: kept {ns.keep!r}, erased {ns.erased!r}")
     if set(ns.keep) & set(ns.erased):
         parser.error("an agent's record cannot be both kept and erased")
-    if ns.quad is not None and (len(ns.quad) != 4 or not all(isinstance(x, (int, float)) for x in ns.quad)):
+    if ns.quad is not None and (len(ns.quad) != 4 or not all(type(x) in (int, float) for x in ns.quad)):
         parser.error("quad must be four angles")
     return ns
 
@@ -392,10 +403,10 @@ def main(argv=None) -> int:
         parser.error("sampling applies to the bohm scenario only")
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be a non-negative integer")
-    if args.samples is not None and args.samples < 1:
-        parser.error("--samples must be at least 1")
+    if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
+        parser.error(f"--samples must be from 1 to {MAX_SAMPLES}")
     if args.command == "chsh":
-        if type(args.grid) is not int or not 1 <= args.grid <= MAX_GRID:
+        if not 1 <= args.grid <= MAX_GRID:
             parser.error(f"--grid must be an integer from 1 to {MAX_GRID}")
         if args.quad is not None and not all(math.isfinite(x) for x in args.quad):
             parser.error("--quad angles must be finite")

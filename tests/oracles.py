@@ -254,3 +254,34 @@ def born_probs(
     else:
         probs = np.real(np.diag(full @ state @ full.conj().T))
     return dict(zip(itertools.product(*target_labels), (float(p) for p in probs)))
+
+
+# Pauli Z and X in a pair qubit's (up, down) frame.  The +1 port of the
+# setting at angle a is (cos a/2, sin a/2), so its +-1 observable is
+# cos(a) Z + sin(a) X.
+PAIR_PAULI_ZX = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def pair_correlation(rho: np.ndarray, a: float, b: float) -> float:
+    """tr(rho A(a) x B(b)) for a 4x4 pair density in (up, down) coordinates."""
+    z, x = PAIR_PAULI_ZX
+    obs_a = np.cos(a) * z + np.sin(a) * x
+    obs_b = np.cos(b) * z + np.sin(b) * x
+    return float(np.real(np.trace(rho @ np.kron(obs_a, obs_b))))
+
+
+def correlation_block(rho: np.ndarray) -> np.ndarray:
+    """T_ij = tr(rho sigma_i x sigma_j) for i, j in (z, x)."""
+    return np.array(
+        [[np.real(np.trace(rho @ np.kron(p, q))) for q in PAIR_PAULI_ZX] for p in PAIR_PAULI_ZX]
+    )
+
+
+def chsh_grid_max(correlation, grid_n: int) -> float:
+    """Brute-force max of |E(a,b) + E(a',b) + E(a,b') - E(a',b')| over all
+    grid_n^4 quads of grid angles."""
+    grid = np.linspace(0.0, 2.0 * np.pi, grid_n, endpoint=False)
+    e = np.array([[correlation(a, b) for b in grid] for a in grid])
+    # Axes (a, a', b, b').
+    s = e[:, None, :, None] + e[None, :, :, None] + e[:, None, None, :] - e[None, :, None, :]
+    return float(np.abs(s).max())

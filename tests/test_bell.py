@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from wignerfriend.bell import (
     OPTIMAL_QUAD,
     PAIR_Z,
@@ -18,6 +19,7 @@ from wignerfriend.bell import (
     singlet,
 )
 from wignerfriend.memory import Friend, record_and_erase, record_and_keep
+from wignerfriend.qcore import make_state
 
 INV = 2.0 ** -0.5
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -143,3 +145,58 @@ def test_erased_vs_kept_report():
     assert report.s_kept_max <= 2.0 + 1e-9
     assert report.aligned_correlation == pytest.approx(-1.0, abs=1e-12)
     assert report.kept_vs_lhv_max_gap <= 1e-12
+
+
+def _random_amps(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return v / np.linalg.norm(v)
+
+
+def _chsh_case(name: str):
+    """(package correlation, oracle correlation, oracle block) for one case."""
+    if name == "lhv":
+        return (
+            lambda a, b: lhv_correlation(MODEL, a, b),
+            lambda a, b: -math.cos(a) * math.cos(b),
+            np.diag([-1.0, 0.0]),
+        )
+    kind, _, seed = name.partition("-")
+    amps = np.array([0.0, INV, -INV, 0.0]) if kind == "singlet" else _random_amps(int(seed))
+    state = make_state(amps, (PAIR_Z, PAIR_Z))
+    rho = np.outer(amps, amps.conj())
+    if kind == "kept":
+        friends = ((Friend.FBAR,), (Friend.F,), (Friend.FBAR, Friend.F))[int(seed) % 3]
+        state = record_and_keep(state, friends).final_state
+        for friend in friends:
+            rho = oracles.dephase_matrix(rho, friend.system)
+    return (
+        lambda a, b: quantum_correlation(a, b, state),
+        lambda a, b: oracles.pair_correlation(rho, a, b),
+        oracles.correlation_block(rho),
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["singlet", "lhv", "pure-1", "pure-2", "pure-3", "kept-4", "kept-5", "kept-6"]
+)
+def test_closed_form_chsh_maximum_matches_the_oracles(case):
+    fn, oracle_fn, block = _chsh_case(case)
+    result = chsh_scan(fn, 12)
+    sigma = np.linalg.svd(block, compute_uv=False)
+    assert result.max_s == pytest.approx(2.0 * math.hypot(*sigma), abs=1e-12)
+    assert chsh(fn, result.argmax) == pytest.approx(result.max_s, abs=1e-12)
+    assert oracles.chsh_grid_max(oracle_fn, 12) <= result.max_s + 1e-12
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda a, b: -math.cos(2.0 * (a - b)),
+        lambda a, b: -math.cos(a - b) + 1e-9 * math.cos(2.0 * (a - b)),
+    ],
+    ids=["second-harmonic", "singlet-plus-1e-9"],
+)
+def test_closed_form_rejects_a_non_bilinear_correlation(fn):
+    with pytest.raises(ValueError, match="not bilinear"):
+        chsh_scan(fn)

@@ -207,6 +207,15 @@ def test_trajectory_set_rejects_broken_weights():
         TrajectorySet(None, ("Zbar", "W"), MONOTONE, (path,))
 
 
+def test_trajectory_set_rejects_a_nan_weight():
+    from wignerfriend.qcore import InvariantViolation
+
+    ts = evolve(FOLIATION_F)
+    path = dataclasses.replace(ts.paths[0], weight=math.nan)
+    with pytest.raises(InvariantViolation):
+        dataclasses.replace(ts, paths=(path,))
+
+
 masses = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,8 +217,35 @@ def test_chsh_non_finite_quad_is_usage_error(capsys, bad):
         {"scenario": "chsh", "scan": True, "grid": -3},
         {"scenario": "chsh", "scan": True, "grid": True},
         {"scenario": "chsh", "quad": [float("nan"), 0, 0, 0]},
+        {"scenario": "bohm", "samples": "10", "seed": 1},
+        {"scenario": "bohm", "samples": 10, "seed": 1.5},
+        {"scenario": "bohm", "samples": True, "seed": 1},
+        {"scenario": "agents", "forbid_counterfactual": "no"},
+        {"scenario": "chsh", "scan": "no"},
+        {"scenario": "chsh", "quad": [True, 0, 0, 0]},
+        {"scenario": "chsh", "quad": 5},
+        {"scenario": "memory", "kept": "Fbar"},
+        {"scenario": "memory", "kept": [["F"]]},
+        {"scenario": ["chsh"]},
+        [],
     ],
-    ids=["grid-zero", "grid-negative", "grid-bool", "quad-nan"],
+    ids=[
+        "grid-zero",
+        "grid-negative",
+        "grid-bool",
+        "quad-nan",
+        "samples-string",
+        "seed-float",
+        "samples-bool",
+        "flag-string",
+        "scan-string",
+        "quad-bool",
+        "quad-number",
+        "kept-string",
+        "kept-nested",
+        "scenario-list",
+        "top-level-list",
+    ],
 )
 def test_config_bad_chsh_input_is_usage_error(tmp_path, capsys, raw):
     cfg = tmp_path / "scenario.json"
@@ -225,7 +256,25 @@ def test_config_bad_chsh_input_is_usage_error(tmp_path, capsys, raw):
 def test_chsh_grid_bounds_are_accepted(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--scan", "--grid", "1")
     assert code == 0
-    assert "scan (1^4 grid" in out
+    assert "scan (closed form, checked on a 1x1 grid)" in out
+
+
+def test_huge_samples_is_usage_error(capsys):
+    _usage_error_without_traceback(
+        capsys, ["bohm", "--samples", str(cli.MAX_SAMPLES + 1), "--seed", "1"]
+    )
+
+
+def test_memory_computes_the_erased_run_fidelity(capsys):
+    payload = run_json(capsys, "memory")
+    assert abs(float(payload["fidelity"]) - 1.0) <= 1e-12
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, wignerfriend.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unknown_flag_is_usage_error(capsys):
