@@ -6,6 +6,12 @@ Measurement directions are restricted to one Bloch great circle (real
 amplitudes), so a setting is a single angle and the hidden-variable responses
 are the familiar cos^2(angle/2) laws.  Outcome +1 means the "plus" port.
 Correlations are bilinear on that circle, so ``chsh_scan`` solves in closed form.
+
+Correlations broadcast like numpy ufuncs: settings may be arrays of angles,
+and a correlation returns one value per broadcast pair of settings (a Python
+float for scalar settings).  A ``CorrelationFn`` or ``LHVModel.response``
+given to this module must broadcast the same way, because ``chsh_scan`` and
+``erased_vs_kept_chsh`` evaluate whole grids of settings in one call.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from .qcore import (
     Basis,
     DensityOperator,
     StateVector,
-    born_distribution,
-    direction_basis,
+    System,
+    born_tables,
+    direction_matrices,
     make_state,
 )
 
@@ -35,7 +42,9 @@ BILINEAR_TOL = 1e-12
 # z basis for either particle of the pair, ordered (up, down).
 PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
 
-_SIGN = {"plus_a": 1, "minus_a": -1}
+# Outcome product x*y over the joint outcomes (plus, plus), (plus, minus),
+# (minus, plus), (minus, minus): born_tables' first-system-major order.
+_OUTCOME_PRODUCT = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def singlet() -> StateVector:
@@ -44,16 +53,31 @@ def singlet() -> StateVector:
     return make_state([0.0, inv, -inv, 0.0], (PAIR_Z, PAIR_Z))
 
 
-def quantum_correlation(alpha: float, beta: float, state=None) -> float:
+# States are immutable, so the default pair is built and checked once.
+_SINGLET = singlet()
+
+
+def _scalar_or_array(x: np.ndarray):
+    """A float for a 0-d result, as for scalar settings; else the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def quantum_correlation(alpha, beta, state=None):
     """Expectation of the +-1 outcome product at settings (alpha, beta).
 
     Computed from Born probabilities of the state (default: the singlet,
     where the closed form is -cos(alpha - beta)); accepts a density operator
-    as well.
+    as well.  ``alpha`` and ``beta`` broadcast like a ufunc's arguments: one
+    Born-rule call (``qcore.born_tables``) evaluates every pair, and scalar
+    settings give a float.  The state must hold two spin systems: ValueError
+    "dimension mismatch" otherwise, and "basis mismatch" for a coin system.
     """
-    obj = singlet() if state is None else state
-    dist = born_distribution(obj, (direction_basis(alpha), direction_basis(beta)))
-    return sum(_SIGN[k1] * _SIGN[k2] * p for (k1, k2), p in dist.items())
+    obj = _SINGLET if state is None else state
+    # born_tables checks the type and the number of systems.
+    probs = born_tables(obj, (direction_matrices(alpha), direction_matrices(beta)))
+    if any(b.system is not System.SPIN for b in obj.bases):
+        raise ValueError("basis mismatch: correlations are defined on two spin systems")
+    return _scalar_or_array(probs @ _OUTCOME_PRODUCT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +91,8 @@ class LHVModel:
 
     lambda_space: tuple[tuple[str, str], ...]
     prior: tuple[float, ...]
+    #: response(side, angle, component) -> {+1: P(+1), -1: P(-1)}; it must
+    #: broadcast over an array ``angle``, returning arrays of its shape.
     response: Callable[[int, float, str], dict[int, float]]
 
     def __post_init__(self) -> None:
@@ -81,7 +107,7 @@ def observer_independent_facts_model() -> LHVModel:
     perfectly anticorrelated z values, cos^2(angle/2) readout on each side."""
 
     def response(side: int, angle: float, component: str) -> dict[int, float]:
-        p_plus = math.cos(angle / 2.0) ** 2 if component == "up" else math.sin(angle / 2.0) ** 2
+        p_plus = np.cos(angle / 2.0) ** 2 if component == "up" else np.sin(angle / 2.0) ** 2
         return {1: p_plus, -1: 1.0 - p_plus}
 
     return LHVModel(
@@ -91,8 +117,9 @@ def observer_independent_facts_model() -> LHVModel:
     )
 
 
-def lhv_joint(model: LHVModel, alpha: float, beta: float) -> dict[tuple[int, int], float]:
-    """P(x, y | alpha, beta) = sum_lambda P1(x|lambda) P2(y|lambda) P(lambda)."""
+def lhv_joint(model: LHVModel, alpha, beta) -> dict[tuple[int, int], float]:
+    """P(x, y | alpha, beta) = sum_lambda P1(x|lambda) P2(y|lambda) P(lambda),
+    broadcast over array settings as the responses broadcast."""
     joint = {(x, y): 0.0 for x in (1, -1) for y in (1, -1)}
     for lam, weight in zip(model.lambda_space, model.prior):
         if weight == 0.0:
@@ -105,9 +132,12 @@ def lhv_joint(model: LHVModel, alpha: float, beta: float) -> dict[tuple[int, int
     return joint
 
 
-def lhv_correlation(model: LHVModel, alpha: float, beta: float) -> float:
-    """Expectation of the outcome product under the hidden-variable model."""
-    return sum(x * y * p for (x, y), p in lhv_joint(model, alpha, beta).items())
+def lhv_correlation(model: LHVModel, alpha, beta):
+    """Expectation of the outcome product under the hidden-variable model;
+    broadcasts like :func:`quantum_correlation`."""
+    return _scalar_or_array(
+        sum(x * y * p for (x, y), p in lhv_joint(model, alpha, beta).items())
+    )
 
 
 @dataclass(frozen=True)
@@ -129,6 +159,7 @@ class AngleQuad:
 
 OPTIMAL_QUAD = AngleQuad(0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0)
 
+# E(alpha, beta); it must broadcast over arrays of settings like a ufunc.
 CorrelationFn = Callable[[float, float], float]
 
 
@@ -150,6 +181,11 @@ class ScanResult:
     grid_n: int
 
 
+def _on_grid(correlation_fn: CorrelationFn, angles: np.ndarray) -> np.ndarray:
+    """E(a, b) for every pair of ``angles``, in one broadcast call."""
+    return np.asarray(correlation_fn(angles[:, None], angles[None, :]), dtype=float)
+
+
 def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     """Maximize S over coplanar settings in closed form.
 
@@ -159,12 +195,12 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     criterion restricted to one plane), reached at a = u1, a' = u2 and
     b, b' = cos(t) v1 +- sin(t) v2 with tan(t) = s2/s1.  Bilinearity is
     checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
-    grid_n x grid_n angle grid, or ValueError is raised.
+    grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
+    called twice, on the 2x2 ends and on the whole grid, so it must broadcast.
     """
-    ends = (0.0, math.pi / 2.0)
-    t = np.array([[correlation_fn(a, b) for b in ends] for a in ends])
+    t = _on_grid(correlation_fn, np.array([0.0, math.pi / 2.0]))
     grid = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
-    e = np.array([[correlation_fn(a, b) for b in grid] for a in grid])
+    e = _on_grid(correlation_fn, grid)
     n = np.column_stack((np.cos(grid), np.sin(grid)))
     residual = float(np.max(np.abs(e - n @ t @ n.T)))
     if not residual <= BILINEAR_TOL:
@@ -211,7 +247,7 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
 
     kept: DensityOperator = record_and_keep(pair, (Friend.F, Friend.FBAR)).final_state
 
-    def kept_corr(a: float, b: float) -> float:
+    def kept_corr(a, b):
         return quantum_correlation(a, b, kept)
 
     s_kept_at_quad = chsh(kept_corr, OPTIMAL_QUAD)
@@ -219,9 +255,8 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
 
     model = observer_independent_facts_model()
     angles = np.linspace(0.0, _TWO_PI, match_grid, endpoint=False)
-    gap = max(
-        abs(kept_corr(a, b) - lhv_correlation(model, a, b)) for a in angles for b in angles
-    )
+    a, b = angles[:, None], angles[None, :]
+    gap = float(np.max(np.abs(kept_corr(a, b) - lhv_correlation(model, a, b))))
     return ErasedKeptReport(
         OPTIMAL_QUAD,
         s_erased,

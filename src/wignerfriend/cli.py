@@ -15,8 +15,8 @@ from .qcore import InvariantViolation, born_distribution, fidelity
 
 RATIONAL_TOL = 1e-12
 _MAX_DENOMINATOR = 144
-# The CHSH maximum checks bilinearity with grid**2 calls of each correlation:
-# 50 caps a check at 2,500 calls.
+# The CHSH maximum checks bilinearity on grid**2 settings, evaluated in one
+# broadcast call: 50 caps a check at 2,500 settings.
 MAX_GRID = 50
 # Sample counts are drawn into int64 arrays.
 MAX_SAMPLES = 2**63 - 1
@@ -376,8 +376,13 @@ def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argpar
         parser.error(f"invalid agent names: kept {ns.keep!r}, erased {ns.erased!r}")
     if set(ns.keep) & set(ns.erased):
         parser.error("an agent's record cannot be both kept and erased")
-    if ns.quad is not None and (len(ns.quad) != 4 or not all(type(x) in (int, float) for x in ns.quad)):
-        parser.error("quad must be four angles")
+    if ns.quad is not None:
+        if len(ns.quad) != 4 or not all(type(x) in (int, float) for x in ns.quad):
+            parser.error("quad must be four angles")
+        try:
+            ns.quad = [float(x) for x in ns.quad]
+        except OverflowError:
+            parser.error("quad angles must be finite")
     return ns
 
 
@@ -391,7 +396,9 @@ def main(argv=None) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # RecursionError, JSON nested deeper than the parser's stack.
+        except (OSError, ValueError, RecursionError) as exc:
             parser.error(f"cannot read config: {exc}")
         args = _namespace_from_config(raw, parser)
     if args.command is None:

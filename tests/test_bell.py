@@ -18,8 +18,9 @@ from wignerfriend.bell import (
     quantum_correlation,
     singlet,
 )
+from wignerfriend.hardy import hardy_state
 from wignerfriend.memory import Friend, record_and_erase, record_and_keep
-from wignerfriend.qcore import make_state
+from wignerfriend.qcore import born_distribution, born_tables, direction_basis, make_state
 
 INV = 2.0 ** -0.5
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -153,14 +154,9 @@ def _random_amps(seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _chsh_case(name: str):
-    """(package correlation, oracle correlation, oracle block) for one case."""
-    if name == "lhv":
-        return (
-            lambda a, b: lhv_correlation(MODEL, a, b),
-            lambda a, b: -math.cos(a) * math.cos(b),
-            np.diag([-1.0, 0.0]),
-        )
+def _case_state(name: str):
+    """(package state, oracle density) for "singlet", "pure-<seed>" or
+    "kept-<seed>"."""
     kind, _, seed = name.partition("-")
     amps = np.array([0.0, INV, -INV, 0.0]) if kind == "singlet" else _random_amps(int(seed))
     state = make_state(amps, (PAIR_Z, PAIR_Z))
@@ -170,6 +166,18 @@ def _chsh_case(name: str):
         state = record_and_keep(state, friends).final_state
         for friend in friends:
             rho = oracles.dephase_matrix(rho, friend.system)
+    return state, rho
+
+
+def _chsh_case(name: str):
+    """(package correlation, oracle correlation, oracle block) for one case."""
+    if name == "lhv":
+        return (
+            lambda a, b: lhv_correlation(MODEL, a, b),
+            lambda a, b: -math.cos(a) * math.cos(b),
+            np.diag([-1.0, 0.0]),
+        )
+    state, rho = _case_state(name)
     return (
         lambda a, b: quantum_correlation(a, b, state),
         lambda a, b: oracles.pair_correlation(rho, a, b),
@@ -192,11 +200,64 @@ def test_closed_form_chsh_maximum_matches_the_oracles(case):
 @pytest.mark.parametrize(
     "fn",
     [
-        lambda a, b: -math.cos(2.0 * (a - b)),
-        lambda a, b: -math.cos(a - b) + 1e-9 * math.cos(2.0 * (a - b)),
+        lambda a, b: -np.cos(2.0 * (a - b)),
+        lambda a, b: -np.cos(a - b) + 1e-9 * np.cos(2.0 * (a - b)),
     ],
     ids=["second-harmonic", "singlet-plus-1e-9"],
 )
 def test_closed_form_rejects_a_non_bilinear_correlation(fn):
     with pytest.raises(ValueError, match="not bilinear"):
         chsh_scan(fn)
+
+
+_SIGN = {"plus_a": 1, "minus_a": -1}
+GRID_12 = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+
+
+def _reference_correlation(obj, a: float, b: float) -> float:
+    """The scalar path: a checked Born distribution in two direction bases."""
+    dist = born_distribution(obj, (direction_basis(a), direction_basis(b)))
+    return sum(_SIGN[k1] * _SIGN[k2] * p for (k1, k2), p in dist.items())
+
+
+@pytest.mark.parametrize(
+    "case", ["singlet", "pure-1", "pure-2", "pure-3", "kept-4", "kept-5", "kept-6"]
+)
+def test_broadcast_correlations_match_the_reference_path(case):
+    state, _ = _case_state(case)
+    grid = quantum_correlation(GRID_12[:, None], GRID_12[None, :], state)
+    assert grid.shape == (12, 12)
+    want = np.array([[_reference_correlation(state, a, b) for b in GRID_12] for a in GRID_12])
+    assert np.max(np.abs(grid - want)) <= 1e-12
+
+
+def test_scalar_settings_give_floats_and_arrays_broadcast():
+    kept, _ = _case_state("kept-6")
+    for value in (
+        quantum_correlation(0.3, 1.1),
+        quantum_correlation(np.float64(0.3), 1.1, kept),
+        lhv_correlation(MODEL, 0.3, 1.1),
+    ):
+        assert type(value) is float
+    assert quantum_correlation(GRID_12, 0.5).shape == (12,)
+    assert quantum_correlation(np.zeros((2, 1, 3)), np.zeros((4, 1))).shape == (2, 4, 3)
+    lhv = lhv_correlation(MODEL, GRID_12[:, None], GRID_12[None, :])
+    want = -np.cos(GRID_12)[:, None] * np.cos(GRID_12)[None, :]
+    assert lhv.shape == (12, 12)
+    assert np.max(np.abs(lhv - want)) <= 1e-12
+
+
+def test_errors_come_through_the_broadcast_path():
+    with pytest.raises(ValueError, match="not unitary"):
+        quantum_correlation(np.array([0.1, np.nan, 0.3]), 0.2)
+    stretched = np.array([np.eye(2), np.diag([1.0, 1.0 + 1e-9])])
+    with pytest.raises(ValueError, match="not unitary"):
+        born_tables(singlet(), (stretched, np.eye(2)))
+    with pytest.raises(ValueError, match="basis mismatch"):
+        quantum_correlation(GRID_12, 0.0, hardy_state())
+    three = make_state(np.eye(8)[0], (PAIR_Z, PAIR_Z, PAIR_Z))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        quantum_correlation(GRID_12, 0.0, three)
+    one = make_state([1.0, 0.0], (PAIR_Z,))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        quantum_correlation(0.0, 0.0, one)

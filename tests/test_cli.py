@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from wignerfriend import cli
 
@@ -351,3 +356,175 @@ def test_invariant_violation_exits_one(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "contexts")
     assert code == 1
     assert "invariant violation" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"scenario": "chsh", "quad": [1' + "0" * 400 + ", 0, 0, 0]}",
+        "[" * 100_000 + "]" * 100_000,
+        '{"scenario": "memory", "kept": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["quad-int-beyond-float", "nested-top-level", "nested-value"],
+)
+def test_config_values_beyond_the_parser_are_usage_errors(tmp_path, capsys, text):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(text)
+    _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_bytes(b'\xff\xfe{"scenario": "contexts"}')
+    _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+
+
+# Random command lines and config files: the CLI contract is exit 0 on success
+# and 2 on bad input, never a traceback; exit 1 is reserved for a real
+# InvariantViolation, which no input should provoke.
+_NUMBER_TEXT = st.one_of(
+    st.integers(1, 50).map(str),
+    st.integers(-3, 60).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.5", "0x10", "1_0"]),
+)
+_WORDS = st.sampled_from(["F", "Fbar", "Fprime", "both", "monotone", "independent", "json", "table"])
+
+
+def _mostly(valid, anything):
+    """``valid`` about three times in four, else ``anything``."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else anything)
+
+
+_COUNT_TEXT = _mostly(st.integers(1, 50).map(str), _NUMBER_TEXT)
+# The tokens each option takes, mostly of the right kind.
+_OPTION_VALUES = {
+    "--format": st.tuples(_mostly(st.sampled_from(["json", "table"]), _WORDS)),
+    "--seed": st.tuples(_COUNT_TEXT),
+    "--samples": st.tuples(_COUNT_TEXT),
+    "--foliation": st.tuples(_mostly(st.sampled_from(["F", "Fprime", "both"]), _WORDS)),
+    "--coupling": st.tuples(_mostly(st.sampled_from(["monotone", "independent"]), _WORDS)),
+    "--keep": st.tuples(_mostly(st.sampled_from(["F", "Fbar"]), _WORDS)),
+    "--grid": st.tuples(_COUNT_TEXT),
+    "--quad": st.lists(_mostly(st.floats(-10, 10).map(repr), _NUMBER_TEXT), min_size=3, max_size=5),
+    "--scan": st.just(()),
+    "--erased-vs-kept": st.just(()),
+    "--forbid-counterfactual": st.just(()),
+}
+
+
+# Options each subcommand accepts; --format, --seed and --samples go anywhere.
+_SUBCOMMAND_OPTIONS = {
+    "contexts": [],
+    "bohm": ["--foliation", "--coupling"],
+    "agents": ["--forbid-counterfactual"],
+    "memory": ["--keep"],
+    "chsh": ["--quad", "--scan", "--erased-vs-kept", "--grid"],
+}
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_OPTIONS)))
+    own = _SUBCOMMAND_OPTIONS[command] + ["--format"]
+    # Mostly the subcommand's own options, sometimes any option at all.
+    options = _mostly(st.sampled_from(own), st.sampled_from(sorted(_OPTION_VALUES)))
+    argv = [command]
+    for option in draw(st.lists(options, max_size=4)):
+        argv += [option, *draw(_OPTION_VALUES[option])]
+    if draw(_mostly(st.just(command == "bohm"), st.booleans())):
+        argv += ["--samples", draw(_COUNT_TEXT), "--seed", draw(_COUNT_TEXT)]
+    return argv
+
+
+_ARGV = _mostly(
+    _command_lines(),
+    st.lists(
+        st.one_of(st.sampled_from([*cli._HANDLERS, *_OPTION_VALUES]), _WORDS, _NUMBER_TEXT, st.text(max_size=6)),
+        max_size=10,
+    ),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 60),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.text(max_size=6),
+    _WORDS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBERS = st.one_of(st.integers(-3, 60), st.integers(-(10**400), 10**400), st.floats())
+_INTS = _mostly(st.integers(1, 50), st.integers(-3, 60) | st.integers(-(2**70), 2**70))
+# Values of each key's own JSON type, mostly valid, so that runs get past the
+# type checks.
+_TYPED_VALUES = {
+    "foliation": _mostly(st.sampled_from(["F", "Fprime", "both"]), _WORDS),
+    "coupling": _mostly(st.sampled_from(["monotone", "independent"]), _WORDS),
+    "format": _mostly(st.sampled_from(["json", "table"]), _WORDS),
+    "kept": st.lists(_mostly(st.sampled_from(["F", "Fbar"]), _WORDS), max_size=3),
+    "erased": st.lists(_mostly(st.sampled_from(["F", "Fbar"]), _WORDS), max_size=3),
+    "quad": st.lists(_mostly(st.floats(-10, 10), _NUMBERS), min_size=3, max_size=5),
+    "scan": st.booleans(),
+    "erased_vs_kept": st.booleans(),
+    "forbid_counterfactual": st.booleans(),
+    "seed": _INTS,
+    "samples": _INTS,
+    "grid": _INTS,
+}
+_CONFIGS = _mostly(
+    st.one_of(
+        st.fixed_dictionaries(
+            {"scenario": st.sampled_from(sorted(cli._HANDLERS))},
+            optional={key: _mostly(values, _JSON_VALUES) for key, values in _TYPED_VALUES.items()},
+        ),
+        st.fixed_dictionaries({"scenario": st.just("bohm"), "seed": _INTS, "samples": _INTS}),
+    ),
+    st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=3) | _JSON_VALUES,
+)
+
+
+def _exit_code_and_stderr(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGV)
+def test_random_command_lines_exit_zero_or_two(argv):
+    code, err = _exit_code_and_stderr(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_random_config_files_exit_zero_or_two(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scenario.json"
+        cfg.write_text(json.dumps(raw))
+        code, err = _exit_code_and_stderr(["--config", str(cfg)])
+    assert code in (0, 2), (raw, code, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(max_size=40))
+def test_random_config_bytes_exit_zero_or_two(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "scenario.json"
+        cfg.write_bytes(data)
+        code, err = _exit_code_and_stderr(["--config", str(cfg)])
+    assert code in (0, 2), (data, code, err)
+    assert "Traceback" not in err

@@ -24,9 +24,11 @@ from wignerfriend.qcore import (
     apply_local,
     basis_change,
     born_distribution,
+    born_tables,
     dephase,
     density_from_state,
     direction_basis,
+    direction_matrices,
     express,
     express_density,
     fidelity,
@@ -409,3 +411,52 @@ def test_born_distribution_matches_kron_oracle_on_three_systems(system, seed):
         assert list(dict(table.items())) == list(expected)
         for key, p in expected.items():
             assert table[key] == pytest.approx(p, abs=1e-12)
+
+
+def _random_unitaries(rng, shape):
+    """Random complex 2x2 unitaries stacked to ``shape + (2, 2)``."""
+    z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_born_tables_match_born_distribution_on_three_systems(seed):
+    rng = np.random.default_rng(seed)
+    # Leading shapes (3, 1, 1), (1, 2, 1) and (2,) broadcast to (3, 2, 2).
+    local = [
+        _random_unitaries(rng, (3, 1, 1)),
+        _random_unitaries(rng, (1, 2, 1)),
+        np.stack([SPIN_W.matrix, SPIN_Z.matrix]),
+    ]
+    for obj in (_three_system_state(seed), _three_system_density(seed)):
+        tables = born_tables(obj, local)
+        assert tables.shape == (3, 2, 2, 8)
+        for index in np.ndindex(3, 2, 2):
+            bases = tuple(
+                Basis("M", source.labels, tuple(map(tuple, np.broadcast_to(m, (3, 2, 2, 2, 2))[index].T)))
+                for source, m in zip(THREE_SOURCE, local)
+            )
+            want = list(born_distribution(obj, bases).probs.values())
+            assert np.max(np.abs(tables[index] - want)) <= 1e-12
+
+
+def test_direction_matrices_are_the_direction_bases():
+    angles = np.array([0.0, 0.3, -2.0, math.pi, 7.5, 1e5])
+    stack = direction_matrices(angles)
+    assert stack.shape == (6, 2, 2)
+    for a, m in zip(angles, stack):
+        assert np.array_equal(m, direction_basis(a).matrix)
+
+
+def test_born_tables_rejects_bad_input():
+    state = _three_system_state(1)
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        born_tables(state, (eye, eye))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        born_tables(state, (eye, eye, np.eye(3)))
+    for bad in (np.full((2, 2), np.nan), np.array([eye, 2.0 * eye]), np.array([[1.0, 1e-9], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="not unitary"):
+            born_tables(state, (eye, bad, eye))
+    with pytest.raises(TypeError):
+        born_tables(state.amps, (eye, eye, eye))
