@@ -12,6 +12,7 @@ and a correlation returns one value per broadcast pair of settings (a Python
 float for scalar settings).  A ``CorrelationFn`` or ``LHVModel.response``
 given to this module must broadcast the same way, because ``chsh_scan`` and
 ``erased_vs_kept_chsh`` evaluate whole grids of settings in one call.
+This is the package's one module that needs numpy at import.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from .memory import Friend, record_and_erase, record_and_keep
 from .qcore import (
     UP,
     DOWN,
+    NORM_TOL,
     Basis,
     DensityOperator,
+    InvariantViolation,
     StateVector,
     System,
-    born_tables,
-    direction_matrices,
     make_state,
 )
 
@@ -45,6 +46,135 @@ PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
 # Outcome product x*y over the joint outcomes (plus, plus), (plus, minus),
 # (minus, plus), (minus, minus): born_tables' first-system-major order.
 _OUTCOME_PRODUCT = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+# Broadcast Born rule.  The qcore kernel works on one state and one basis per
+# system; the CHSH grids below need whole stacks of settings at once, so they
+# run on the numpy views of the states (``amps``, ``matrix``) through the
+# helpers below, which repeat every check of the kernel per stack entry.
+
+_EYE2 = np.eye(2)
+# cos(t) * _EYE2 + sin(t) * _QUARTER_TURN is the rotation by t, exactly: each
+# entry adds a zero product to +-cos(t) or +-sin(t).
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def direction_matrices(angle) -> np.ndarray:
+    """The matrices of :func:`qcore.direction_basis`, stacked over an array of
+    angles: shape ``np.shape(angle) + (2, 2)``.
+
+    Nothing is checked here; :func:`born_tables` checks each matrix it is
+    given, so a non-finite angle fails there as "not unitary".
+    """
+    half = (np.mod(np.asarray(angle, dtype=float), _TWO_PI) / 2.0)[..., None, None]
+    return np.cos(half) * _EYE2 + np.sin(half) * _QUARTER_TURN
+
+
+def _worst(residual: np.ndarray) -> float:
+    """Largest |residual| over a stack; NaN when any entry is NaN."""
+    return float(np.abs(residual).max(initial=0.0))
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.swapaxes(-1, -2).conj()
+
+
+def _require_unitary(m: np.ndarray) -> None:
+    """max |M^H M - I| <= NORM_TOL for each matrix of a stack ``(..., 2, 2)``,
+    else ValueError("not unitary"); a non-finite entry fails."""
+    if not _worst(_adjoint(m) @ m - _EYE2) <= NORM_TOL:
+        raise ValueError("not unitary")
+
+
+def _require_density(m: np.ndarray) -> None:
+    """The checks of the DensityOperator constructor, for each matrix of a
+    stack: Hermitian, unit trace and no eigenvalue below -NORM_TOL, else
+    InvariantViolation; a non-finite entry fails."""
+    h = _adjoint(m)
+    if not _worst(m - h) <= NORM_TOL:
+        raise InvariantViolation("density operator not Hermitian")
+    trace_drift = _worst(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    if not trace_drift <= NORM_TOL:
+        raise InvariantViolation(f"density operator trace drifted from 1 by {trace_drift}")
+    # eigvalsh returns the eigenvalues in ascending order.
+    if not np.all(np.linalg.eigvalsh((m + h) / 2.0)[..., 0] >= -NORM_TOL):
+        raise InvariantViolation("density operator not positive semidefinite")
+
+
+def _on_axis(m: np.ndarray, axis: int, flat: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 matrix ``m`` to one axis of a flat, first-axis-major
+    tensor whose axes all have length 2.
+
+    Either may be a stack: ``m`` of shape ``(..., 2, 2)`` and ``flat`` of
+    shape ``(..., 2**n)``, with leading shapes that broadcast.
+    """
+    if m.ndim == 2 and flat.ndim == 1:
+        # One map on one tensor, as for scalar settings; the stacked form
+        # below costs about 1 us more per call.
+        return (m @ flat.reshape(2**axis, 2, -1)).reshape(-1)
+    size = flat.shape[-1]
+    out = m[..., None, :, :] @ flat.reshape(flat.shape[:-1] + (2**axis, 2, size >> (axis + 1)))
+    return out.reshape(out.shape[:-3] + (size,))
+
+
+def born_tables(obj, local) -> np.ndarray:
+    """Born-rule probability tables of a state or density operator for whole
+    stacks of measurement bases at once.
+
+    ``local[k]`` is an array ``(..., 2, 2)`` of measurement-basis matrices
+    for system k, laid out as ``Basis.matrix``: column j is outcome j's vector
+    in the system's reference frame.  The stacks' leading shapes broadcast to
+    a shape S, and the result has shape ``S + (2**n,)``; entry ``[..., i]``
+    is the probability of the joint outcome ``i`` in first-system-major order,
+    as :func:`qcore.born_distribution` keys it.
+
+    Every entry gets the checks of the kernel, at NORM_TOL, with a non-finite
+    value failing: each measurement matrix is unitary (else
+    ValueError("not unitary")); each re-expressed state has unit norm, each
+    re-expressed density operator is Hermitian with unit trace and no
+    eigenvalue below -NORM_TOL, and each table has no entry below -NORM_TOL
+    and sums to 1 (else :class:`InvariantViolation`).
+    Entries are clipped at 0, as :func:`qcore.born_distribution` clips them.
+    """
+    if not isinstance(obj, (StateVector, DensityOperator)):
+        raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
+    n = obj.num_systems
+    if len(local) != n:
+        raise ValueError("dimension mismatch")
+    # maps[k] re-expresses system k from its current basis into local[k].
+    maps = []
+    for k, m in enumerate(local):
+        m = np.asarray(m)
+        if m.shape[-2:] != (2, 2):
+            raise ValueError("dimension mismatch")
+        _require_unitary(m)
+        maps.append(_adjoint(m) @ obj.bases[k].matrix)
+
+    if isinstance(obj, StateVector):
+        flat = obj.amps
+        probs = flat.real**2 + flat.imag**2
+        for k, u in enumerate(maps):
+            flat = _on_axis(u, k, flat)
+            probs = flat.real**2 + flat.imag**2
+            norm_drift = _worst(np.sqrt(probs.sum(-1)) - 1.0)
+            if not norm_drift <= NORM_TOL:
+                raise InvariantViolation(f"state norm drifted from 1 by {norm_drift}")
+    else:
+        flat = obj.matrix.reshape(-1)
+        for k, u in enumerate(maps):
+            flat = _on_axis(u.conj(), n + k, _on_axis(u, k, flat))
+        rho = flat.reshape(flat.shape[:-1] + obj.matrix.shape)
+        _require_density(rho)
+        probs = np.diagonal(rho, axis1=-2, axis2=-1).real
+
+    lowest = float(probs.min(initial=0.0))
+    if not lowest >= -NORM_TOL:
+        raise InvariantViolation(f"negative probability {lowest}")
+    probs = np.maximum(probs, 0.0)
+    sum_drift = _worst(probs.sum(-1) - 1.0)
+    if not sum_drift <= NORM_TOL:
+        raise InvariantViolation(f"probabilities sum to 1 only within {sum_drift}")
+    return probs
 
 
 def singlet() -> StateVector:
@@ -68,7 +198,7 @@ def quantum_correlation(alpha, beta, state=None):
     Computed from Born probabilities of the state (default: the singlet,
     where the closed form is -cos(alpha - beta)); accepts a density operator
     as well.  ``alpha`` and ``beta`` broadcast like a ufunc's arguments: one
-    Born-rule call (``qcore.born_tables``) evaluates every pair, and scalar
+    Born-rule call (:func:`born_tables`) evaluates every pair, and scalar
     settings give a float.  The state must hold two spin systems: ValueError
     "dimension mismatch" otherwise, and "basis mismatch" for a coin system.
     """

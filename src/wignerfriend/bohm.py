@@ -18,11 +18,10 @@ marginals (equivariance) but different origins for the same outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
 
 from .hardy import (
     CTX_WBAR_W,
@@ -267,18 +266,19 @@ def conditional_wave(state: StateVector, fixed_system: int, fixed_branch: str) -
     if not 0 <= fixed_system < state.num_systems:
         raise ValueError("system index out of range")
     i = state.bases[fixed_system].index(fixed_branch)
-    vec = np.take(state.tensor(), i, axis=fixed_system).reshape(-1)
-    norm = float(np.linalg.norm(vec))
+    # The entries whose label on the fixed system is i, in flat order.
+    shift = state.num_systems - fixed_system - 1
+    vec = [z for index, z in enumerate(state.vec) if (index >> shift) & 1 == i]
+    norm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in vec))
     if norm < 1e-12:
         raise ValueError("empty conditional")
     other_bases = tuple(b for k, b in enumerate(state.bases) if k != fixed_system)
-    return StateVector(other_bases, vec / norm)
+    return StateVector(other_bases, [z / norm for z in vec])
 
 
 def _born_1q(state: StateVector) -> dict[str, float]:
     names = state.bases[0].label_names
-    p = np.abs(state.amps) ** 2
-    return {names[0]: float(p[0]), names[1]: float(p[1])}
+    return {name: abs(z) ** 2 for name, z in zip(names, state.vec)}
 
 
 def _walk(
@@ -438,6 +438,10 @@ def sample_paths(
     is distribution-identical to simulating each run independently.  Returns
     counts keyed by path signature; deterministic given the seed.
     """
+    # The counts come from numpy's seeded generator, imported here so that
+    # the rest of the package runs without numpy.
+    import numpy as np
+
     ts = evolve(foliation, coupling)
     rng = np.random.default_rng(seed)
     counts: dict[tuple, int] = {}

@@ -7,11 +7,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bell, bohm, epistemic, hardy, memory
+from . import hardy
 from .qcore import InvariantViolation, born_distribution, fidelity
+
+# Each handler imports the modules only it needs (bohm, epistemic, memory, or
+# bell, which loads numpy), so that a fresh process pays for no other
+# subcommand's imports.
+if TYPE_CHECKING:
+    from . import bohm
 
 RATIONAL_TOL = 1e-12
 _MAX_DENOMINATOR = 144
@@ -20,10 +29,14 @@ _MAX_DENOMINATOR = 144
 MAX_GRID = 50
 # Sample counts are drawn into int64 arrays.
 MAX_SAMPLES = 2**63 - 1
+# Before Python 3.13, argparse takes a negative number only in the forms -5
+# and -0.5, and reads -1e-3 as an unknown option; this is 3.13's pattern.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
-_FOLIATIONS = {"F": bohm.FOLIATION_F, "Fprime": bohm.FOLIATION_FPRIME}
-_COUPLINGS = {"monotone": bohm.MONOTONE, "independent": bohm.INDEPENDENT}
-_FRIENDS = {"F": memory.Friend.F, "Fbar": memory.Friend.FBAR}
+_FOLIATIONS = ("F", "Fprime")
+_COUPLINGS = ("monotone", "independent")
+# The friends' names, as memory.Friend spells them.
+_FRIENDS = ("F", "Fbar")
 
 
 def fmt_prob(x: float) -> str:
@@ -98,6 +111,8 @@ def _tree_lines(ts: bohm.TrajectorySet) -> list[str]:
 
 
 def _origins_json(ts: bohm.TrajectorySet) -> dict:
+    from . import bohm
+
     return {
         ",".join(outcome): {
             f"{cfg.coin},{cfg.spin}": _json_prob(p)
@@ -108,7 +123,9 @@ def _origins_json(ts: bohm.TrajectorySet) -> dict:
 
 
 def cmd_bohm(args) -> tuple[str, dict]:
-    coupling = _COUPLINGS[args.coupling]
+    from . import bohm
+
+    coupling = {"monotone": bohm.MONOTONE, "independent": bohm.INDEPENDENT}[args.coupling]
     lines: list[str] = []
     payload: dict = {"coupling": args.coupling}
 
@@ -133,7 +150,8 @@ def cmd_bohm(args) -> tuple[str, dict]:
         }
         return "\n".join(lines), payload
 
-    ts = bohm.evolve(_FOLIATIONS[args.foliation], coupling)
+    foliation = {"F": bohm.FOLIATION_F, "Fprime": bohm.FOLIATION_FPRIME}[args.foliation]
+    ts = bohm.evolve(foliation, coupling)
     lines.append(f"foliation {args.foliation}, coupling {args.coupling}, context (Wbar, W)")
     lines += _tree_lines(ts)
     lines.append("")
@@ -146,9 +164,7 @@ def cmd_bohm(args) -> tuple[str, dict]:
     payload["origins"] = _origins_json(ts)
 
     if args.samples:
-        counts = bohm.sample_paths(
-            _FOLIATIONS[args.foliation], coupling, samples=args.samples, seed=args.seed
-        )
+        counts = bohm.sample_paths(foliation, coupling, samples=args.samples, seed=args.seed)
         lines.append("")
         lines.append(f"sampled {args.samples} runs with seed {args.seed}:")
         sample_payload = []
@@ -171,6 +187,8 @@ def cmd_bohm(args) -> tuple[str, dict]:
 
 
 def cmd_agents(args) -> tuple[str, dict]:
+    from . import epistemic
+
     report = epistemic.run_trace(allow_counterfactual=not args.forbid_counterfactual)
     lines = ["statements:"]
     for s in report.statements:
@@ -192,14 +210,16 @@ def cmd_agents(args) -> tuple[str, dict]:
 
 
 def cmd_memory(args) -> tuple[str, dict]:
-    kept = tuple(_FRIENDS[name] for name in args.keep)
+    from . import memory
+
+    kept = tuple(memory.Friend(name) for name in args.keep)
     state = hardy.hardy_state()
     erased_names = getattr(args, "erased", None)
     if erased_names is None:
-        erased_names = ("F", "Fbar")
+        erased_names = _FRIENDS
     final = state
     for name in erased_names:
-        agent = _FRIENDS[name]
+        agent = memory.Friend(name)
         final = memory.record_and_erase(final, agent, state.bases[agent.system]).final_state
     coherent_table = born_distribution(final, hardy.CTX_WBAR_W.bases)
 
@@ -227,6 +247,8 @@ def cmd_memory(args) -> tuple[str, dict]:
 
 
 def cmd_chsh(args) -> tuple[str, dict]:
+    from . import bell
+
     quad = bell.AngleQuad(*args.quad) if args.quad else bell.OPTIMAL_QUAD
     model = bell.observer_independent_facts_model()
     s_quantum = bell.chsh(bell.quantum_correlation, quad)
@@ -317,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bohm", help="hidden-variable trajectory sets")
     _add_common(p)
-    p.add_argument("--foliation", choices=("F", "Fprime", "both"), default="F")
-    p.add_argument("--coupling", choices=("monotone", "independent"), default="monotone")
+    p.add_argument("--foliation", choices=(*_FOLIATIONS, "both"), default="F")
+    p.add_argument("--coupling", choices=_COUPLINGS, default="monotone")
 
     p = sub.add_parser("agents", help="statement classifications and the trace")
     _add_common(p)
@@ -326,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("memory", help="erased versus kept memory records")
     _add_common(p)
-    p.add_argument("--keep", action="append", choices=("F", "Fbar"), default=[])
+    p.add_argument("--keep", action="append", choices=_FRIENDS, default=[])
 
     p = sub.add_parser("chsh", help="CHSH values, scans, erased-vs-kept")
     _add_common(p)
@@ -334,7 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", action="store_true")
     p.add_argument("--erased-vs-kept", action="store_true", dest="erased_vs_kept")
     p.add_argument("--grid", type=int, default=20, help=f"bilinearity check grid, 1 to {MAX_GRID}")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
+
+
+def _require_distinct(parser: argparse.ArgumentParser, what: str, agents: list) -> None:
+    if len(set(agents)) != len(agents):
+        parser.error(f"{what} lists an agent more than once: {', '.join(agents)}")
 
 
 def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argparse.Namespace:
@@ -359,7 +387,7 @@ def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argpar
         coupling=raw.get("coupling", "monotone"),
         forbid_counterfactual=raw.get("forbid_counterfactual", False),
         keep=kept,
-        erased=raw.get("erased", [a for a in ("F", "Fbar") if a not in kept]),
+        erased=raw.get("erased", [a for a in _FRIENDS if a not in kept]),
         quad=raw.get("quad"),
         scan=raw.get("scan", False),
         erased_vs_kept=raw.get("erased_vs_kept", False),
@@ -368,12 +396,14 @@ def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argpar
     )
     if ns.format not in (None, "table", "json"):
         parser.error(f"invalid format: {ns.format!r}")
-    if ns.foliation not in ("F", "Fprime", "both"):
+    if ns.foliation not in (*_FOLIATIONS, "both"):
         parser.error(f"invalid foliation: {ns.foliation!r}")
     if ns.coupling not in _COUPLINGS:
         parser.error(f"invalid coupling: {ns.coupling!r}")
     if not all(type(k) is str and k in _FRIENDS for k in ns.keep + ns.erased):
         parser.error(f"invalid agent names: kept {ns.keep!r}, erased {ns.erased!r}")
+    _require_distinct(parser, "config key 'kept'", ns.keep)
+    _require_distinct(parser, "config key 'erased'", ns.erased)
     if set(ns.keep) & set(ns.erased):
         parser.error("an agent's record cannot be both kept and erased")
     if ns.quad is not None:
@@ -412,6 +442,8 @@ def main(argv=None) -> int:
         parser.error("--seed must be a non-negative integer")
     if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
         parser.error(f"--samples must be from 1 to {MAX_SAMPLES}")
+    if args.command == "memory":
+        _require_distinct(parser, "--keep", args.keep)
     if args.command == "chsh":
         if not 1 <= args.grid <= MAX_GRID:
             parser.error(f"--grid must be an integer from 1 to {MAX_GRID}")
@@ -424,7 +456,14 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2) if fmt == "json" else text)
+    try:
+        print(json.dumps(payload, indent=2) if fmt == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does): the documented recipe
+        # points stdout at devnull, so that the flush at exit cannot raise
+        # again, and exits quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

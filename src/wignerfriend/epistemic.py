@@ -32,20 +32,11 @@ from .hardy import (
 )
 
 
-class AgentLevel(str, Enum):
-    FRIEND = "friend"
-    SUPER_OBSERVER = "super-observer"
-
-
 class Agent(str, Enum):
     F = "F"
     FBAR = "Fbar"
     W = "W"
     WBAR = "Wbar"
-
-    @property
-    def level(self) -> AgentLevel:
-        return AgentLevel.FRIEND if self in (Agent.F, Agent.FBAR) else AgentLevel.SUPER_OBSERVER
 
 
 @dataclass(frozen=True)

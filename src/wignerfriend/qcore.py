@@ -3,8 +3,23 @@ local maps, the Born rule, projective collapse, density operators, and
 dephasing.
 
 Every value is immutable and every operation is a pure function, so the module
-is safe for concurrent use without synchronization.  Amplitudes are complex
-doubles.
+is safe for concurrent use without synchronization.
+
+Storage: numbers are Python ``complex`` values in tuples, and the module does
+not import numpy.  A state's ``vec`` is its flat tuple of amplitudes; a
+density operator's ``rows`` and a local unitary's ``rows`` are row-major
+tuples of row tuples; a basis's ``vectors`` are its two label vectors.  The
+systems are small (2**n amplitudes for a few systems), and at that size plain
+Python arithmetic costs less than numpy's per-call overhead.  A local 2x2 map
+on system k is a pairwise update of the amplitude pairs (i, i + 2**(n-k-1)),
+which works for any number of systems; on a density operator it updates the
+row pairs with U and then the column pairs of each row with conj(U).
+
+Numpy views: ``StateVector.amps`` and the ``matrix`` of ``Basis``,
+``LocalUnitary`` and ``DensityOperator`` are read-only numpy arrays of the
+same numbers, for callers that compute with numpy.  Each is built on first
+access, which is when numpy is imported, and then kept.  Nothing in this
+module reads them.
 
 What is checked, and when: every constructor checks its value once, when it
 is built, by computing the largest residual directly and comparing it with
@@ -13,28 +28,17 @@ and ``LocalUnitary`` check that their matrix is unitary (max |M^H M - I|) and
 raise ValueError("not unitary").  ``StateVector`` checks |norm - 1|,
 ``OutcomeDistribution`` the sum and sign of its probabilities, and
 ``DensityOperator`` Hermiticity (max |M - M^H|), unit trace and positivity;
-these raise :class:`InvariantViolation`.  Every operation that returns a new
-state or density operator builds it through these constructors, so each
-intermediate is checked too.  Matrices are stored read-only, so a value once
-checked cannot change.
-
-What is cached: ``Basis.matrix`` is built once per basis.
-:func:`basis_change` is memoized on ``(system, source, target)`` by an
-``lru_cache`` of at most ``BASIS_CHANGE_CACHE`` entries, so each distinct
-local unitary is built and checked once while it stays in the cache; the
-least recently used entry is evicted first, and an evicted one is rebuilt and
-checked again.  A local map is applied as a matmul on the flat amplitudes
-reshaped to ``(2**k, 2, -1)``, which works for any number of systems.
-
-Batched Born rule: :func:`born_tables` takes stacks of measurement-basis
-matrices instead of ``Basis`` values and returns one probability table per
-stack entry, with every check above run per entry, vectorised.  It builds no
-``Basis``, ``LocalUnitary`` or intermediate state and uses no cache; it is
-how whole grids of measurement settings are evaluated in one call.
+these raise :class:`InvariantViolation`.  Positivity is an LDL^H
+factorisation of (M + M^H)/2 + NORM_TOL*I: every pivot is positive exactly
+when no eigenvalue of (M + M^H)/2 is below -NORM_TOL, and the factorisation
+is a fixed number of steps, with no iteration and no convergence tolerance.
+Input that is not numbers of the right shape raises ValueError("dimension
+mismatch").  Every operation that returns a new state or density operator
+builds it through these constructors, so each intermediate is checked too.
 
 Conventions, fixed so that emitted tables and files are deterministic:
 
-* tensor index is first-system-major: ``amps[i*2 + j]`` pairs label ``i`` of
+* tensor index is first-system-major: ``vec[i*2 + j]`` pairs label ``i`` of
   system 0 with label ``j`` of system 1;
 * the coin's computational basis is ordered ``(h, t)`` and the spin's
   ``(down, up)``;
@@ -50,23 +54,16 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 NORM_TOL = 1e-12
 ZERO_BRANCH_TOL = 1e-15
 
-# Distinct (system, source, target) triples kept by basis_change (about 1.5 KB
-# each).  The fixed bases need a few per system; arbitrary directions go
-# through born_tables, which bypasses the cache.
+# Distinct (system, source, target) triples kept by basis_change.  The fixed
+# bases need a few per system.
 BASIS_CHANGE_CACHE = 256
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_EYE2 = np.eye(2)
-# cos(t) * _EYE2 + sin(t) * _QUARTER_TURN is the rotation by t, exactly: each
-# entry adds a zero product to +-cos(t) or +-sin(t).
-_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 class InvariantViolation(Exception):
@@ -114,39 +111,54 @@ OK = BasisLabel(System.SPIN, "ok")
 FAIL = BasisLabel(System.SPIN, "fail")
 
 _Vec = tuple[complex, complex]
+_Rows = tuple[tuple[complex, ...], ...]
 
 
-def _is_unitary(m: np.ndarray) -> bool:
-    """max |M^H M - I| <= NORM_TOL for a 2x2 matrix, entry by entry; false
-    when an entry is not finite."""
-    (a, b), (c, d) = m.tolist()
-    residuals = (
-        abs(a) ** 2 + abs(c) ** 2 - 1.0,
-        abs(b) ** 2 + abs(d) ** 2 - 1.0,
-        abs(a.conjugate() * b + c.conjugate() * d),
-    )
-    return all(abs(r) <= NORM_TOL for r in residuals)
+def _complexes(values) -> tuple[complex, ...]:
+    """A flat sequence of numbers as a tuple of complex.  A numpy array is
+    read through ``tolist``, without importing numpy; anything that is not a
+    flat sequence of numbers raises ValueError("dimension mismatch")."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    try:
+        return tuple(map(complex, values))
+    except TypeError:
+        raise ValueError("dimension mismatch") from None
 
 
-def _worst(residual: np.ndarray) -> float:
-    """Largest |residual| over a stack; NaN when any entry is NaN."""
-    return float(np.abs(residual).max(initial=0.0))
+def _square(values, d: int) -> _Rows:
+    """A d x d matrix, given as rows (or a numpy array), as complex row
+    tuples; ValueError("dimension mismatch") for any other shape."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    try:
+        rows = tuple([tuple(map(complex, row)) for row in values])
+    except TypeError:
+        raise ValueError("dimension mismatch") from None
+    if len(rows) != d or any(len(row) != d for row in rows):
+        raise ValueError("dimension mismatch")
+    return rows
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.swapaxes(-1, -2).conj()
+def _read_only_array(values):
+    """A read-only complex numpy array of ``values``; numpy is imported here,
+    when a numpy view is first asked for."""
+    import numpy as np
 
-
-def _require_unitary(m: np.ndarray) -> None:
-    """:func:`_is_unitary` for each matrix of a stack ``(..., 2, 2)``, else
-    ValueError("not unitary")."""
-    if not _worst(_adjoint(m) @ m - _EYE2) <= NORM_TOL:
-        raise ValueError("not unitary")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.array(values, dtype=complex)
     a.setflags(write=False)
     return a
+
+
+def _is_unitary(u: _Vec, v: _Vec) -> bool:
+    """For the 2x2 matrix with columns u and v: max |M^H M - I| <= NORM_TOL,
+    entry by entry; false when an entry is not finite."""
+    residuals = (
+        abs(u[0]) ** 2 + abs(u[1]) ** 2 - 1.0,
+        abs(v[0]) ** 2 + abs(v[1]) ** 2 - 1.0,
+        abs(u[0].conjugate() * v[0] + u[1].conjugate() * v[1]),
+    )
+    return all(abs(r) <= NORM_TOL for r in residuals)
 
 
 @dataclass(frozen=True)
@@ -154,26 +166,36 @@ class Basis:
     """An ordered pair of orthonormal labels for one system.
 
     ``vectors`` holds each label's coordinates in the system's reference
-    frame (the computational basis the state was constructed in), column per
-    label.  Two Basis values are equal iff their names, labels and vectors
-    coincide, so context equality is structural.
+    frame (the computational basis the state was constructed in), one vector
+    per label.  Two Basis values are equal iff their names, labels and
+    vectors coincide, so context equality is structural.
     """
 
     name: str
     labels: tuple[BasisLabel, BasisLabel]
     vectors: tuple[_Vec, _Vec]
-    #: 2x2 read-only complex matrix; column k is labels[k] in the reference frame.
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.labels[0].system is not self.labels[1].system:
             raise ValueError("basis labels must belong to one system")
-        # Tuples, so that every basis can key the basis_change cache.
-        object.__setattr__(self, "vectors", tuple(tuple(v) for v in self.vectors))
-        m = np.array(self.vectors, dtype=complex).T
-        if not _is_unitary(m):
+        # Complex tuples: the kernel's storage, and hashable, so that every
+        # basis can key the basis_change cache.
+        vectors = _square(self.vectors, 2)
+        if not _is_unitary(*vectors):
             raise ValueError("not unitary")
-        object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_hash", hash((self.name, self.labels, vectors)))
+
+    def __hash__(self) -> int:
+        # Computed once: every basis_change lookup hashes two bases, and
+        # hashing the labels afresh costs more than the lookup itself.
+        return self._hash
+
+    @cached_property
+    def matrix(self):
+        """2x2 read-only complex numpy array; column k is labels[k] in the
+        reference frame."""
+        return _read_only_array(tuple(zip(*self.vectors)))
 
     @property
     def system(self) -> System:
@@ -219,15 +241,13 @@ def direction_basis(angle: float) -> Basis:
     )
 
 
-def direction_matrices(angle) -> np.ndarray:
-    """The matrices of :func:`direction_basis`, stacked over an array of
-    angles: shape ``np.shape(angle) + (2, 2)``.
+def _norm2(vec) -> float:
+    """Sum of |z|^2 over ``vec``."""
+    return sum(z.real * z.real + z.imag * z.imag for z in vec)
 
-    Nothing is checked here; :func:`born_tables` checks each matrix it is
-    given, so a non-finite angle fails there as "not unitary".
-    """
-    half = (np.mod(np.asarray(angle, dtype=float), 2.0 * math.pi) / 2.0)[..., None, None]
-    return np.cos(half) * _EYE2 + np.sin(half) * _QUARTER_TURN
+
+def _norm(vec) -> float:
+    return math.sqrt(_norm2(vec))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,31 +255,29 @@ class StateVector:
     """A normalized state over labeled two-level systems.
 
     ``bases[k]`` records the basis system k is currently expressed in; the
-    flat ``amps`` array is first-system-major over the bases' label order.
+    flat ``vec`` is first-system-major over the bases' label order.
     """
 
     bases: tuple[Basis, ...]
-    amps: np.ndarray
+    vec: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amps, dtype=complex)
-        if a.shape != (2 ** len(self.bases),):
+        vec = _complexes(self.vec)
+        if len(vec) != 2 ** len(self.bases):
             raise ValueError("dimension mismatch")
-        norm = _norm(a)
+        norm = _norm(vec)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"state norm {norm} drifted from 1")
-        object.__setattr__(self, "amps", _read_only(a.copy()))
+        object.__setattr__(self, "vec", vec)
+
+    @cached_property
+    def amps(self):
+        """``vec`` as a read-only complex numpy array."""
+        return _read_only_array(self.vec)
 
     @property
     def num_systems(self) -> int:
         return len(self.bases)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (2,) * len(self.bases)
-
-    def tensor(self) -> np.ndarray:
-        return self.amps.reshape(self.dims)
 
     def to_json_dict(self) -> dict:
         """Amplitudes with explicit basis labels and real/imaginary parts."""
@@ -268,28 +286,27 @@ class StateVector:
                 {"system": b.system.value, "basis": b.name, "labels": list(b.label_names)}
                 for b in self.bases
             ],
-            "amplitudes": [{"re": float(a.real), "im": float(a.imag)} for a in self.amps],
+            "amplitudes": [{"re": a.real, "im": a.imag} for a in self.vec],
         }
-
-
-def _norm(a: np.ndarray) -> float:
-    return math.sqrt(float(np.vdot(a, a).real))
 
 
 def make_state(amplitudes, bases: tuple[Basis, ...]) -> StateVector:
     """Build a StateVector, renormalizing exactly on construction.
 
-    Raises ValueError("null state") for a zero vector and
-    ValueError("dimension mismatch") when the amplitude count does not equal
-    the product of the system dimensions.
+    ``amplitudes`` is a flat sequence of numbers, or a numpy array of any
+    shape, read in row-major order.  Raises ValueError("null state") for a
+    zero vector and ValueError("dimension mismatch") when the amplitude count
+    does not equal the product of the system dimensions.
     """
-    a = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if a.shape != (2 ** len(bases),):
+    if hasattr(amplitudes, "reshape"):
+        amplitudes = amplitudes.reshape(-1)
+    a = _complexes(amplitudes)
+    if len(a) != 2 ** len(bases):
         raise ValueError("dimension mismatch")
     norm = _norm(a)
     if norm < 1e-9:
         raise ValueError("null state")
-    return StateVector(tuple(bases), a / norm)
+    return StateVector(tuple(bases), tuple(z / norm for z in a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,45 +315,78 @@ class LocalUnitary:
     ``source`` to amplitudes expressed in ``target``."""
 
     system: int
-    matrix: np.ndarray
+    rows: _Rows
     source: Basis
     target: Basis
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("dimension mismatch")
-        if not _is_unitary(m):
+        rows = _square(self.rows, 2)
+        (a, b), (c, d) = rows
+        if not _is_unitary((a, c), (b, d)):
             raise ValueError("not unitary")
-        object.__setattr__(self, "matrix", _read_only(m.copy()))
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def matrix(self):
+        """``rows`` as a read-only 2x2 complex numpy array."""
+        return _read_only_array(self.rows)
+
+
+def _dot(u: _Vec, v: _Vec) -> complex:
+    """<u|v>."""
+    return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
 
 
 @lru_cache(maxsize=BASIS_CHANGE_CACHE)
 def basis_change(system: int, source: Basis, target: Basis) -> LocalUnitary:
     """The unitary re-expressing one system from ``source`` into ``target``.
 
-    Memoized: equal arguments return the same (immutable) LocalUnitary.
+    Memoized: equal arguments return the same (immutable) LocalUnitary; the
+    least recently used entry is evicted first.
     """
     if source.system is not target.system:
         raise ValueError("basis mismatch: source and target address different systems")
-    u = target.matrix.conj().T @ source.matrix
+    t0, t1 = target.vectors
+    s0, s1 = source.vectors
+    u = ((_dot(t0, s0), _dot(t0, s1)), (_dot(t1, s0), _dot(t1, s1)))
     return LocalUnitary(system, u, source, target)
 
 
-def _on_axis(m: np.ndarray, axis: int, flat: np.ndarray) -> np.ndarray:
-    """Apply the 2x2 matrix ``m`` to one axis of a flat, first-axis-major
-    tensor whose axes all have length 2.
+@lru_cache(maxsize=64)
+def _pairs(axis: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The index pairs (i, i + 2**(n-axis-1)) that a 2x2 map on ``axis``
+    mixes, in a flat first-axis-major tensor of n two-level axes: entry i has
+    label 0 on the axis and its partner label 1."""
+    s = 1 << (n - axis - 1)
+    return tuple((i, i + s) for i in range(1 << n) if not i & s)
 
-    Either may be a stack: ``m`` of shape ``(..., 2, 2)`` and ``flat`` of
-    shape ``(..., 2**n)``, with leading shapes that broadcast.
-    """
-    if m.ndim == 2 and flat.ndim == 1:
-        # One map on one tensor, as every Basis-level operation applies it;
-        # the stacked form below costs about 1 us more per call.
-        return (m @ flat.reshape(2**axis, 2, -1)).reshape(-1)
-    size = flat.shape[-1]
-    out = m[..., None, :, :] @ flat.reshape(flat.shape[:-1] + (2**axis, 2, size >> (axis + 1)))
-    return out.reshape(out.shape[:-3] + (size,))
+
+def _on_axis(u: _Rows, pairs, vec) -> list:
+    """The 2x2 matrix ``u`` applied to each pair of entries of ``vec``."""
+    (a, b), (c, d) = u
+    out = list(vec)
+    for i, j in pairs:
+        x, y = vec[i], vec[j]
+        out[i] = a * x + b * y
+        out[j] = c * x + d * y
+    return out
+
+
+def _conjugate_by(u: _Rows, pairs, rows) -> list:
+    """U rho U^H on one system: each 2x2 block B of rows and columns that U
+    mixes becomes (U B) U^H."""
+    (a, b), (c, d) = u
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    out = [list(row) for row in rows]
+    for i0, i1 in pairs:
+        r0, r1, o0, o1 = rows[i0], rows[i1], out[i0], out[i1]
+        for j0, j1 in pairs:
+            p, q, r, s = r0[j0], r0[j1], r1[j0], r1[j1]
+            x00, x01 = a * p + b * r, a * q + b * s
+            x10, x11 = c * p + d * r, c * q + d * s
+            o0[j0], o0[j1] = x00 * ac + x01 * bc, x00 * cc + x01 * dc
+            o1[j0], o1[j1] = x10 * ac + x11 * bc, x10 * cc + x11 * dc
+    return out
 
 
 def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
@@ -351,7 +401,7 @@ def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
         )
     k = u.system
     bases = state.bases[:k] + (u.target,) + state.bases[k + 1 :]
-    return StateVector(bases, _on_axis(u.matrix, k, state.amps))
+    return StateVector(bases, _on_axis(u.rows, _pairs(k, state.num_systems), state.vec))
 
 
 def express(state: StateVector, bases: tuple[Basis, ...]) -> StateVector:
@@ -388,9 +438,9 @@ class OutcomeDistribution:
         return self.probs.items()
 
 
-def _distribution_from_diagonal(diag: np.ndarray, bases: tuple[Basis, ...]) -> OutcomeDistribution:
+def _distribution_from_diagonal(diag, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     keys = itertools.product(*(b.label_names for b in bases))
-    probs = {key: max(p, 0.0) for key, p in zip(keys, diag.tolist())}
+    probs = {key: max(p, 0.0) for key, p in zip(keys, diag)}
     return OutcomeDistribution(tuple(b.name for b in bases), probs)
 
 
@@ -399,72 +449,12 @@ def born_distribution(obj, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     given measurement bases (one per system)."""
     bases = tuple(bases)
     if isinstance(obj, StateVector):
-        amps = express(obj, bases).amps
-        return _distribution_from_diagonal(np.abs(amps) ** 2, bases)
+        vec = express(obj, bases).vec
+        return _distribution_from_diagonal([abs(z) ** 2 for z in vec], bases)
     if isinstance(obj, DensityOperator):
-        rho = express_density(obj, bases)
-        return _distribution_from_diagonal(rho.matrix.diagonal().real, bases)
+        rows = express_density(obj, bases).rows
+        return _distribution_from_diagonal([rows[i][i].real for i in range(len(rows))], bases)
     raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
-
-
-def born_tables(obj, local) -> np.ndarray:
-    """Born-rule probability tables of a state or density operator for whole
-    stacks of measurement bases at once.
-
-    ``local[k]`` is an array ``(..., 2, 2)`` of measurement-basis matrices
-    for system k, laid out as ``Basis.matrix``: column j is outcome j's vector
-    in the system's reference frame.  The stacks' leading shapes broadcast to
-    a shape S, and the result has shape ``S + (2**n,)``; entry ``[..., i]``
-    is the probability of the joint outcome ``i`` in first-system-major order,
-    as :func:`born_distribution` keys it.
-
-    Every entry gets the checks of the scalar path, at NORM_TOL, with a
-    non-finite value failing: each measurement matrix is unitary (else
-    ValueError("not unitary")); each re-expressed state has unit norm, each
-    re-expressed density operator is Hermitian with unit trace and no
-    eigenvalue below -NORM_TOL, and each table has no entry below -NORM_TOL
-    and sums to 1 (else :class:`InvariantViolation`).
-    Entries are clipped at 0, as :func:`born_distribution` clips them.
-    """
-    if not isinstance(obj, (StateVector, DensityOperator)):
-        raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
-    n = obj.num_systems
-    if len(local) != n:
-        raise ValueError("dimension mismatch")
-    # maps[k] re-expresses system k from its current basis into local[k].
-    maps = []
-    for k, m in enumerate(local):
-        m = np.asarray(m)
-        if m.shape[-2:] != (2, 2):
-            raise ValueError("dimension mismatch")
-        _require_unitary(m)
-        maps.append(_adjoint(m) @ obj.bases[k].matrix)
-
-    if isinstance(obj, StateVector):
-        flat = obj.amps
-        probs = flat.real**2 + flat.imag**2
-        for k, u in enumerate(maps):
-            flat = _on_axis(u, k, flat)
-            probs = flat.real**2 + flat.imag**2
-            norm_drift = _worst(np.sqrt(probs.sum(-1)) - 1.0)
-            if not norm_drift <= NORM_TOL:
-                raise InvariantViolation(f"state norm drifted from 1 by {norm_drift}")
-    else:
-        flat = obj.matrix.reshape(-1)
-        for k, u in enumerate(maps):
-            flat = _on_axis(u.conj(), n + k, _on_axis(u, k, flat))
-        rho = flat.reshape(flat.shape[:-1] + obj.matrix.shape)
-        _require_density(rho)
-        probs = np.diagonal(rho, axis1=-2, axis2=-1).real
-
-    lowest = float(probs.min(initial=0.0))
-    if not lowest >= -NORM_TOL:
-        raise InvariantViolation(f"negative probability {lowest}")
-    probs = np.maximum(probs, 0.0)
-    sum_drift = _worst(probs.sum(-1) - 1.0)
-    if not sum_drift <= NORM_TOL:
-        raise InvariantViolation(f"probabilities sum to 1 only within {sum_drift}")
-    return probs
 
 
 def project(state: StateVector, system: int, outcome: str) -> tuple[StateVector, float]:
@@ -478,27 +468,52 @@ def project(state: StateVector, system: int, outcome: str) -> tuple[StateVector,
     if not 0 <= system < state.num_systems:
         raise ValueError("system index out of range")
     i = state.bases[system].index(outcome)
-    t = state.amps.reshape(2**system, 2, -1).copy()
-    t[:, 1 - i, :] = 0.0
-    prob = float(np.vdot(t, t).real)
+    vec = state.vec
+    kept = [0j] * len(vec)
+    for pair in _pairs(system, state.num_systems):
+        kept[pair[i]] = vec[pair[i]]
+    prob = _norm2(kept)
     if prob < ZERO_BRANCH_TOL:
         raise ValueError("zero-probability branch")
-    return StateVector(state.bases, t.reshape(-1) / math.sqrt(prob)), prob
+    norm = math.sqrt(prob)
+    return StateVector(state.bases, [z / norm for z in kept]), prob
 
 
-def _require_density(m: np.ndarray) -> None:
-    """The checks of the DensityOperator constructor, for each matrix of a
-    stack: Hermitian, unit trace and no eigenvalue below -NORM_TOL, else
-    InvariantViolation; a non-finite entry fails."""
-    h = _adjoint(m)
-    if not _worst(m - h) <= NORM_TOL:
-        raise InvariantViolation("density operator not Hermitian")
-    trace_drift = _worst(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    if not trace_drift <= NORM_TOL:
-        raise InvariantViolation(f"density operator trace drifted from 1 by {trace_drift}")
-    # eigvalsh returns the eigenvalues in ascending order.
-    if not np.all(np.linalg.eigvalsh((m + h) / 2.0)[..., 0] >= -NORM_TOL):
-        raise InvariantViolation("density operator not positive semidefinite")
+def _is_hermitian(m: _Rows) -> bool:
+    """max |M - M^H| <= NORM_TOL; false when an entry is not finite."""
+    for i, row in enumerate(m):
+        for j in range(i, len(m)):
+            if not abs(row[j] - m[j][i].conjugate()) <= NORM_TOL:
+                return False
+    return True
+
+
+def _is_positive(m: _Rows) -> bool:
+    """Whether no eigenvalue of H = (M + M^H)/2 is below -NORM_TOL: the
+    LDL^H factorisation of H + NORM_TOL*I (L unit lower triangular, D
+    diagonal) has every pivot D_i > 0 exactly when that matrix is positive
+    definite.  False when an entry is not finite.
+
+    Row i of ``ld`` holds L[i][k] * D[k] for k < i; ``inv`` holds 1 / D.
+    """
+    ld: list[list[complex]] = []
+    inv: list[float] = []
+    for i, row in enumerate(m):
+        li = []
+        for j in range(i):
+            x = (row[j] + m[j][i].conjugate()) * 0.5
+            lj = ld[j]
+            for k in range(j):
+                x -= li[k] * lj[k].conjugate() * inv[k]
+            li.append(x)
+        pivot = row[i].real + NORM_TOL
+        for k, x in enumerate(li):
+            pivot -= (x.real * x.real + x.imag * x.imag) * inv[k]
+        if not pivot > 0.0:
+            return False
+        ld.append(li)
+        inv.append(1.0 / pivot)
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,23 +524,24 @@ class DensityOperator:
     """
 
     bases: tuple[Basis, ...]
-    matrix: np.ndarray
+    rows: _Rows
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
         d = 2 ** len(self.bases)
-        if m.shape != (d, d):
-            raise ValueError("dimension mismatch")
-        h = m.conj().T
-        if not float(np.abs(m - h).max()) <= NORM_TOL:
+        m = _square(self.rows, d)
+        if not _is_hermitian(m):
             raise InvariantViolation("density operator not Hermitian")
-        tr = complex(m.trace())
+        tr = sum(m[i][i] for i in range(d))
         if abs(tr - 1.0) > NORM_TOL:
             raise InvariantViolation(f"density operator trace {tr}")
-        # eigvalsh returns the eigenvalues in ascending order.
-        if float(np.linalg.eigvalsh((m + h) / 2.0)[0]) < -NORM_TOL:
+        if not _is_positive(m):
             raise InvariantViolation("density operator not positive semidefinite")
-        object.__setattr__(self, "matrix", _read_only(m.copy()))
+        object.__setattr__(self, "rows", m)
+
+    @cached_property
+    def matrix(self):
+        """``rows`` as a read-only complex numpy array."""
+        return _read_only_array(self.rows)
 
     @property
     def num_systems(self) -> int:
@@ -534,7 +550,9 @@ class DensityOperator:
 
 def density_from_state(state: StateVector) -> DensityOperator:
     """The pure density operator |psi><psi|."""
-    return DensityOperator(state.bases, np.outer(state.amps, state.amps.conj()))
+    v = state.vec
+    vc = [y.conjugate() for y in v]
+    return DensityOperator(state.bases, [[x * y for y in vc] for x in v])
 
 
 def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOperator:
@@ -544,14 +562,11 @@ def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOp
         raise ValueError("dimension mismatch")
     if all(b == c for b, c in zip(rho.bases, bases)):
         return rho
-    # The matrix is a tensor with n row axes then n column axes: U rho U^H
-    # applies U to row axis k and conj(U) to column axis n + k.
-    flat = rho.matrix.reshape(-1)
+    rows = rho.rows
     for k, b in enumerate(bases):
         if rho.bases[k] != b:
-            u = basis_change(k, rho.bases[k], b).matrix
-            flat = _on_axis(u.conj(), n + k, _on_axis(u, k, flat))
-    return DensityOperator(tuple(bases), flat.reshape(rho.matrix.shape))
+            rows = _conjugate_by(basis_change(k, rho.bases[k], b).rows, _pairs(k, n), rows)
+    return DensityOperator(tuple(bases), rows)
 
 
 def dephase(rho: DensityOperator, system: int, basis: Basis) -> DensityOperator:
@@ -563,21 +578,17 @@ def dephase(rho: DensityOperator, system: int, basis: Basis) -> DensityOperator:
     if not 0 <= system < rho.num_systems:
         raise ValueError("system index out of range")
     target = tuple(basis if k == system else b for k, b in enumerate(rho.bases))
-    m = express_density(rho, target).matrix
-    n = rho.num_systems
-    t = m.reshape((2,) * (2 * n)).copy()
-    idx_row = [slice(None)] * (2 * n)
-    idx_row[system] = 0
-    idx_row[n + system] = 1
-    t[tuple(idx_row)] = 0.0
-    idx_row[system] = 1
-    idx_row[n + system] = 0
-    t[tuple(idx_row)] = 0.0
-    return DensityOperator(target, t.reshape(m.shape))
+    rows = express_density(rho, target).rows
+    bit = 1 << (rho.num_systems - system - 1)
+    return DensityOperator(
+        target,
+        [[z if (r ^ c) & bit == 0 else 0j for c, z in enumerate(row)] for r, row in enumerate(rows)],
+    )
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, after re-expressing ``b`` in ``a``'s bases."""
     if a.num_systems != b.num_systems:
         raise ValueError("dimension mismatch")
-    return float(abs(np.vdot(a.amps, express(b, a.bases).amps)) ** 2)
+    overlap = sum(x.conjugate() * y for x, y in zip(a.vec, express(b, a.bases).vec))
+    return abs(overlap) ** 2

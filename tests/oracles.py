@@ -285,3 +285,8 @@ def chsh_grid_max(correlation, grid_n: int) -> float:
     # Axes (a, a', b, b').
     s = e[:, None, :, None] + e[None, :, :, None] + e[:, None, None, :] - e[None, :, None, :]
     return float(np.abs(s).max())
+
+
+def smallest_eigenvalue(m: np.ndarray) -> float:
+    """The smallest eigenvalue of the Hermitian part (M + M^H)/2, by LAPACK."""
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])

@@ -9,6 +9,7 @@ from wignerfriend.bell import (
     PAIR_Z,
     AngleQuad,
     LHVModel,
+    born_tables,
     chsh,
     chsh_scan,
     erased_vs_kept_chsh,
@@ -20,7 +21,7 @@ from wignerfriend.bell import (
 )
 from wignerfriend.hardy import hardy_state
 from wignerfriend.memory import Friend, record_and_erase, record_and_keep
-from wignerfriend.qcore import born_distribution, born_tables, direction_basis, make_state
+from wignerfriend.qcore import born_distribution, direction_basis, make_state
 
 INV = 2.0 ** -0.5
 TSIRELSON = 2.0 * math.sqrt(2.0)

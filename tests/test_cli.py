@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,6 +380,116 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     _usage_error_without_traceback(capsys, ["--config", str(cfg)])
 
 
+def test_exponent_form_negative_angles_parse(capsys):
+    code, exponent, _ = run_cli(capsys, "chsh", "--quad", "0", "-1e-3", "0", "0")
+    assert code == 0
+    assert run_cli(capsys, "chsh", "--quad", "0", "-0.001", "0", "0") == (0, exponent, "")
+    assert run_json(capsys, "chsh", "--quad", "-1E+1", "-.5", "-2e-3", "0")["quad"] == [
+        (x % (2 * math.pi)) for x in (-10.0, -0.5, -0.002, 0.0)
+    ]
+
+
+def test_repeated_kept_agent_is_usage_error(capsys):
+    _usage_error_without_traceback(capsys, ["memory", "--keep", "F", "--keep", "F"])
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": "memory", "kept": ["F", "F"]},
+        {"scenario": "memory", "erased": ["Fbar", "Fbar"]},
+    ],
+    ids=["kept", "erased"],
+)
+def test_config_repeated_agent_is_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(raw))
+    _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+
+
+def _src_env() -> dict:
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def test_closed_stdout_exits_quietly():
+    # A pipe whose read end is already closed, as when `| head` has exited.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerfriend.cli", "memory", "--keep", "F"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_src_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# Invocations run one after another in a fresh process, which reports for
+# each its exit code and whether numpy is in sys.modules after cli.main
+# returned.
+_COLD_CHECK = """
+import contextlib, io, json, sys
+from wignerfriend import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def _cold_run(runs: list) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CHECK, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_NUMPY_FREE = [
+    ["contexts"],
+    ["bohm", "--foliation", "both"],
+    ["agents"],
+    ["memory", "--keep", "F"],
+]
+_NUMPY_FREE_CONFIGS = [
+    {"scenario": "contexts"},
+    {"scenario": "bohm", "foliation": "Fprime", "coupling": "independent"},
+    {"scenario": "agents", "forbid_counterfactual": True},
+    {"scenario": "memory", "kept": ["Fbar"]},
+]
+
+
+def test_numpy_free_subcommands_never_import_numpy(tmp_path):
+    runs = []
+    for fmt in ("table", "json"):
+        runs += [[*argv, "--format", fmt] for argv in _NUMPY_FREE]
+        for k, raw in enumerate(_NUMPY_FREE_CONFIGS):
+            cfg = tmp_path / f"{fmt}-{k}.json"
+            cfg.write_text(json.dumps({**raw, "format": fmt}))
+            runs.append(["--config", str(cfg)])
+    report = _cold_run(runs)
+    assert dict(zip(map(" ".join, runs), report)) == {" ".join(argv): [0, False] for argv in runs}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chsh"], ["bohm", "--samples", "1000", "--seed", "1"]],
+    ids=["chsh", "samples"],
+)
+def test_chsh_and_sampling_still_load_numpy(argv):
+    assert _cold_run([argv]) == [[0, True]]
+
+
 # Random command lines and config files: the CLI contract is exit 0 on success
 # and 2 on bad input, never a traceback; exit 1 is reserved for a real
 # InvariantViolation, which no input should provoke.
@@ -387,7 +498,7 @@ _NUMBER_TEXT = st.one_of(
     st.integers(-3, 60).map(str),
     st.integers(-(2**70), 2**70).map(str),
     st.floats().map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.5", "0x10", "1_0"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.5", "-1e-3", "-2.5E+1", "0x10", "1_0"]),
 )
 _WORDS = st.sampled_from(["F", "Fbar", "Fprime", "both", "monotone", "independent", "json", "table"])
 

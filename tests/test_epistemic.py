@@ -4,7 +4,6 @@ import pytest
 
 from wignerfriend.epistemic import (
     Agent,
-    AgentLevel,
     AxiomSet,
     CertainThat,
     Classification,
@@ -35,13 +34,6 @@ EXPECTED_VERDICTS = {
 COUNTERFACTUAL_IDS = frozenset(
     sid for sid, verdict in EXPECTED_VERDICTS.items() if verdict != "ContextValid"
 )
-
-
-def test_agent_levels():
-    assert Agent.F.level is AgentLevel.FRIEND
-    assert Agent.FBAR.level is AgentLevel.FRIEND
-    assert Agent.W.level is AgentLevel.SUPER_OBSERVER
-    assert Agent.WBAR.level is AgentLevel.SUPER_OBSERVER
 
 
 def test_builtin_statement_verdicts():

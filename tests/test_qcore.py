@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from wignerfriend.bell import born_tables, direction_matrices
 from wignerfriend.qcore import (
     COIN_WBAR,
     COIN_ZBAR,
@@ -24,11 +25,9 @@ from wignerfriend.qcore import (
     apply_local,
     basis_change,
     born_distribution,
-    born_tables,
     dephase,
     density_from_state,
     direction_basis,
-    direction_matrices,
     express,
     express_density,
     fidelity,
@@ -460,3 +459,78 @@ def test_born_tables_rejects_bad_input():
             born_tables(state, (eye, bad, eye))
     with pytest.raises(TypeError):
         born_tables(state.amps, (eye, eye, eye))
+
+
+def _density_with_spectrum(rng, spectrum):
+    """V diag(spectrum) V^H for a seeded random unitary V."""
+    d = len(spectrum)
+    v = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return (v * np.asarray(spectrum)) @ v.conj().T
+
+
+# Smallest eigenvalues on both sides of the -NORM_TOL threshold.
+LAMBDA_MIN = [-1e-9, -1e-11, -1.1e-12, -0.9e-12, -1e-13, 0.0]
+
+
+@pytest.mark.parametrize("systems", [2, 3])
+@pytest.mark.parametrize("lam", LAMBDA_MIN)
+@pytest.mark.parametrize("rank_one", [False, True], ids=["full", "rank-one"])
+def test_positivity_check_agrees_with_eigvalsh_oracle(systems, lam, rank_one):
+    rng = np.random.default_rng(10 * systems + int(rank_one))
+    d = 2**systems
+    for _ in range(5):
+        if rank_one:
+            # A pure state plus one eigenvalue lam; the rest are zero.
+            spectrum = np.zeros(d)
+            spectrum[:2] = (1.0 - lam, lam)
+        else:
+            rest = rng.uniform(0.1, 1.0, size=d - 1)
+            spectrum = np.concatenate(([lam], rest * (1.0 - lam) / rest.sum()))
+        m = _density_with_spectrum(rng, spectrum)
+        bases = (COIN_ZBAR,) + (SPIN_Z,) * (systems - 1)
+        positive = oracles.smallest_eigenvalue(m) >= -1e-12
+        assert positive == (lam >= -1e-12)
+        if positive:
+            assert np.array_equal(DensityOperator(bases, m).matrix, m)
+        else:
+            with pytest.raises(InvariantViolation, match="not positive semidefinite"):
+                DensityOperator(bases, m)
+
+
+def test_numpy_views_are_read_only_and_built_once():
+    state = hardy()
+    rho = density_from_state(state)
+    unitary = basis_change(0, COIN_ZBAR, COIN_WBAR)
+    for obj, view, raw in (
+        (state, "amps", state.vec),
+        (rho, "matrix", rho.rows),
+        (unitary, "matrix", unitary.rows),
+        (COIN_WBAR, "matrix", tuple(zip(*COIN_WBAR.vectors))),
+    ):
+        a = getattr(obj, view)
+        assert getattr(obj, view) is a
+        assert not a.flags.writeable
+        assert np.array_equal(a, np.array(raw))
+
+
+def test_kernel_storage_is_tuples_of_complex():
+    state = make_state(np.array([1, 0, 1, 1]), HARDY_BASES)
+    rho = density_from_state(state)
+    assert type(state.vec) is tuple and all(type(z) is complex for z in state.vec)
+    assert type(rho.rows) is tuple and all(type(row) is tuple for row in rho.rows)
+    assert all(type(z) is complex for row in rho.rows for z in row)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateVector(HARDY_BASES, [[1.0, 0.0], [0.0, 0.0]]),
+        lambda: DensityOperator(HARDY_BASES, [1.0, 0.0, 0.0, 0.0]),
+        lambda: DensityOperator(HARDY_BASES, np.eye(2)),
+        lambda: LocalUnitary(0, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], COIN_ZBAR, COIN_ZBAR),
+    ],
+    ids=["nested-state", "flat-density", "small-density", "wide-unitary"],
+)
+def test_wrongly_shaped_input_is_a_dimension_mismatch(build):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        build()
