@@ -12,18 +12,17 @@ and a correlation returns one value per broadcast pair of settings (a Python
 float for scalar settings).  A ``CorrelationFn`` or ``LHVModel.response``
 given to this module must broadcast the same way, because ``chsh_scan`` and
 ``erased_vs_kept_chsh`` evaluate whole grids of settings in one call.
-This is the package's one module that needs numpy at import.
+Scalar settings run on the exact kernel of :mod:`qcore` and never import
+numpy; array settings, ``chsh_scan`` and ``erased_vs_kept_chsh`` import it
+when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .memory import Friend, record_and_erase, record_and_keep
 from .qcore import (
     UP,
     DOWN,
@@ -33,8 +32,13 @@ from .qcore import (
     InvariantViolation,
     StateVector,
     System,
+    born_distribution,
+    direction_basis,
     make_state,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 # Largest |E - n(a)^T T n(b)| that chsh_scan accepts on its check grid.
@@ -44,19 +48,15 @@ BILINEAR_TOL = 1e-12
 PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
 
 # Outcome product x*y over the joint outcomes (plus, plus), (plus, minus),
-# (minus, plus), (minus, minus): born_tables' first-system-major order.
-_OUTCOME_PRODUCT = np.array([1.0, -1.0, -1.0, 1.0])
+# (minus, plus), (minus, minus): the first-system-major order of both
+# born_distribution and born_tables.
+_OUTCOME_PRODUCT = (1.0, -1.0, -1.0, 1.0)
 
 
 # Broadcast Born rule.  The qcore kernel works on one state and one basis per
 # system; the CHSH grids below need whole stacks of settings at once, so they
 # run on the numpy views of the states (``amps``, ``matrix``) through the
 # helpers below, which repeat every check of the kernel per stack entry.
-
-_EYE2 = np.eye(2)
-# cos(t) * _EYE2 + sin(t) * _QUARTER_TURN is the rotation by t, exactly: each
-# entry adds a zero product to +-cos(t) or +-sin(t).
-_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def direction_matrices(angle) -> np.ndarray:
@@ -66,13 +66,17 @@ def direction_matrices(angle) -> np.ndarray:
     Nothing is checked here; :func:`born_tables` checks each matrix it is
     given, so a non-finite angle fails there as "not unitary".
     """
+    import numpy as np
+
     half = (np.mod(np.asarray(angle, dtype=float), _TWO_PI) / 2.0)[..., None, None]
-    return np.cos(half) * _EYE2 + np.sin(half) * _QUARTER_TURN
+    # cos(t) * I + sin(t) * (quarter turn) is the rotation by t, exactly:
+    # each entry adds a zero product to +-cos(t) or +-sin(t).
+    return np.cos(half) * np.eye(2) + np.sin(half) * np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _worst(residual: np.ndarray) -> float:
     """Largest |residual| over a stack; NaN when any entry is NaN."""
-    return float(np.abs(residual).max(initial=0.0))
+    return float(abs(residual).max(initial=0.0))
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -82,7 +86,9 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 def _require_unitary(m: np.ndarray) -> None:
     """max |M^H M - I| <= NORM_TOL for each matrix of a stack ``(..., 2, 2)``,
     else ValueError("not unitary"); a non-finite entry fails."""
-    if not _worst(_adjoint(m) @ m - _EYE2) <= NORM_TOL:
+    import numpy as np
+
+    if not _worst(_adjoint(m) @ m - np.eye(2)) <= NORM_TOL:
         raise ValueError("not unitary")
 
 
@@ -90,6 +96,8 @@ def _require_density(m: np.ndarray) -> None:
     """The checks of the DensityOperator constructor, for each matrix of a
     stack: Hermitian, unit trace and no eigenvalue below -NORM_TOL, else
     InvariantViolation; a non-finite entry fails."""
+    import numpy as np
+
     h = _adjoint(m)
     if not _worst(m - h) <= NORM_TOL:
         raise InvariantViolation("density operator not Hermitian")
@@ -136,6 +144,8 @@ def born_tables(obj, local) -> np.ndarray:
     and sums to 1 (else :class:`InvariantViolation`).
     Entries are clipped at 0, as :func:`qcore.born_distribution` clips them.
     """
+    import numpy as np
+
     if not isinstance(obj, (StateVector, DensityOperator)):
         raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
     n = obj.num_systems
@@ -187,9 +197,16 @@ def singlet() -> StateVector:
 _SINGLET = singlet()
 
 
-def _scalar_or_array(x: np.ndarray):
-    """A float for a 0-d result, as for scalar settings; else the array."""
-    return float(x) if np.ndim(x) == 0 else x
+def _is_scalar(setting) -> bool:
+    """Whether a setting is one Python number (np.float64 is a float); arrays,
+    0-d ones included, are not."""
+    return isinstance(setting, (int, float))
+
+
+def _scalar_or_array(x):
+    """A float for a scalar or 0-d result, as for scalar settings; else the
+    array."""
+    return x if getattr(x, "ndim", 0) else float(x)
 
 
 def quantum_correlation(alpha, beta, state=None):
@@ -197,16 +214,24 @@ def quantum_correlation(alpha, beta, state=None):
 
     Computed from Born probabilities of the state (default: the singlet,
     where the closed form is -cos(alpha - beta)); accepts a density operator
-    as well.  ``alpha`` and ``beta`` broadcast like a ufunc's arguments: one
-    Born-rule call (:func:`born_tables`) evaluates every pair, and scalar
-    settings give a float.  The state must hold two spin systems: ValueError
-    "dimension mismatch" otherwise, and "basis mismatch" for a coin system.
+    as well.  Two scalar settings take one :func:`qcore.born_distribution`
+    in two :func:`qcore.direction_basis` bases and give a float.  Otherwise
+    ``alpha`` and ``beta`` broadcast like a ufunc's arguments, and one
+    Born-rule call (:func:`born_tables`) evaluates every pair.  The state
+    must hold two spin systems: ValueError "dimension mismatch" otherwise,
+    and "basis mismatch" for a coin system.
     """
     obj = _SINGLET if state is None else state
-    # born_tables checks the type and the number of systems.
-    probs = born_tables(obj, (direction_matrices(alpha), direction_matrices(beta)))
+    if not isinstance(obj, (StateVector, DensityOperator)):
+        raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
+    if obj.num_systems != 2:
+        raise ValueError("dimension mismatch")
     if any(b.system is not System.SPIN for b in obj.bases):
         raise ValueError("basis mismatch: correlations are defined on two spin systems")
+    if _is_scalar(alpha) and _is_scalar(beta):
+        dist = born_distribution(obj, (direction_basis(alpha), direction_basis(beta)))
+        return sum(x * p for x, p in zip(_OUTCOME_PRODUCT, dist.probs.values()))
+    probs = born_tables(obj, (direction_matrices(alpha), direction_matrices(beta)))
     return _scalar_or_array(probs @ _OUTCOME_PRODUCT)
 
 
@@ -237,7 +262,12 @@ def observer_independent_facts_model() -> LHVModel:
     perfectly anticorrelated z values, cos^2(angle/2) readout on each side."""
 
     def response(side: int, angle: float, component: str) -> dict[int, float]:
-        p_plus = np.cos(angle / 2.0) ** 2 if component == "up" else np.sin(angle / 2.0) ** 2
+        if _is_scalar(angle):
+            trig = math
+        else:
+            import numpy as trig
+        half = angle / 2.0
+        p_plus = trig.cos(half) ** 2 if component == "up" else trig.sin(half) ** 2
         return {1: p_plus, -1: 1.0 - p_plus}
 
     return LHVModel(
@@ -313,6 +343,8 @@ class ScanResult:
 
 def _on_grid(correlation_fn: CorrelationFn, angles: np.ndarray) -> np.ndarray:
     """E(a, b) for every pair of ``angles``, in one broadcast call."""
+    import numpy as np
+
     return np.asarray(correlation_fn(angles[:, None], angles[None, :]), dtype=float)
 
 
@@ -328,6 +360,8 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
     called twice, on the 2x2 ends and on the whole grid, so it must broadcast.
     """
+    import numpy as np
+
     t = _on_grid(correlation_fn, np.array([0.0, math.pi / 2.0]))
     grid = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
     e = _on_grid(correlation_fn, grid)
@@ -369,6 +403,10 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
     """Erased records leave the singlet coherent (S = 2*sqrt2); kept records
     dephase it in z, and the dephased correlations equal the
     observer-independent-facts model's -cos(alpha)cos(beta) exactly."""
+    import numpy as np
+
+    from .memory import Friend, record_and_erase, record_and_keep
+
     pair = singlet()
     run = record_and_erase(pair, Friend.FBAR, PAIR_Z)
     run = record_and_erase(run.final_state, Friend.F, PAIR_Z)

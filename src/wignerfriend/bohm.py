@@ -19,6 +19,7 @@ marginals (equivariance) but different origins for the same outcome.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -426,6 +427,104 @@ def compare_foliations(coupling: TransportCoupling = MONOTONE) -> FoliationRepor
     )
 
 
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_tail(k: int) -> float:
+    """log k! minus Stirling's (k + 1/2) log(k + 1) - (k + 1) + log(2 pi)/2.
+
+    Below 30 from lgamma directly; from 30 on by the asymptotic series in
+    1/(k + 1), whose first omitted term is below 4e-17 there.
+    """
+    if k < 30:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k + 1.0) + (k + 1.0) - _HALF_LOG_TWO_PI
+    x = 1.0 / (k + 1)
+    x2 = x * x
+    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - x2 / 1680.0) * x2) * x2) * x
+
+
+def _binomial_inversion(rng: random.Random, n: int, p: float) -> int:
+    """Binomial(n, p) by counting successes: the trials up to and including
+    the next success are Geometric(p), drawn by inversion of one uniform, and
+    the count stops when they overrun the n trials.  About n*p + 1 uniforms."""
+    log_q = math.log1p(-p)
+    count = 0
+    left = n
+    while True:
+        # The next success is floor(gap) + 1 trials away; it falls within the
+        # trials left exactly when gap < left.
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= left:
+            return count
+        left -= math.floor(gap) + 1
+        count += 1
+
+
+def _binomial_btrs(rng: random.Random, n: int, p: float) -> int:
+    """Binomial(n, p) for n*p >= 10 and p <= 1/2 by BTRS, the transformed
+    rejection with squeeze of Hormann, J. Stat. Comput. Simul. 46, 101 (1993).
+
+    About 1.15 pairs of uniforms per draw.  The mode m = floor((n + 1) p) and
+    every ratio in the acceptance test log f(k)/f(m) come from p's exact
+    binary value in integer arithmetic, and the test is the Stirling form with
+    log1p of those ratios, so it keeps double precision for n up to 2**63.
+    """
+    num, den = p.as_integer_ratio()  # p = num/den and q = 1 - p = rest/den
+    rest = den - num
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    m = (n + 1) * num // den
+    c = (n * num - m * den) / den + 0.5  # n p + 1/2 - m
+    nm = n - m + 1
+    h = (
+        (m + 0.5) * math.log1p(((m + 1) * rest - num * nm) / (num * nm))
+        + _stirling_tail(m)
+        + _stirling_tail(n - m)
+    )
+    while True:
+        u = rng.random() - 0.5
+        v = 1.0 - rng.random()
+        us = 0.5 - abs(u)
+        if us == 0.0:  # u = -1/2 lies outside the open interval
+            continue
+        k = m + math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        if us >= 0.07 and v <= v_r:
+            return k
+        nk = n - k + 1
+        log_ratio = (
+            h
+            + (n + 1) * math.log1p((k - m) / nk)
+            + (k + 0.5) * math.log1p((num * nk - rest * (k + 1)) / (rest * (k + 1)))
+            - _stirling_tail(k)
+            - _stirling_tail(n - k)
+        )
+        if math.log(v * alpha / (a / (us * us) + b)) <= log_ratio:
+            return k
+
+
+def binomial(rng: random.Random, n: int, p: float) -> int:
+    """One exact Binomial(n, p) draw from ``rng``.
+
+    Geometric-gap inversion when n*p < 10, BTRS otherwise, and p > 1/2 as
+    n minus a draw at 1 - p (exact in floating point there).  ValueError for
+    a negative n or a p outside [0, 1].
+    """
+    if n < 0 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"binomial needs n >= 0 and 0 <= p <= 1, got n={n}, p={p}")
+    if p > 0.5:
+        return n - binomial(rng, n, 1.0 - p)
+    if n == 0 or p == 0.0:
+        return 0
+    if n * p < 10.0:
+        return _binomial_inversion(rng, n, p)
+    return _binomial_btrs(rng, n, p)
+
+
 def sample_paths(
     foliation: Foliation,
     coupling: TransportCoupling = MONOTONE,
@@ -434,16 +533,16 @@ def sample_paths(
 ) -> dict[tuple, int]:
     """Sample the trajectory dynamics stage by stage with a seeded generator.
 
-    Counts are distributed with one multinomial draw per branching node, which
-    is distribution-identical to simulating each run independently.  Returns
-    counts keyed by path signature; deterministic given the seed.
+    At each branching node the count is split among the branches by
+    sequential conditional binomial draws (:func:`binomial`): branch i gets
+    Binomial(count left, mass_i / mass of branches i and after).  That is a
+    multinomial draw, so it is distribution-identical to simulating each run
+    independently.  The generator is ``random.Random(seed)``, so counts are
+    deterministic given the seed; they differ from version 0.1.0's, which
+    drew them with numpy.  Returns counts keyed by path signature.
     """
-    # The counts come from numpy's seeded generator, imported here so that
-    # the rest of the package runs without numpy.
-    import numpy as np
-
     ts = evolve(foliation, coupling)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     counts: dict[tuple, int] = {}
 
     def assign(count: int, group: list[TrajectoryPath], depth: int) -> None:
@@ -456,12 +555,13 @@ def sample_paths(
         for p in group:
             key = p.initial if depth == 0 else p.events[depth - 1]
             buckets.setdefault(key, []).append(p)
-        keys = list(buckets)
-        masses = np.array([sum(q.weight for q in buckets[k]) for k in keys])
-        probs = masses / masses.sum()
-        split = rng.multinomial(count, probs)
-        for k, c in zip(keys, split):
-            assign(int(c), buckets[k], depth + 1)
+        masses = [sum(q.weight for q in bucket) for bucket in buckets.values()]
+        last = len(masses) - 1
+        for i, bucket in enumerate(buckets.values()):
+            # Path weights are positive, so mass_i <= the sum and p <= 1.
+            got = count if i == last else binomial(rng, count, masses[i] / sum(masses[i:]))
+            assign(got, bucket, depth + 1)
+            count -= got
 
     assign(samples, list(ts.paths), 0)
     return counts

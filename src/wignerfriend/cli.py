@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 from . import hardy
 from .qcore import InvariantViolation, born_distribution, fidelity
 
-# Each handler imports the modules only it needs (bohm, epistemic, memory, or
-# bell, which loads numpy), so that a fresh process pays for no other
-# subcommand's imports.
+# Each handler imports the modules only it needs (bohm, epistemic, memory or
+# bell), so that a fresh process pays for no other subcommand's imports.
+# numpy is loaded only by chsh --scan and --erased-vs-kept.
 if TYPE_CHECKING:
     from . import bohm
 
@@ -27,7 +27,8 @@ _MAX_DENOMINATOR = 144
 # The CHSH maximum checks bilinearity on grid**2 settings, evaluated in one
 # broadcast call: 50 caps a check at 2,500 settings.
 MAX_GRID = 50
-# Sample counts are drawn into int64 arrays.
+# The documented range of --samples, int64 as in version 0.1.0; the sampler's
+# cost does not grow with the count.
 MAX_SAMPLES = 2**63 - 1
 # Before Python 3.13, argparse takes a negative number only in the forms -5
 # and -0.5, and reads -1e-3 as an unknown option; this is 3.13's pattern.
@@ -416,6 +417,14 @@ def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argpar
     return ns
 
 
+def _numpy_missing() -> bool:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return True
+    return False
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -449,6 +458,15 @@ def main(argv=None) -> int:
             parser.error(f"--grid must be an integer from 1 to {MAX_GRID}")
         if args.quad is not None and not all(math.isfinite(x) for x in args.quad):
             parser.error("--quad angles must be finite")
+        grids = [flag for flag, on in (("--scan", args.scan), ("--erased-vs-kept", args.erased_vs_kept)) if on]
+        # The settings grids need numpy, which the rest of the package runs
+        # without: say so in one line and exit 2, as for a usage error.
+        if grids and _numpy_missing():
+            print(
+                f"{parser.prog}: error: numpy is not installed; it is required by chsh {' and '.join(grids)}",
+                file=sys.stderr,
+            )
+            return 2
 
     fmt = args.format or "table"
     try:

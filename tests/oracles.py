@@ -8,6 +8,7 @@ stand on their own as oracles.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -290,3 +291,19 @@ def chsh_grid_max(correlation, grid_n: int) -> float:
 def smallest_eigenvalue(m: np.ndarray) -> float:
     """The smallest eigenvalue of the Hermitian part (M + M^H)/2, by LAPACK."""
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+
+
+def binomial_pmf(k: int, n: int, p: float) -> float:
+    """P(K = k) for K ~ Binomial(n, p): exact binomial coefficients up to
+    n = 1000, log-gamma above."""
+    if not 0 <= k <= n:
+        return 0.0
+    if p in (0.0, 1.0):
+        return float(k == (n if p == 1.0 else 0))
+    if n <= 1000:
+        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+    log_pmf = (
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+    return math.exp(log_pmf)

@@ -230,6 +230,9 @@ def test_broadcast_correlations_match_the_reference_path(case):
     assert grid.shape == (12, 12)
     want = np.array([[_reference_correlation(state, a, b) for b in GRID_12] for a in GRID_12])
     assert np.max(np.abs(grid - want)) <= 1e-12
+    # Scalar settings take the reference path itself.
+    for a, b in ((0.3, 1.1), (float(GRID_12[5]), 2), (np.float64(4.0), -0.5)):
+        assert quantum_correlation(a, b, state) == _reference_correlation(state, a, b)
 
 
 def test_scalar_settings_give_floats_and_arrays_broadcast():
@@ -237,7 +240,9 @@ def test_scalar_settings_give_floats_and_arrays_broadcast():
     for value in (
         quantum_correlation(0.3, 1.1),
         quantum_correlation(np.float64(0.3), 1.1, kept),
+        quantum_correlation(np.array(0.3), 1.1),
         lhv_correlation(MODEL, 0.3, 1.1),
+        lhv_correlation(MODEL, np.array(0.3), 1.1),
     ):
         assert type(value) is float
     assert quantum_correlation(GRID_12, 0.5).shape == (12,)
@@ -246,6 +251,12 @@ def test_scalar_settings_give_floats_and_arrays_broadcast():
     want = -np.cos(GRID_12)[:, None] * np.cos(GRID_12)[None, :]
     assert lhv.shape == (12, 12)
     assert np.max(np.abs(lhv - want)) <= 1e-12
+
+
+def _value_error(alpha, state) -> str:
+    with pytest.raises(ValueError) as info:
+        quantum_correlation(alpha, 0.2, state)
+    return str(info.value)
 
 
 def test_errors_come_through_the_broadcast_path():
@@ -262,3 +273,12 @@ def test_errors_come_through_the_broadcast_path():
     one = make_state([1.0, 0.0], (PAIR_Z,))
     with pytest.raises(ValueError, match="dimension mismatch"):
         quantum_correlation(0.0, 0.0, one)
+    # Scalar settings run on the kernel, arrays on born_tables: same errors.
+    for angle, state, message in (
+        (math.nan, None, "not unitary"),
+        (0.0, hardy_state(), "basis mismatch"),
+        (0.0, one, "dimension mismatch"),
+    ):
+        scalar = _value_error(angle, state)
+        assert message in scalar
+        assert _value_error(np.array([angle]), state) == scalar

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wignerfriend.bohm import (
     Foliation,
     HiddenConfig,
     MeasurementEvent,
+    binomial,
     compare_foliations,
     conditional_wave,
     evolve,
@@ -24,6 +26,7 @@ from wignerfriend.bohm import (
     origin_of,
     sample_paths,
 )
+from wignerfriend.cli import MAX_SAMPLES
 from wignerfriend.hardy import (
     CTX_WBAR_W,
     CTX_WBAR_Z,
@@ -276,6 +279,77 @@ def test_sampler_tracks_enumerated_weights(foliation):
         got = counts.get(p.signature, 0) / n
         sigma = (p.weight * (1 - p.weight) / n) ** 0.5
         assert abs(got - p.weight) <= 4 * sigma
+
+
+def _chi_square_passes(draws: list[int], n: int, p: float) -> bool:
+    """Pearson's chi-square of the draws against the exact pmf, below its
+    1e-6 upper quantile.  Bins are runs of k that each expect at least 20
+    draws; the mass beyond 12 standard deviations joins the end bins."""
+    sd = math.sqrt(n * p * (1.0 - p))
+    lo, hi = max(0, math.floor(n * p - 12 * sd)), min(n, math.ceil(n * p + 12 * sd))
+    bins: list[list[int]] = [[]]  # each bin: the k it holds
+    expected = [0.0]
+    for k in range(lo, hi + 1):
+        if expected[-1] >= 20.0:
+            bins.append([])
+            expected.append(0.0)
+        bins[-1].append(k)
+        expected[-1] += len(draws) * oracles.binomial_pmf(k, n, p)
+    if expected[-1] < 20.0:
+        tail, tail_expected = bins.pop(), expected.pop()
+        bins[-1] += tail
+        expected[-1] += tail_expected
+    where = {k: i for i, ks in enumerate(bins) for k in ks}
+    observed = [0] * len(bins)
+    for x in draws:
+        observed[where[min(max(x, lo), hi)]] += 1
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    # Wilson-Hilferty: the chi-square quantile from the normal one, z = 4.753.
+    df = len(bins) - 1
+    critical = df * (1.0 - 2.0 / (9 * df) + 4.753 * math.sqrt(2.0 / (9 * df))) ** 3
+    return df >= 1 and chi2 <= critical
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(20, 0.01), (30, 0.3), (30, 0.7), (1000, 0.5), (10**6, 1 / 12)],
+    ids=["inversion-20", "inversion-30", "inversion-mirrored", "btrs-1000", "btrs-1e6"],
+)
+def test_binomial_draws_follow_the_exact_pmf(n, p):
+    rng = random.Random(20_260)
+    draws = [binomial(rng, n, p) for _ in range(20_000)]
+    assert all(0 <= x <= n for x in draws)
+    assert _chi_square_passes(draws, n, p)
+
+
+class _CountingRandom(random.Random):
+    uniforms = 0
+
+    def random(self) -> float:
+        self.uniforms += 1
+        return super().random()
+
+
+def test_binomial_edges():
+    rng = _CountingRandom(5)
+    assert [binomial(rng, 0, 0.3), binomial(rng, 0, 1.0), binomial(rng, 7, 0.0)] == [0, 0, 0]
+    assert binomial(rng, 7, 1.0) == 7
+    assert rng.uniforms == 0
+    for p in (math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
+        draws = [binomial(rng, 1000, p) for _ in range(2000)]
+        assert all(0 <= x <= 1000 for x in draws)
+        assert abs(sum(draws) / len(draws) - 500.0) <= 5 * math.sqrt(250.0 / len(draws))
+    # The largest count the CLI accepts: every draw stays in [0, n] and takes
+    # a few uniforms at most, whatever the branch.
+    n = MAX_SAMPLES
+    for p in (1e-19, 1 / 12, 0.5, 1.0 - 2.0**-53, 5e-324):
+        rng.uniforms = 0
+        draws = [binomial(rng, n, p) for _ in range(100)]
+        assert all(0 <= x <= n for x in draws)
+        assert rng.uniforms <= 2_000
+    for n, p in ((-1, 0.5), (3, -0.1), (3, 1.5), (3, math.nan)):
+        with pytest.raises(ValueError):
+            binomial(rng, n, p)
 
 
 @pytest.mark.parametrize("coupling", ALL_COUPLINGS)

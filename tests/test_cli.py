@@ -265,6 +265,11 @@ def test_chsh_grid_bounds_are_accepted(capsys):
     assert "scan (closed form, checked on a 1x1 grid)" in out
 
 
+def test_largest_sample_count_is_split_exactly(capsys):
+    payload = run_json(capsys, "bohm", "--samples", str(cli.MAX_SAMPLES), "--seed", "1")
+    assert sum(p["count"] for p in payload["samples"]["paths"]) == cli.MAX_SAMPLES
+
+
 def test_huge_samples_is_usage_error(capsys):
     _usage_error_without_traceback(
         capsys, ["bohm", "--samples", str(cli.MAX_SAMPLES + 1), "--seed", "1"]
@@ -443,10 +448,25 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(report))
 """
 
+# The same on a machine without numpy, whose import fails: the report holds
+# each invocation's exit code and stderr.
+_NO_NUMPY_CHECK = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from wignerfriend import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    report.append([code, err.getvalue()])
+print(json.dumps(report))
+"""
 
-def _cold_run(runs: list) -> list:
+
+def _cold_run(runs: list, script: str = _COLD_CHECK) -> list:
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_CHECK, json.dumps(runs)],
+        [sys.executable, "-c", script, json.dumps(runs)],
         capture_output=True,
         text=True,
         env=_src_env(),
@@ -455,39 +475,67 @@ def _cold_run(runs: list) -> list:
     return json.loads(proc.stdout)
 
 
+def _both_formats(directory: Path, argvs: list, configs: list) -> list:
+    """Each argv and each config (as a file in ``directory``) in table and in
+    JSON format."""
+    directory.mkdir()
+    runs = []
+    for fmt in ("table", "json"):
+        runs += [[*argv, "--format", fmt] for argv in argvs]
+        for k, raw in enumerate(configs):
+            cfg = directory / f"{fmt}-{k}.json"
+            cfg.write_text(json.dumps({**raw, "format": fmt}))
+            runs.append(["--config", str(cfg)])
+    return runs
+
+
 _NUMPY_FREE = [
     ["contexts"],
     ["bohm", "--foliation", "both"],
     ["agents"],
     ["memory", "--keep", "F"],
+    ["chsh"],
+    ["chsh", "--quad", "0", "1.5707963", "0.7853982", "-0.7853982"],
+    ["bohm", "--samples", "1000", "--seed", "1"],
 ]
 _NUMPY_FREE_CONFIGS = [
     {"scenario": "contexts"},
     {"scenario": "bohm", "foliation": "Fprime", "coupling": "independent"},
     {"scenario": "agents", "forbid_counterfactual": True},
     {"scenario": "memory", "kept": ["Fbar"]},
+    {"scenario": "chsh"},
+    {"scenario": "chsh", "quad": [0, 1, 2, 3]},
+    {"scenario": "bohm", "foliation": "Fprime", "samples": 1000, "seed": 1},
 ]
 
 
 def test_numpy_free_subcommands_never_import_numpy(tmp_path):
-    runs = []
-    for fmt in ("table", "json"):
-        runs += [[*argv, "--format", fmt] for argv in _NUMPY_FREE]
-        for k, raw in enumerate(_NUMPY_FREE_CONFIGS):
-            cfg = tmp_path / f"{fmt}-{k}.json"
-            cfg.write_text(json.dumps({**raw, "format": fmt}))
-            runs.append(["--config", str(cfg)])
+    runs = _both_formats(tmp_path / "free", _NUMPY_FREE, _NUMPY_FREE_CONFIGS)
     report = _cold_run(runs)
     assert dict(zip(map(" ".join, runs), report)) == {" ".join(argv): [0, False] for argv in runs}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["chsh"], ["bohm", "--samples", "1000", "--seed", "1"]],
-    ids=["chsh", "samples"],
-)
-def test_chsh_and_sampling_still_load_numpy(argv):
+_SETTINGS_GRIDS = [["chsh", "--scan"], ["chsh", "--erased-vs-kept", "--grid", "8"]]
+_SETTINGS_GRID_CONFIGS = [
+    {"scenario": "chsh", "scan": True},
+    {"scenario": "chsh", "erased_vs_kept": True},
+]
+
+
+@pytest.mark.parametrize("argv", _SETTINGS_GRIDS, ids=["scan", "erased-vs-kept"])
+def test_settings_grids_load_numpy(argv):
     assert _cold_run([argv]) == [[0, True]]
+
+
+def test_without_numpy_only_the_settings_grids_fail(tmp_path):
+    free = _both_formats(tmp_path / "free", _NUMPY_FREE, _NUMPY_FREE_CONFIGS)
+    grids = _both_formats(tmp_path / "grids", _SETTINGS_GRIDS, _SETTINGS_GRID_CONFIGS)
+    report = _cold_run(free + grids, _NO_NUMPY_CHECK)
+    assert report[: len(free)] == [[0, ""]] * len(free)
+    for argv, (code, err) in zip(grids, report[len(free) :]):
+        assert code == 2, argv
+        assert err.count("\n") == 1 and "numpy is not installed" in err, (argv, err)
+        assert "Traceback" not in err
 
 
 # Random command lines and config files: the CLI contract is exit 0 on success
