@@ -57,6 +57,9 @@ _OUTCOME_PRODUCT = (1.0, -1.0, -1.0, 1.0)
 # system; the CHSH grids below need whole stacks of settings at once, so they
 # run on the numpy views of the states (``amps``, ``matrix``) through the
 # helpers below, which repeat every check of the kernel per stack entry.
+# Positivity has the kernel's one rule: the LDL^H factorisation of
+# (M + M^H)/2 + NORM_TOL*I must have every pivot positive; here it runs as
+# numpy's Cholesky, the same factorisation (see _require_density).
 
 
 def direction_matrices(angle) -> np.ndarray:
@@ -94,8 +97,15 @@ def _require_unitary(m: np.ndarray) -> None:
 
 def _require_density(m: np.ndarray) -> None:
     """The checks of the DensityOperator constructor, for each matrix of a
-    stack: Hermitian, unit trace and no eigenvalue below -NORM_TOL, else
-    InvariantViolation; a non-finite entry fails."""
+    stack ``(..., d, d)``: Hermitian, unit trace and positive, else
+    InvariantViolation; a non-finite entry fails.
+
+    Positivity is the rule of :func:`qcore._is_positive`: the Cholesky
+    factorisation of (M + M^H)/2 + NORM_TOL*I, which is LDL^H with sqrt(D)
+    folded into L, must succeed, so every pivot must be positive.  That holds
+    exactly when every eigenvalue of (M + M^H)/2 is above -NORM_TOL; an
+    eigenvalue of exactly -NORM_TOL fails, as it does in the kernel.
+    """
     import numpy as np
 
     h = _adjoint(m)
@@ -104,9 +114,10 @@ def _require_density(m: np.ndarray) -> None:
     trace_drift = _worst(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     if not trace_drift <= NORM_TOL:
         raise InvariantViolation(f"density operator trace drifted from 1 by {trace_drift}")
-    # eigvalsh returns the eigenvalues in ascending order.
-    if not np.all(np.linalg.eigvalsh((m + h) / 2.0)[..., 0] >= -NORM_TOL):
-        raise InvariantViolation("density operator not positive semidefinite")
+    try:
+        np.linalg.cholesky((m + h) / 2.0 + NORM_TOL * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise InvariantViolation("density operator not positive semidefinite") from None
 
 
 def _on_axis(m: np.ndarray, axis: int, flat: np.ndarray) -> np.ndarray:
@@ -125,6 +136,19 @@ def _on_axis(m: np.ndarray, axis: int, flat: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-3] + (size,))
 
 
+def _kron(maps) -> np.ndarray:
+    """U_0 (x) U_1 (x) ... (x) U_(n-1) for stacks of 2x2 maps ``(..., 2, 2)``
+    whose leading shapes broadcast, system-0-major like the tensor index:
+    entry ``[..., i, j]`` is the product of ``U_k[..., i_k, j_k]`` over the
+    bits i_k, j_k of i and j, most significant first."""
+    k = maps[0]
+    for u in maps[1:]:
+        k = k[..., :, None, :, None] * u[..., None, :, None, :]
+        d = k.shape[-1] * k.shape[-2]
+        k = k.reshape(k.shape[:-4] + (d, d))
+    return k
+
+
 def born_tables(obj, local) -> np.ndarray:
     """Born-rule probability tables of a state or density operator for whole
     stacks of measurement bases at once.
@@ -139,9 +163,9 @@ def born_tables(obj, local) -> np.ndarray:
     Every entry gets the checks of the kernel, at NORM_TOL, with a non-finite
     value failing: each measurement matrix is unitary (else
     ValueError("not unitary")); each re-expressed state has unit norm, each
-    re-expressed density operator is Hermitian with unit trace and no
-    eigenvalue below -NORM_TOL, and each table has no entry below -NORM_TOL
-    and sums to 1 (else :class:`InvariantViolation`).
+    re-expressed density operator passes :func:`_require_density`, and each
+    table has no entry below -NORM_TOL and sums to 1 (else
+    :class:`InvariantViolation`).
     Entries are clipped at 0, as :func:`qcore.born_distribution` clips them.
     """
     import numpy as np
@@ -170,10 +194,11 @@ def born_tables(obj, local) -> np.ndarray:
             if not norm_drift <= NORM_TOL:
                 raise InvariantViolation(f"state norm drifted from 1 by {norm_drift}")
     else:
-        flat = obj.matrix.reshape(-1)
-        for k, u in enumerate(maps):
-            flat = _on_axis(u.conj(), n + k, _on_axis(u, k, flat))
-        rho = flat.reshape(flat.shape[:-1] + obj.matrix.shape)
+        # One map on the whole space per stack entry: rho' = K rho K^H.  The
+        # state is one matrix, so K rho is a single product over the stack.
+        kron = _kron(maps)
+        d = obj.matrix.shape[0]
+        rho = (kron.reshape(-1, d) @ obj.matrix).reshape(kron.shape) @ _adjoint(kron)
         _require_density(rho)
         probs = np.diagonal(rho, axis1=-2, axis2=-1).real
 
@@ -253,7 +278,8 @@ class LHVModel:
     def __post_init__(self) -> None:
         if len(self.prior) != len(self.lambda_space):
             raise ValueError("dimension mismatch")
-        if any(p < 0 for p in self.prior) or abs(sum(self.prior) - 1.0) > 1e-12:
+        # Negated comparisons, so that a NaN weight or a non-finite sum fails.
+        if any(not p >= 0 for p in self.prior) or not abs(sum(self.prior) - 1.0) <= 1e-12:
             raise ValueError("prior must be a probability distribution")
 
 
@@ -359,9 +385,12 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
     grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
     called twice, on the 2x2 ends and on the whole grid, so it must broadcast.
+    A grid_n below 1 raises ValueError before the correlation is called.
     """
     import numpy as np
 
+    if not grid_n >= 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     t = _on_grid(correlation_fn, np.array([0.0, math.pi / 2.0]))
     grid = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
     e = _on_grid(correlation_fn, grid)

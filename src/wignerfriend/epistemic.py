@@ -121,115 +121,119 @@ def backing_probabilities(statement: EpistemicStatement) -> dict[tuple[str, str,
 _Z_TOK = ZeroBacking(CTX_ZBAR_W, ("t", "ok"))
 _Z_HUP = ZeroBacking(CTX_ZBAR_Z, ("h", "up"))
 _Z_OKBARDOWN = ZeroBacking(CTX_WBAR_Z, ("okbar", "down"))
+_FAIL_AT_31 = OutcomeClaim("w", "fail", "n:31")
+
+# The statements are frozen and hold only tuples and frozensets, so they are
+# built once and shared by every caller.
+_STATEMENTS = (
+    EpistemicStatement(
+        "Fbar_n02",
+        Agent.FBAR,
+        _FAIL_AT_31,
+        CTX_ZBAR_W,
+        CTX_WBAR_W,
+        axioms_used=frozenset({"Q"}),
+        backing=(_Z_TOK,),
+        note="from the recorded coin value t",
+    ),
+    EpistemicStatement(
+        "F_n12",
+        Agent.F,
+        CertainThat(Agent.FBAR, OutcomeClaim("z", "up", "n:02")),
+        CTX_ZBAR_Z,
+        CTX_ZBAR_Z,
+        axioms_used=frozenset({"Q", "C"}),
+        backing=(_Z_HUP,),
+        note="deduction about a fellow agent within the unchanged context",
+    ),
+    EpistemicStatement(
+        "F_n13",
+        Agent.F,
+        CertainThat(Agent.FBAR, _FAIL_AT_31),
+        CTX_ZBAR_W,
+        CTX_WBAR_W,
+        derived_from=("Fbar_n02", "F_n12"),
+        axioms_used=frozenset({"Q", "C"}),
+        backing=(_Z_HUP, _Z_TOK),
+    ),
+    EpistemicStatement(
+        "F_n14",
+        Agent.F,
+        _FAIL_AT_31,
+        CTX_ZBAR_W,
+        CTX_WBAR_W,
+        derived_from=("F_n13",),
+        axioms_used=frozenset({"Q", "C"}),
+        backing=(_Z_HUP, _Z_TOK),
+    ),
+    EpistemicStatement(
+        "Wbar_n22",
+        Agent.WBAR,
+        CertainThat(Agent.F, OutcomeClaim("z", "up", "n:11")),
+        CTX_WBAR_Z,
+        CTX_WBAR_W,
+        axioms_used=frozenset({"Q"}),
+        backing=(_Z_OKBARDOWN,),
+        note="from the observed okbar, applied outside the realized context",
+    ),
+    EpistemicStatement(
+        "Wbar_n23",
+        Agent.WBAR,
+        CertainThat(Agent.F, _FAIL_AT_31),
+        CTX_ZBAR_W,
+        CTX_WBAR_W,
+        derived_from=("Wbar_n22", "F_n14"),
+        axioms_used=frozenset({"Q", "C"}),
+        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+    ),
+    EpistemicStatement(
+        "Wbar_n24",
+        Agent.WBAR,
+        _FAIL_AT_31,
+        CTX_ZBAR_W,
+        CTX_WBAR_W,
+        derived_from=("Wbar_n23",),
+        axioms_used=frozenset({"Q", "C"}),
+        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+        note="the okbar->up->t->fail chain in one statement",
+    ),
+    EpistemicStatement(
+        "W_n26",
+        Agent.W,
+        OutcomeClaim("wbar", "okbar", "n:21"),
+        CTX_WBAR_W,
+        CTX_WBAR_W,
+        axioms_used=frozenset({"C"}),
+        backing=(),
+        note="announced result, shared at the same observer level",
+    ),
+    EpistemicStatement(
+        "W_n27",
+        Agent.W,
+        CertainThat(Agent.WBAR, _FAIL_AT_31),
+        CTX_ZBAR_W,
+        CTX_WBAR_W,
+        derived_from=("W_n26", "Wbar_n24"),
+        axioms_used=frozenset({"Q", "C"}),
+        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+    ),
+    EpistemicStatement(
+        "W_n28",
+        Agent.W,
+        _FAIL_AT_31,
+        CTX_ZBAR_W,
+        CTX_WBAR_W,
+        derived_from=("W_n27",),
+        axioms_used=frozenset({"Q", "C", "S"}),
+        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+        note="equivalent to Wbar_n24",
+    ),
+)
 
 
 def builtin_statements() -> tuple[EpistemicStatement, ...]:
     """The ten statements of the experiment's story, with their provenance."""
-    fail_at_31 = OutcomeClaim("w", "fail", "n:31")
-    return (
-        EpistemicStatement(
-            "Fbar_n02",
-            Agent.FBAR,
-            fail_at_31,
-            CTX_ZBAR_W,
-            CTX_WBAR_W,
-            axioms_used=frozenset({"Q"}),
-            backing=(_Z_TOK,),
-            note="from the recorded coin value t",
-        ),
-        EpistemicStatement(
-            "F_n12",
-            Agent.F,
-            CertainThat(Agent.FBAR, OutcomeClaim("z", "up", "n:02")),
-            CTX_ZBAR_Z,
-            CTX_ZBAR_Z,
-            axioms_used=frozenset({"Q", "C"}),
-            backing=(_Z_HUP,),
-            note="deduction about a fellow agent within the unchanged context",
-        ),
-        EpistemicStatement(
-            "F_n13",
-            Agent.F,
-            CertainThat(Agent.FBAR, fail_at_31),
-            CTX_ZBAR_W,
-            CTX_WBAR_W,
-            derived_from=("Fbar_n02", "F_n12"),
-            axioms_used=frozenset({"Q", "C"}),
-            backing=(_Z_HUP, _Z_TOK),
-        ),
-        EpistemicStatement(
-            "F_n14",
-            Agent.F,
-            fail_at_31,
-            CTX_ZBAR_W,
-            CTX_WBAR_W,
-            derived_from=("F_n13",),
-            axioms_used=frozenset({"Q", "C"}),
-            backing=(_Z_HUP, _Z_TOK),
-        ),
-        EpistemicStatement(
-            "Wbar_n22",
-            Agent.WBAR,
-            CertainThat(Agent.F, OutcomeClaim("z", "up", "n:11")),
-            CTX_WBAR_Z,
-            CTX_WBAR_W,
-            axioms_used=frozenset({"Q"}),
-            backing=(_Z_OKBARDOWN,),
-            note="from the observed okbar, applied outside the realized context",
-        ),
-        EpistemicStatement(
-            "Wbar_n23",
-            Agent.WBAR,
-            CertainThat(Agent.F, fail_at_31),
-            CTX_ZBAR_W,
-            CTX_WBAR_W,
-            derived_from=("Wbar_n22", "F_n14"),
-            axioms_used=frozenset({"Q", "C"}),
-            backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
-        ),
-        EpistemicStatement(
-            "Wbar_n24",
-            Agent.WBAR,
-            fail_at_31,
-            CTX_ZBAR_W,
-            CTX_WBAR_W,
-            derived_from=("Wbar_n23",),
-            axioms_used=frozenset({"Q", "C"}),
-            backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
-            note="the okbar->up->t->fail chain in one statement",
-        ),
-        EpistemicStatement(
-            "W_n26",
-            Agent.W,
-            OutcomeClaim("wbar", "okbar", "n:21"),
-            CTX_WBAR_W,
-            CTX_WBAR_W,
-            axioms_used=frozenset({"C"}),
-            backing=(),
-            note="announced result, shared at the same observer level",
-        ),
-        EpistemicStatement(
-            "W_n27",
-            Agent.W,
-            CertainThat(Agent.WBAR, fail_at_31),
-            CTX_ZBAR_W,
-            CTX_WBAR_W,
-            derived_from=("W_n26", "Wbar_n24"),
-            axioms_used=frozenset({"Q", "C"}),
-            backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
-        ),
-        EpistemicStatement(
-            "W_n28",
-            Agent.W,
-            fail_at_31,
-            CTX_ZBAR_W,
-            CTX_WBAR_W,
-            derived_from=("W_n27",),
-            axioms_used=frozenset({"Q", "C", "S"}),
-            backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
-            note="equivalent to Wbar_n24",
-        ),
-    )
+    return _STATEMENTS
 
 
 @dataclass(frozen=True)

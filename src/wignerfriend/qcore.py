@@ -28,10 +28,13 @@ and ``LocalUnitary`` check that their matrix is unitary (max |M^H M - I|) and
 raise ValueError("not unitary").  ``StateVector`` checks |norm - 1|,
 ``OutcomeDistribution`` the sum and sign of its probabilities, and
 ``DensityOperator`` Hermiticity (max |M - M^H|), unit trace and positivity;
-these raise :class:`InvariantViolation`.  Positivity is an LDL^H
-factorisation of (M + M^H)/2 + NORM_TOL*I: every pivot is positive exactly
-when no eigenvalue of (M + M^H)/2 is below -NORM_TOL, and the factorisation
-is a fixed number of steps, with no iteration and no convergence tolerance.
+these raise :class:`InvariantViolation`.  Positivity has one rule, here and
+in the stacked checks of :mod:`bell`: the LDL^H factorisation of
+H + NORM_TOL*I, with H = (M + M^H)/2, must have every pivot positive, which
+holds exactly when every eigenvalue of H is above -NORM_TOL (an eigenvalue of
+exactly -NORM_TOL fails).  The factorisation is a fixed number of steps, with
+no iteration and no convergence tolerance; ``bell`` runs it as numpy's
+Cholesky, which is the same factorisation with sqrt(D) folded into L.
 Input that is not numbers of the right shape raises ValueError("dimension
 mismatch").  Every operation that returns a new state or density operator
 builds it through these constructors, so each intermediate is checked too.
@@ -489,7 +492,7 @@ def _is_hermitian(m: _Rows) -> bool:
 
 
 def _is_positive(m: _Rows) -> bool:
-    """Whether no eigenvalue of H = (M + M^H)/2 is below -NORM_TOL: the
+    """Whether every eigenvalue of H = (M + M^H)/2 is above -NORM_TOL: the
     LDL^H factorisation of H + NORM_TOL*I (L unit lower triangular, D
     diagonal) has every pivot D_i > 0 exactly when that matrix is positive
     definite.  False when an entry is not finite.

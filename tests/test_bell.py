@@ -12,6 +12,7 @@ from wignerfriend.bell import (
     born_tables,
     chsh,
     chsh_scan,
+    direction_matrices,
     erased_vs_kept_chsh,
     lhv_correlation,
     lhv_joint,
@@ -97,6 +98,22 @@ def test_lhv_model_validates_prior():
         LHVModel((("up", "down"),), (0.7,), MODEL.response)
 
 
+@pytest.mark.parametrize(
+    "prior",
+    [
+        (math.nan, 1.0, 0.0, 0.0),
+        (0.5, 0.5, math.nan, 0.0),
+        (math.inf, 1.0, 0.0, 0.0),
+        (-0.5, 1.5, 0.0, 0.0),
+        (0.5, 0.6, 0.0, 0.0),
+    ],
+    ids=["nan-weight", "nan-zero-weight", "inf-weight", "negative", "sum-1.1"],
+)
+def test_lhv_model_rejects_priors_that_are_not_distributions(prior):
+    with pytest.raises(ValueError, match="probability distribution"):
+        LHVModel(MODEL.lambda_space, prior, MODEL.response)
+
+
 def test_chsh_at_the_optimal_quad():
     assert chsh(quantum_correlation, OPTIMAL_QUAD) == pytest.approx(TSIRELSON, abs=1e-9)
 
@@ -116,6 +133,20 @@ def test_angles_are_taken_mod_two_pi():
 def test_quantum_scan_reaches_the_quantum_maximum():
     result = chsh_scan(quantum_correlation, grid_n=20)
     assert TSIRELSON - 1e-6 <= result.max_s <= TSIRELSON + 1e-9
+
+
+@pytest.mark.parametrize("grid_n", [0, -3])
+def test_chsh_scan_rejects_an_empty_grid_before_calling_the_correlation(grid_n):
+    calls = []
+
+    def fn(a, b):
+        calls.append((a, b))
+        return quantum_correlation(a, b)
+
+    with pytest.raises(ValueError, match="grid_n"):
+        chsh_scan(fn, grid_n)
+    assert calls == []
+    assert chsh_scan(fn, 1).max_s == pytest.approx(TSIRELSON, abs=1e-12)
 
 
 def test_lhv_scan_respects_the_local_bound():
@@ -196,6 +227,18 @@ def test_closed_form_chsh_maximum_matches_the_oracles(case):
     assert result.max_s == pytest.approx(2.0 * math.hypot(*sigma), abs=1e-12)
     assert chsh(fn, result.argmax) == pytest.approx(result.max_s, abs=1e-12)
     assert oracles.chsh_grid_max(oracle_fn, 12) <= result.max_s + 1e-12
+
+
+@pytest.mark.parametrize("case", ["kept-4", "kept-5", "kept-6"])
+def test_born_tables_on_a_kept_density_match_the_kernel_on_a_20x20_grid(case):
+    kept, _ = _case_state(case)
+    grid = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
+    tables = born_tables(kept, (direction_matrices(grid[:, None]), direction_matrices(grid[None, :])))
+    assert tables.shape == (20, 20, 4)
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            dist = born_distribution(kept, (direction_basis(float(a)), direction_basis(float(b))))
+            assert np.max(np.abs(tables[i, j] - list(dist.probs.values()))) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from wignerfriend.bell import born_tables, direction_matrices
+from wignerfriend.bell import _require_density, born_tables, direction_matrices
 from wignerfriend.qcore import (
     COIN_WBAR,
     COIN_ZBAR,
@@ -495,6 +495,38 @@ def test_positivity_check_agrees_with_eigvalsh_oracle(systems, lam, rank_one):
         else:
             with pytest.raises(InvariantViolation, match="not positive semidefinite"):
                 DensityOperator(bases, m)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("lam", LAMBDA_MIN)
+def test_stacked_positivity_check_rejects_exactly_a_bad_entry(d, lam):
+    rng = np.random.default_rng(d)
+    stack = np.empty((3, 4, d, d), dtype=complex)
+    for index in np.ndindex(3, 4):
+        weights = rng.uniform(0.1, 1.0, size=d)
+        stack[index] = _density_with_spectrum(rng, weights / weights.sum())
+    assert min(oracles.smallest_eigenvalue(m) for m in stack.reshape(-1, d, d)) > 0.0
+    rest = rng.uniform(0.1, 1.0, size=d - 1)
+    bad = _density_with_spectrum(rng, np.concatenate(([lam], rest * (1.0 - lam) / rest.sum())))
+    rejected = oracles.smallest_eigenvalue(bad) < -1e-12
+    assert rejected == (lam < -1e-12)
+    for index in ((0, 0), (1, 2), (2, 3)):
+        entries = stack.copy()
+        entries[index] = bad
+        if rejected:
+            with pytest.raises(InvariantViolation, match="not positive semidefinite"):
+                _require_density(entries)
+        else:
+            _require_density(entries)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (3, 3)])
+def test_stacked_density_check_rejects_a_nan_entry(entry):
+    stack = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (3, 4, 4, 4)).copy()
+    _require_density(stack)
+    stack[1, 2][entry] = np.nan
+    with pytest.raises(InvariantViolation):
+        _require_density(stack)
 
 
 def test_numpy_views_are_read_only_and_built_once():
