@@ -20,7 +20,6 @@ when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .qcore import (
@@ -29,6 +28,8 @@ from .qcore import (
     NORM_TOL,
     Basis,
     DensityOperator,
+    Frozen,
+    FrozenValue,
     InvariantViolation,
     StateVector,
     System,
@@ -260,8 +261,7 @@ def quantum_correlation(alpha, beta, state=None):
     return _scalar_or_array(probs @ _OUTCOME_PRODUCT)
 
 
-@dataclass(frozen=True, eq=False)
-class LHVModel:
+class LHVModel(Frozen):
     """A finite local hidden-variable model: a prior over pair configurations
     and per-side response probabilities depending only on the local component.
 
@@ -269,18 +269,27 @@ class LHVModel:
     and causal by construction.
     """
 
+    __slots__ = ("lambda_space", "prior", "response")
     lambda_space: tuple[tuple[str, str], ...]
     prior: tuple[float, ...]
     #: response(side, angle, component) -> {+1: P(+1), -1: P(-1)}; it must
     #: broadcast over an array ``angle``, returning arrays of its shape.
     response: Callable[[int, float, str], dict[int, float]]
 
-    def __post_init__(self) -> None:
-        if len(self.prior) != len(self.lambda_space):
+    def __init__(
+        self,
+        lambda_space: tuple[tuple[str, str], ...],
+        prior: tuple[float, ...],
+        response: Callable[[int, float, str], dict[int, float]],
+    ) -> None:
+        if len(prior) != len(lambda_space):
             raise ValueError("dimension mismatch")
         # Negated comparisons, so that a NaN weight or a non-finite sum fails.
-        if any(not p >= 0 for p in self.prior) or not abs(sum(self.prior) - 1.0) <= 1e-12:
+        if any(not p >= 0 for p in prior) or not abs(sum(prior) - 1.0) <= 1e-12:
             raise ValueError("prior must be a probability distribution")
+        object.__setattr__(self, "lambda_space", lambda_space)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "response", response)
 
 
 def observer_independent_facts_model() -> LHVModel:
@@ -326,18 +335,20 @@ def lhv_correlation(model: LHVModel, alpha, beta):
     )
 
 
-@dataclass(frozen=True)
-class AngleQuad:
+class AngleQuad(FrozenValue):
     """Alice's two settings and Bob's two settings, stored mod 2*pi."""
 
+    __slots__ = ("a", "aprime", "b", "bprime")
     a: float
     aprime: float
     b: float
     bprime: float
 
-    def __post_init__(self) -> None:
-        for name in ("a", "aprime", "b", "bprime"):
-            object.__setattr__(self, name, float(getattr(self, name)) % _TWO_PI)
+    def __init__(self, a: float, aprime: float, b: float, bprime: float) -> None:
+        object.__setattr__(self, "a", float(a) % _TWO_PI)
+        object.__setattr__(self, "aprime", float(aprime) % _TWO_PI)
+        object.__setattr__(self, "b", float(b) % _TWO_PI)
+        object.__setattr__(self, "bprime", float(bprime) % _TWO_PI)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.aprime, self.b, self.bprime)
@@ -360,11 +371,16 @@ def chsh(correlation_fn: CorrelationFn, quad: AngleQuad) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(FrozenValue):
+    __slots__ = ("max_s", "argmax", "grid_n")
     max_s: float
     argmax: AngleQuad
     grid_n: int
+
+    def __init__(self, max_s: float, argmax: AngleQuad, grid_n: int) -> None:
+        object.__setattr__(self, "max_s", max_s)
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "grid_n", grid_n)
 
 
 def _on_grid(correlation_fn: CorrelationFn, angles: np.ndarray) -> np.ndarray:
@@ -406,16 +422,39 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     return ScanResult(2.0 * math.hypot(s[0], s[1]), quad, grid_n)
 
 
-@dataclass(frozen=True)
-class ErasedKeptReport:
+class ErasedKeptReport(FrozenValue):
     """CHSH attainable when the friends' records are erased versus kept."""
 
+    __slots__ = (
+        "quad",
+        "s_erased",
+        "s_kept_at_quad",
+        "s_kept_max",
+        "aligned_correlation",
+        "kept_vs_lhv_max_gap",
+    )
     quad: AngleQuad
     s_erased: float
     s_kept_at_quad: float
     s_kept_max: float
     aligned_correlation: float
     kept_vs_lhv_max_gap: float
+
+    def __init__(
+        self,
+        quad: AngleQuad,
+        s_erased: float,
+        s_kept_at_quad: float,
+        s_kept_max: float,
+        aligned_correlation: float,
+        kept_vs_lhv_max_gap: float,
+    ) -> None:
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "s_erased", s_erased)
+        object.__setattr__(self, "s_kept_at_quad", s_kept_at_quad)
+        object.__setattr__(self, "s_kept_max", s_kept_max)
+        object.__setattr__(self, "aligned_correlation", aligned_correlation)
+        object.__setattr__(self, "kept_vs_lhv_max_gap", kept_vs_lhv_max_gap)
 
     def to_json_dict(self) -> dict:
         return {
@@ -431,7 +470,11 @@ class ErasedKeptReport:
 def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptReport:
     """Erased records leave the singlet coherent (S = 2*sqrt2); kept records
     dephase it in z, and the dephased correlations equal the
-    observer-independent-facts model's -cos(alpha)cos(beta) exactly."""
+    observer-independent-facts model's -cos(alpha)cos(beta) exactly, to the
+    largest gap over a match_grid x match_grid angle grid.  A match_grid
+    below 1 raises ValueError before anything is computed."""
+    if not match_grid >= 1:
+        raise ValueError(f"match_grid must be at least 1, got {match_grid}")
     import numpy as np
 
     from .memory import Friend, record_and_erase, record_and_keep

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -37,6 +36,7 @@ from .qcore import (
     COIN_WBAR,
     SPIN_W,
     Basis,
+    FrozenValue,
     InvariantViolation,
     StateVector,
     apply_local,
@@ -60,16 +60,18 @@ _EVENT_TARGET: dict[MeasurementEvent, Basis] = {
 }
 
 
-@dataclass(frozen=True)
-class Foliation:
+class Foliation(FrozenValue):
     """A global ordering of the two space-like-separated detection events."""
 
+    __slots__ = ("name", "ordering")
     name: str
     ordering: tuple[MeasurementEvent, MeasurementEvent]
 
-    def __post_init__(self) -> None:
-        if set(self.ordering) != {MeasurementEvent.SPIN_BS, MeasurementEvent.COIN_BS}:
+    def __init__(self, name: str, ordering: tuple[MeasurementEvent, MeasurementEvent]) -> None:
+        if set(ordering) != {MeasurementEvent.SPIN_BS, MeasurementEvent.COIN_BS}:
             raise ValueError("ordering must permute the two measurement events")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ordering", ordering)
 
 
 FOLIATION_F = Foliation("F", (MeasurementEvent.SPIN_BS, MeasurementEvent.COIN_BS))
@@ -92,10 +94,10 @@ BRANCH_RANK: dict[str, int] = {
     "ok": 0,
     "fail": 1,
 }
+_RANKS = tuple(sorted(BRANCH_RANK.items()))
 
 
-@dataclass(frozen=True)
-class TransportCoupling:
+class TransportCoupling(FrozenValue):
     """A joint law over (input branch, output port) with prescribed marginals.
 
     Monotone pairs the two distributions by matching cumulative mass in rank
@@ -103,8 +105,13 @@ class TransportCoupling:
     both marginals are reproduced exactly.
     """
 
+    __slots__ = ("kind", "ranks")
     kind: CouplingKind
-    ranks: tuple[tuple[str, int], ...] = tuple(sorted(BRANCH_RANK.items()))
+    ranks: tuple[tuple[str, int], ...]
+
+    def __init__(self, kind: CouplingKind, ranks: tuple[tuple[str, int], ...] = _RANKS) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ranks", ranks)
 
     @property
     def rank_of(self) -> dict[str, int]:
@@ -174,57 +181,88 @@ MONOTONE = TransportCoupling(CouplingKind.MONOTONE)
 INDEPENDENT = TransportCoupling(CouplingKind.INDEPENDENT)
 
 
-@dataclass(frozen=True)
-class HiddenConfig:
+class HiddenConfig(FrozenValue):
     """The pair of hidden branch labels, in the pilot state's current bases."""
 
+    __slots__ = ("coin", "spin")
     coin: str
     spin: str
+
+    def __init__(self, coin: str, spin: str) -> None:
+        object.__setattr__(self, "coin", coin)
+        object.__setattr__(self, "spin", spin)
 
     def label(self, system: int) -> str:
         return self.coin if system == 0 else self.spin
 
     def with_label(self, system: int, label: str) -> "HiddenConfig":
-        return replace(self, coin=label) if system == 0 else replace(self, spin=label)
+        return HiddenConfig(label, self.spin) if system == 0 else HiddenConfig(self.coin, label)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(FrozenValue):
+    __slots__ = ("system", "source", "target")
     system: str  # "coin" or "spin"
     source: str
     target: str
 
+    def __init__(self, system: str, source: str, target: str) -> None:
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
-@dataclass(frozen=True)
-class TrajectoryPath:
+
+class TrajectoryPath(FrozenValue):
+    __slots__ = ("initial", "events", "final", "weight")
     initial: HiddenConfig
     events: tuple[Transition, ...]
     final: tuple[str, str]  # (coin label, spin label)
     weight: float
+
+    def __init__(
+        self,
+        initial: HiddenConfig,
+        events: tuple[Transition, ...],
+        final: tuple[str, str],
+        weight: float,
+    ) -> None:
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def signature(self) -> tuple:
         return (self.initial, self.events, self.final)
 
 
-@dataclass(frozen=True)
-class TrajectorySet:
+class TrajectorySet(FrozenValue):
     """All weighted hidden-variable paths of one experiment."""
 
+    __slots__ = ("foliation", "context", "coupling", "paths")
     foliation: Foliation | None  # None when only one beam splitter fires
     context: tuple[str, str]  # (coin basis name, spin basis name)
     coupling: TransportCoupling
     paths: tuple[TrajectoryPath, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        foliation: Foliation | None,
+        context: tuple[str, str],
+        coupling: TransportCoupling,
+        paths: tuple[TrajectoryPath, ...],
+    ) -> None:
         total = 0.0
-        for p in self.paths:
+        for p in paths:
             # Written as "not ok" so that a NaN weight fails too.
             if not p.weight >= -WEIGHT_TOL:
                 raise InvariantViolation(f"negative or NaN path weight {p.weight}")
             total += p.weight
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolation(f"path weights sum to {total}")
+        object.__setattr__(self, "foliation", foliation)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "paths", paths)
 
     def final_marginal(self) -> dict[tuple[str, str], float]:
         out: dict[tuple[str, str], float] = {}
@@ -387,10 +425,19 @@ def _dicts_differ(a: dict, b: dict, tol: float = WEIGHT_TOL) -> bool:
     return any(abs(a.get(k, 0.0) - b.get(k, 0.0)) > tol for k in keys)
 
 
-@dataclass(frozen=True)
-class FoliationReport:
+class FoliationReport(FrozenValue):
     """Per-outcome origin comparison between the two event orderings."""
 
+    __slots__ = (
+        "coupling",
+        "marginal_f",
+        "marginal_fprime",
+        "origins_f",
+        "origins_fprime",
+        "origin_differs",
+        "marginals_identical",
+        "born_identical",
+    )
     coupling: TransportCoupling
     marginal_f: dict[tuple[str, str], float]
     marginal_fprime: dict[tuple[str, str], float]
@@ -399,6 +446,26 @@ class FoliationReport:
     origin_differs: dict[tuple[str, str], bool]
     marginals_identical: bool
     born_identical: bool
+
+    def __init__(
+        self,
+        coupling: TransportCoupling,
+        marginal_f: dict,
+        marginal_fprime: dict,
+        origins_f: dict,
+        origins_fprime: dict,
+        origin_differs: dict,
+        marginals_identical: bool,
+        born_identical: bool,
+    ) -> None:
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "marginal_f", marginal_f)
+        object.__setattr__(self, "marginal_fprime", marginal_fprime)
+        object.__setattr__(self, "origins_f", origins_f)
+        object.__setattr__(self, "origins_fprime", origins_fprime)
+        object.__setattr__(self, "origin_differs", origin_differs)
+        object.__setattr__(self, "marginals_identical", marginals_identical)
+        object.__setattr__(self, "born_identical", born_identical)
 
 
 def compare_foliations(coupling: TransportCoupling = MONOTONE) -> FoliationReport:

@@ -10,7 +10,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import hardy
@@ -41,12 +40,19 @@ _FRIENDS = ("F", "Fbar")
 
 
 def fmt_prob(x: float) -> str:
-    """Decimal to 15 significant digits, plus the nearest small rational when
-    one matches to 1e-12."""
+    """Decimal to 15 significant digits, plus the small rational p/q
+    (q <= 144, lowest terms) that matches to 1e-12, when there is one.
+
+    Two distinct such rationals lie at least 1/(144*143) apart, so at most one
+    matches, and the first q whose nearest p/q matches gives it in lowest
+    terms: the same suffix as ``Fraction(x).limit_denominator(144)``, without
+    importing ``fractions`` and the ``decimal`` it loads.
+    """
     out = f"{x:.15g}"
-    frac = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
-    if abs(x - float(frac)) <= RATIONAL_TOL:
-        out += f" ({frac.numerator}/{frac.denominator})" if frac.denominator != 1 else f" ({frac.numerator})"
+    for q in range(1, _MAX_DENOMINATOR + 1):
+        p = round(x * q)
+        if abs(x - p / q) <= RATIONAL_TOL:
+            return out + (f" ({p}/{q})" if q != 1 else f" ({p})")
     return out
 
 

@@ -17,7 +17,6 @@ to contradict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .hardy import (
@@ -30,6 +29,7 @@ from .hardy import (
     context_table,
     okbar_to_fail_chain,
 )
+from .qcore import FrozenValue
 
 
 class Agent(str, Enum):
@@ -39,29 +39,36 @@ class Agent(str, Enum):
     WBAR = "Wbar"
 
 
-@dataclass(frozen=True)
-class OutcomeClaim:
+class OutcomeClaim(FrozenValue):
     """'Measurement <quantity> gives <outcome> at <time>' asserted as certain."""
 
+    __slots__ = ("quantity", "outcome", "time")
     quantity: str  # "w", "wbar", or "z"
     outcome: str
     time: str
 
+    def __init__(self, quantity: str, outcome: str, time: str) -> None:
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "time", time)
 
-@dataclass(frozen=True)
-class CertainThat:
+
+class CertainThat(FrozenValue):
     """One agent's certainty about another agent's claim.
 
     Only a single wrapping level is representable; nesting a CertainThat
     inside a CertainThat is rejected.
     """
 
+    __slots__ = ("agent", "inner")
     agent: Agent
     inner: OutcomeClaim
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.inner, OutcomeClaim):
+    def __init__(self, agent: Agent, inner: OutcomeClaim) -> None:
+        if not isinstance(inner, OutcomeClaim):
             raise ValueError("certainty nesting deeper than one wrapper is rejected")
+        object.__setattr__(self, "agent", agent)
+        object.__setattr__(self, "inner", inner)
 
 
 Proposition = OutcomeClaim | CertainThat
@@ -72,25 +79,61 @@ class Classification(str, Enum):
     COUNTERFACTUAL = "Counterfactual"
 
 
-@dataclass(frozen=True)
-class ZeroBacking:
+class ZeroBacking(FrozenValue):
     """A table entry that must vanish for the statement's reasoning to work."""
 
+    __slots__ = ("context", "outcome")
     context: MeasurementContext
     outcome: tuple[str, str]
 
+    def __init__(self, context: MeasurementContext, outcome: tuple[str, str]) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "outcome", outcome)
 
-@dataclass(frozen=True)
-class EpistemicStatement:
+
+class EpistemicStatement(FrozenValue):
+    __slots__ = (
+        "id",
+        "author",
+        "proposition",
+        "assumed_context",
+        "actual_context",
+        "derived_from",
+        "axioms_used",
+        "backing",
+        "note",
+    )
     id: str
     author: Agent
     proposition: Proposition
     assumed_context: MeasurementContext
     actual_context: MeasurementContext
-    derived_from: tuple[str, ...] = ()
-    axioms_used: frozenset[str] = frozenset({"Q"})
-    backing: tuple[ZeroBacking, ...] = ()
-    note: str = ""
+    derived_from: tuple[str, ...]
+    axioms_used: frozenset[str]
+    backing: tuple[ZeroBacking, ...]
+    note: str
+
+    def __init__(
+        self,
+        id: str,
+        author: Agent,
+        proposition: Proposition,
+        assumed_context: MeasurementContext,
+        actual_context: MeasurementContext,
+        derived_from: tuple[str, ...] = (),
+        axioms_used: frozenset[str] = frozenset({"Q"}),
+        backing: tuple[ZeroBacking, ...] = (),
+        note: str = "",
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "author", author)
+        object.__setattr__(self, "proposition", proposition)
+        object.__setattr__(self, "assumed_context", assumed_context)
+        object.__setattr__(self, "actual_context", actual_context)
+        object.__setattr__(self, "derived_from", derived_from)
+        object.__setattr__(self, "axioms_used", axioms_used)
+        object.__setattr__(self, "backing", backing)
+        object.__setattr__(self, "note", note)
 
     @property
     def classification(self) -> Classification:
@@ -236,29 +279,52 @@ def builtin_statements() -> tuple[EpistemicStatement, ...]:
     return _STATEMENTS
 
 
-@dataclass(frozen=True)
-class AxiomSet:
-    Q: bool = True
-    C: bool = True
-    S: bool = True
+class AxiomSet(FrozenValue):
+    __slots__ = ("Q", "C", "S")
+    Q: bool
+    C: bool
+    S: bool
+
+    def __init__(self, Q: bool = True, C: bool = True, S: bool = True) -> None:
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "S", S)
 
     @property
     def enabled(self) -> frozenset[str]:
         return frozenset(name for name, on in (("Q", self.Q), ("C", self.C), ("S", self.S)) if on)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(FrozenValue):
     """The chained prediction against the measured value it contradicts."""
 
+    __slots__ = ("context", "outcome", "composed", "actual")
     context: str
     outcome: tuple[str, str]
     composed: float
     actual: float
 
+    def __init__(
+        self, context: str, outcome: tuple[str, str], composed: float, actual: float
+    ) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "composed", composed)
+        object.__setattr__(self, "actual", actual)
 
-@dataclass(frozen=True)
-class TraceReport:
+
+class TraceReport(FrozenValue):
+    __slots__ = (
+        "axioms",
+        "allow_counterfactual",
+        "statements",
+        "admitted",
+        "active",
+        "edges",
+        "contradiction",
+        "witness",
+        "minimal_counterfactual",
+    )
     axioms: AxiomSet
     allow_counterfactual: bool
     statements: tuple[EpistemicStatement, ...]
@@ -268,6 +334,28 @@ class TraceReport:
     contradiction: bool
     witness: Witness | None
     minimal_counterfactual: tuple[str, ...]
+
+    def __init__(
+        self,
+        axioms: AxiomSet,
+        allow_counterfactual: bool,
+        statements: tuple[EpistemicStatement, ...],
+        admitted: tuple[str, ...],
+        active: tuple[str, ...],
+        edges: tuple[tuple[str, str], ...],
+        contradiction: bool,
+        witness: Witness | None,
+        minimal_counterfactual: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "axioms", axioms)
+        object.__setattr__(self, "allow_counterfactual", allow_counterfactual)
+        object.__setattr__(self, "statements", statements)
+        object.__setattr__(self, "admitted", admitted)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "contradiction", contradiction)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "minimal_counterfactual", minimal_counterfactual)
 
     def to_json_dict(self) -> dict:
         return {

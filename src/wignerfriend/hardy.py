@@ -12,7 +12,6 @@ Outcome pairs are always keyed (coin label, spin label).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .qcore import (
@@ -21,6 +20,7 @@ from .qcore import (
     SPIN_W,
     SPIN_Z,
     Basis,
+    FrozenValue,
     OutcomeDistribution,
     StateVector,
     born_distribution,
@@ -32,22 +32,24 @@ INFERENCE_TOL = 1e-12
 _SQRT3 = 3.0 ** 0.5
 
 
-@dataclass(frozen=True)
-class MeasurementContext:
+class MeasurementContext(FrozenValue):
     """An ordered pair (coin basis, spin basis) naming one experiment.
 
     Only Zbar/Wbar are allowed on the coin and Z/W on the spin, so exactly
     four distinct contexts exist; equality is structural.
     """
 
+    __slots__ = ("coin_basis", "spin_basis")
     coin_basis: Basis
     spin_basis: Basis
 
-    def __post_init__(self) -> None:
-        if self.coin_basis not in (COIN_ZBAR, COIN_WBAR):
-            raise ValueError(f"outcome not in context: coin basis {self.coin_basis.name}")
-        if self.spin_basis not in (SPIN_Z, SPIN_W):
-            raise ValueError(f"outcome not in context: spin basis {self.spin_basis.name}")
+    def __init__(self, coin_basis: Basis, spin_basis: Basis) -> None:
+        if coin_basis not in (COIN_ZBAR, COIN_WBAR):
+            raise ValueError(f"outcome not in context: coin basis {coin_basis.name}")
+        if spin_basis not in (SPIN_Z, SPIN_W):
+            raise ValueError(f"outcome not in context: spin basis {spin_basis.name}")
+        object.__setattr__(self, "coin_basis", coin_basis)
+        object.__setattr__(self, "spin_basis", spin_basis)
 
     @property
     def bases(self) -> tuple[Basis, Basis]:
@@ -89,21 +91,24 @@ def _other_label(basis: Basis, label: str) -> str:
     return names[1] if names[0] == label else names[0]
 
 
-@dataclass(frozen=True)
-class InferenceRule:
+class InferenceRule(FrozenValue):
     """'If the premise outcome occurs, the conclusion outcome is certain',
     asserted within a single context.
 
     Premise and conclusion must label different systems of the context.
     """
 
+    __slots__ = ("context", "premise", "conclusion")
     context: MeasurementContext
     premise: str
     conclusion: str
 
-    def __post_init__(self) -> None:
-        if _locate(self.context, self.premise) == _locate(self.context, self.conclusion):
+    def __init__(self, context: MeasurementContext, premise: str, conclusion: str) -> None:
+        if _locate(context, premise) == _locate(context, conclusion):
             raise ValueError("outcome not in context: premise and conclusion share a system")
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "premise", premise)
+        object.__setattr__(self, "conclusion", conclusion)
 
 
 def check_inference(rule: InferenceRule) -> bool:
@@ -119,19 +124,33 @@ def check_inference(rule: InferenceRule) -> bool:
     return mass < INFERENCE_TOL
 
 
-@dataclass(frozen=True)
-class ContradictionCertificate:
+class ContradictionCertificate(FrozenValue):
     """The outcome a chained prediction forbids, with its measured probability.
 
     Valid exactly when the chain predicts probability zero while the actual
     table assigns the outcome positive probability.
     """
 
+    __slots__ = ("chain", "context", "outcome", "composed_prediction", "actual")
     chain: tuple[InferenceRule, ...]
     context: MeasurementContext
     outcome: tuple[str, str]
     composed_prediction: float
     actual: float
+
+    def __init__(
+        self,
+        chain: tuple[InferenceRule, ...],
+        context: MeasurementContext,
+        outcome: tuple[str, str],
+        composed_prediction: float,
+        actual: float,
+    ) -> None:
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "composed_prediction", composed_prediction)
+        object.__setattr__(self, "actual", actual)
 
     @property
     def valid(self) -> bool:

@@ -12,13 +12,14 @@ dephases the recorded system in the recording basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .hardy import ALL_CONTEXTS
 from .qcore import (
     Basis,
     DensityOperator,
+    Frozen,
+    FrozenValue,
     OutcomeDistribution,
     StateVector,
     born_distribution,
@@ -65,25 +66,40 @@ class MemoryRegister:
         self.content = DEFINITE_OUTCOME if keep_flag else EMPTY
 
 
-@dataclass(frozen=True)
-class DefiniteOutcomeFlag:
+class DefiniteOutcomeFlag(FrozenValue):
     """The one retained bit: a definite outcome occurred.
 
     Carries no which-outcome information; the run's final state is the same
     whichever outcome was recorded.
     """
 
+    __slots__ = ("agent",)
     agent: Friend
 
+    def __init__(self, agent: Friend) -> None:
+        object.__setattr__(self, "agent", agent)
 
-@dataclass(frozen=True, eq=False)
-class ProtocolRun:
+
+class ProtocolRun(Frozen):
     """Outcome of one record-then-erase or record-and-keep protocol."""
 
+    __slots__ = ("agents", "erased", "final_state", "registers")
     agents: tuple[Friend, ...]
     erased: bool
     final_state: StateVector | DensityOperator
-    registers: tuple[MemoryRegister, ...] = ()
+    registers: tuple[MemoryRegister, ...]
+
+    def __init__(
+        self,
+        agents: tuple[Friend, ...],
+        erased: bool,
+        final_state: StateVector | DensityOperator,
+        registers: tuple[MemoryRegister, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "erased", erased)
+        object.__setattr__(self, "final_state", final_state)
+        object.__setattr__(self, "registers", registers)
 
     @property
     def coherent(self) -> bool:

@@ -5,6 +5,17 @@ dephasing.
 Every value is immutable and every operation is a pure function, so the module
 is safe for concurrent use without synchronization.
 
+Values: every value class of the package derives from :class:`Frozen`
+(identity equality) or :class:`FrozenValue` (equal, and hash-equal, when the
+class and the fields are), both defined here.  A value class is slotted: its
+fields are its ``__slots__``, plus a ``__dict__`` only where a
+``cached_property`` needs one.  Its own ``__init__`` checks its arguments and
+sets each field once; afterwards assigning a field raises
+AttributeError("cannot assign to field 'x'"), and deleting one raises
+AttributeError too.  The classes are written out by hand, not generated at
+import: generating them, and importing what the generator needs, cost a
+fresh process more time than the computation a CLI call runs.
+
 Storage: numbers are Python ``complex`` values in tuples, and the module does
 not import numpy.  A state's ``vec`` is its flat tuple of amplitudes; a
 density operator's ``rows`` and a local unitary's ``rows`` are row-major
@@ -55,9 +66,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 NORM_TOL = 1e-12
 ZERO_BRANCH_TOL = 1e-15
@@ -65,12 +76,64 @@ ZERO_BRANCH_TOL = 1e-15
 # Distinct (system, source, target) triples kept by basis_change.  The fixed
 # bases need a few per system.
 BASIS_CHANGE_CACHE = 256
+# Distinct reduced angles kept by direction_basis.
+DIRECTION_CACHE = 64
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class InvariantViolation(Exception):
     """A numerical invariant (norm, hermiticity, positivity, ...) was breached."""
+
+
+class Frozen:
+    """Base of an immutable slotted value class; equality is identity.
+
+    The fields are the subclass's ``__slots__`` that do not start with an
+    underscore, in the order ``__init__`` takes them, so ``repr`` and
+    ``pickle`` see the same fields as the constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(s for s in cls.__dict__.get("__slots__", ()) if not s.startswith("_"))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class FrozenValue(Frozen):
+    """A :class:`Frozen` class whose instances are equal, and hash equal,
+    when their class and their fields are."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
 
 class System(str, Enum):
@@ -83,8 +146,7 @@ _SPIN_NAMES = {"up", "down", "ok", "fail", "plus_a", "minus_a"}
 _ANGLED_NAMES = {"plus_a", "minus_a"}
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(FrozenValue):
     """One named basis vector of a two-level system.
 
     ``plus_a``/``minus_a`` are the Bloch-equator directions at ``angle``
@@ -92,16 +154,20 @@ class BasisLabel:
     no angle.
     """
 
+    __slots__ = ("system", "name", "angle")
     system: System
     name: str
-    angle: float | None = None
+    angle: float | None
 
-    def __post_init__(self) -> None:
-        allowed = _COIN_NAMES if self.system is System.COIN else _SPIN_NAMES
-        if self.name not in allowed:
-            raise ValueError(f"label {self.name!r} not allowed on {self.system.value}")
-        if (self.angle is not None) != (self.name in _ANGLED_NAMES):
-            raise ValueError(f"label {self.name!r} takes an angle iff it is angled")
+    def __init__(self, system: System, name: str, angle: float | None = None) -> None:
+        allowed = _COIN_NAMES if system is System.COIN else _SPIN_NAMES
+        if name not in allowed:
+            raise ValueError(f"label {name!r} not allowed on {system.value}")
+        if (angle is not None) != (name in _ANGLED_NAMES):
+            raise ValueError(f"label {name!r} takes an angle iff it is angled")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "angle", angle)
 
 
 H = BasisLabel(System.COIN, "h")
@@ -164,8 +230,7 @@ def _is_unitary(u: _Vec, v: _Vec) -> bool:
     return all(abs(r) <= NORM_TOL for r in residuals)
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(FrozenValue):
     """An ordered pair of orthonormal labels for one system.
 
     ``vectors`` holds each label's coordinates in the system's reference
@@ -174,20 +239,30 @@ class Basis:
     vectors coincide, so context equality is structural.
     """
 
+    __slots__ = ("name", "labels", "vectors", "_hash", "__dict__")
     name: str
     labels: tuple[BasisLabel, BasisLabel]
     vectors: tuple[_Vec, _Vec]
 
-    def __post_init__(self) -> None:
-        if self.labels[0].system is not self.labels[1].system:
+    # The four classes of the numerical kernel (Basis, StateVector,
+    # LocalUnitary, DensityOperator) check and set their fields in
+    # ``__post_init__``, called once by ``__init__``: one method per
+    # construction, which bench/layertrace.py wraps to count constructions.
+    def __init__(self, name: str, labels: tuple[BasisLabel, BasisLabel], vectors) -> None:
+        self.__post_init__(name, labels, vectors)
+
+    def __post_init__(self, name, labels, vectors) -> None:
+        if labels[0].system is not labels[1].system:
             raise ValueError("basis labels must belong to one system")
         # Complex tuples: the kernel's storage, and hashable, so that every
         # basis can key the basis_change cache.
-        vectors = _square(self.vectors, 2)
+        vectors = _square(vectors, 2)
         if not _is_unitary(*vectors):
             raise ValueError("not unitary")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_hash", hash((self.name, self.labels, vectors)))
+        object.__setattr__(self, "_hash", hash((name, labels, vectors)))
 
     def __hash__(self) -> int:
         # Computed once: every basis_change lookup hashes two bases, and
@@ -233,9 +308,15 @@ def direction_basis(angle: float) -> Basis:
     """Spin basis along the Bloch-equator direction at ``angle`` radians.
 
     Reference frame is (up, down); at angle 0 the plus port is ``up``.
-    Angles are taken mod 2*pi.
+    Angles are taken mod 2*pi.  Memoized on the reduced angle: equal reduced
+    angles return the same (immutable) Basis, built and checked once; the
+    least recently used of DIRECTION_CACHE angles is evicted first.
     """
-    a = float(angle) % (2.0 * math.pi)
+    return _direction_basis(float(angle) % (2.0 * math.pi))
+
+
+@lru_cache(maxsize=DIRECTION_CACHE)
+def _direction_basis(a: float) -> Basis:
     c, s = math.cos(a / 2.0), math.sin(a / 2.0)
     return Basis(
         f"A({a:.9g})",
@@ -253,24 +334,28 @@ def _norm(vec) -> float:
     return math.sqrt(_norm2(vec))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Frozen):
     """A normalized state over labeled two-level systems.
 
     ``bases[k]`` records the basis system k is currently expressed in; the
     flat ``vec`` is first-system-major over the bases' label order.
     """
 
+    __slots__ = ("bases", "vec", "__dict__")
     bases: tuple[Basis, ...]
     vec: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        vec = _complexes(self.vec)
-        if len(vec) != 2 ** len(self.bases):
+    def __init__(self, bases: tuple[Basis, ...], vec) -> None:
+        self.__post_init__(bases, vec)
+
+    def __post_init__(self, bases, vec) -> None:
+        vec = _complexes(vec)
+        if len(vec) != 2 ** len(bases):
             raise ValueError("dimension mismatch")
         norm = _norm(vec)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"state norm {norm} drifted from 1")
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "vec", vec)
 
     @cached_property
@@ -312,22 +397,28 @@ def make_state(amplitudes, bases: tuple[Basis, ...]) -> StateVector:
     return StateVector(tuple(bases), tuple(z / norm for z in a))
 
 
-@dataclass(frozen=True, eq=False)
-class LocalUnitary:
+class LocalUnitary(Frozen):
     """A 2x2 unitary acting on one system, mapping amplitudes expressed in
     ``source`` to amplitudes expressed in ``target``."""
 
+    __slots__ = ("system", "rows", "source", "target", "__dict__")
     system: int
     rows: _Rows
     source: Basis
     target: Basis
 
-    def __post_init__(self) -> None:
-        rows = _square(self.rows, 2)
+    def __init__(self, system: int, rows, source: Basis, target: Basis) -> None:
+        self.__post_init__(system, rows, source, target)
+
+    def __post_init__(self, system, rows, source, target) -> None:
+        rows = _square(rows, 2)
         (a, b), (c, d) = rows
         if not _is_unitary((a, c), (b, d)):
             raise ValueError("not unitary")
+        object.__setattr__(self, "system", system)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
     @cached_property
     def matrix(self):
@@ -418,21 +509,25 @@ def express(state: StateVector, bases: tuple[Basis, ...]) -> StateVector:
     return out
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(FrozenValue):
     """Probabilities over joint outcomes, keyed by label-name tuples."""
 
+    __slots__ = ("basis_names", "probs")
     basis_names: tuple[str, ...]
-    probs: dict[tuple[str, ...], float] = field(default_factory=dict)
+    probs: dict[tuple[str, ...], float]
 
-    def __post_init__(self) -> None:
+    def __init__(self, basis_names: tuple[str, ...], probs: dict | None = None) -> None:
+        if probs is None:
+            probs = {}
         total = 0.0
-        for key, p in self.probs.items():
+        for key, p in probs.items():
             if p < -NORM_TOL:
                 raise InvariantViolation(f"negative probability {p} at {key}")
             total += p
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"probabilities sum to {total}")
+        object.__setattr__(self, "basis_names", basis_names)
+        object.__setattr__(self, "probs", probs)
 
     def __getitem__(self, key: tuple[str, ...]) -> float:
         return self.probs[key]
@@ -519,19 +614,22 @@ def _is_positive(m: _Rows) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(Frozen):
     """A density matrix over the same labeled tensor basis as StateVector.
 
     Hermiticity, unit trace, and positivity are enforced to 1e-12.
     """
 
+    __slots__ = ("bases", "rows", "__dict__")
     bases: tuple[Basis, ...]
     rows: _Rows
 
-    def __post_init__(self) -> None:
-        d = 2 ** len(self.bases)
-        m = _square(self.rows, d)
+    def __init__(self, bases: tuple[Basis, ...], rows) -> None:
+        self.__post_init__(bases, rows)
+
+    def __post_init__(self, bases, rows) -> None:
+        d = 2 ** len(bases)
+        m = _square(rows, d)
         if not _is_hermitian(m):
             raise InvariantViolation("density operator not Hermitian")
         tr = sum(m[i][i] for i in range(d))
@@ -539,6 +637,7 @@ class DensityOperator:
             raise InvariantViolation(f"density operator trace {tr}")
         if not _is_positive(m):
             raise InvariantViolation("density operator not positive semidefinite")
+        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "rows", m)
 
     @cached_property

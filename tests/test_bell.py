@@ -180,6 +180,29 @@ def test_erased_vs_kept_report():
     assert report.kept_vs_lhv_max_gap <= 1e-12
 
 
+@pytest.mark.parametrize("match_grid", [0, -3])
+def test_erased_vs_kept_rejects_an_empty_match_grid_before_computing(monkeypatch, match_grid):
+    from wignerfriend import bell
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("singlet", "quantum_correlation", "lhv_correlation", "chsh_scan"):
+        monkeypatch.setattr(bell, name, counted(getattr(bell, name)))
+    with pytest.raises(ValueError, match="match_grid"):
+        bell.erased_vs_kept_chsh(grid_n=4, match_grid=match_grid)
+    assert calls == []
+    report = bell.erased_vs_kept_chsh(grid_n=4, match_grid=1)
+    assert "quantum_correlation" in calls and "lhv_correlation" in calls
+    assert report.kept_vs_lhv_max_gap <= 1e-12
+
+
 def _random_amps(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -211,12 +210,14 @@ def test_trajectory_set_rejects_broken_weights():
 
 
 def test_trajectory_set_rejects_a_nan_weight():
+    from wignerfriend.bohm import TrajectoryPath, TrajectorySet
     from wignerfriend.qcore import InvariantViolation
 
     ts = evolve(FOLIATION_F)
-    path = dataclasses.replace(ts.paths[0], weight=math.nan)
+    p = ts.paths[0]
+    path = TrajectoryPath(p.initial, p.events, p.final, math.nan)
     with pytest.raises(InvariantViolation):
-        dataclasses.replace(ts, paths=(path,))
+        TrajectorySet(ts.foliation, ts.context, ts.coupling, (path,))
 
 
 masses = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -359,7 +360,7 @@ def test_evolve_is_memoized_and_returns_equal_frozen_sets(foliation, coupling):
     first = evolve(foliation, coupling)
     assert evolve(foliation, coupling) is first
     assert evolve.__wrapped__(foliation, coupling) == first
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         first.paths = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field"):
         first.paths[0].weight = 1.0

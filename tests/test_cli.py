@@ -439,13 +439,16 @@ def test_closed_stdout_exits_quietly():
 # returned.
 _COLD_CHECK = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from wignerfriend import cli
-report = []
+report, entered = [], []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     report.append([code, "numpy" in sys.modules])
+    entered.append(sorted(set(sys.modules) - before))
 print(json.dumps(report))
+print(json.dumps(entered))
 """
 
 # The same on a machine without numpy, whose import fails: the report holds
@@ -464,7 +467,10 @@ print(json.dumps(report))
 """
 
 
-def _cold_run(runs: list, script: str = _COLD_CHECK) -> list:
+def _cold_run(runs: list, script: str = _COLD_CHECK, line: int = 0) -> list:
+    """Line ``line`` of the script's output: for _COLD_CHECK, line 0 holds
+    each run's exit code and whether numpy is loaded, and line 1 the modules
+    that entered sys.modules from the import of the CLI through that run."""
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(runs)],
         capture_output=True,
@@ -472,7 +478,7 @@ def _cold_run(runs: list, script: str = _COLD_CHECK) -> list:
         env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[line])
 
 
 def _both_formats(directory: Path, argvs: list, configs: list) -> list:
@@ -513,6 +519,20 @@ def test_numpy_free_subcommands_never_import_numpy(tmp_path):
     runs = _both_formats(tmp_path / "free", _NUMPY_FREE, _NUMPY_FREE_CONFIGS)
     report = _cold_run(runs)
     assert dict(zip(map(" ".join, runs), report)) == {" ".join(argv): [0, False] for argv in runs}
+
+
+# What no cold numpy-free call may load: the class generator with its
+# inspect, ast and dis imports, and fractions with its decimal.
+_NOT_LOADED = {"dataclasses", "inspect", "fractions", "decimal"}
+
+
+def test_numpy_free_subcommands_load_no_class_generator_or_fractions(tmp_path):
+    runs = _both_formats(tmp_path / "free", _NUMPY_FREE, _NUMPY_FREE_CONFIGS)
+    entered = _cold_run(runs, line=1)
+    assert "wignerfriend.qcore" in entered[0]
+    assert {" ".join(run): sorted(_NOT_LOADED & set(e)) for run, e in zip(runs, entered)} == {
+        " ".join(run): [] for run in runs
+    }
 
 
 _SETTINGS_GRIDS = [["chsh", "--scan"], ["chsh", "--erased-vs-kept", "--grid", "8"]]
@@ -687,3 +707,42 @@ def test_random_config_bytes_exit_zero_or_two(data):
         code, err = _exit_code_and_stderr(["--config", str(cfg)])
     assert code in (0, 2), (data, code, err)
     assert "Traceback" not in err
+
+
+def _fmt_prob_by_fraction(x: float) -> str:
+    """fmt_prob as written with fractions.Fraction: the reference."""
+    from fractions import Fraction
+
+    out = f"{x:.15g}"
+    frac = Fraction(x).limit_denominator(144)
+    if abs(x - float(frac)) <= 1e-12:
+        out += f" ({frac.numerator}/{frac.denominator})" if frac.denominator != 1 else f" ({frac.numerator})"
+    return out
+
+
+_NEAR = st.sampled_from([0.0, 1e-13, 5e-13, 9.99e-13, 1e-12, 1.01e-12, 2e-12, 1e-9])
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-3.0, 3.0),
+        st.builds(
+            lambda p, q, eps, sign: p / q + sign * eps,
+            st.integers(-500, 500),
+            st.integers(1, 200),
+            _NEAR,
+            st.sampled_from([-1.0, 1.0]),
+        ),
+    )
+)
+def test_fmt_prob_matches_the_fraction_reference(x):
+    assert cli.fmt_prob(x) == _fmt_prob_by_fraction(x)
+
+
+def test_fmt_prob_suffixes():
+    assert cli.fmt_prob(1 / 12) == "0.0833333333333333 (1/12)"
+    assert cli.fmt_prob(1.0) == "1 (1)"
+    assert cli.fmt_prob(-0.0) == "-0 (0)"
+    assert cli.fmt_prob(0.123456789) == "0.123456789"

@@ -566,3 +566,50 @@ def test_kernel_storage_is_tuples_of_complex():
 def test_wrongly_shaped_input_is_a_dimension_mismatch(build):
     with pytest.raises(ValueError, match="dimension mismatch"):
         build()
+
+
+def test_direction_basis_is_memoized_on_the_reduced_angle():
+    from wignerfriend import qcore
+
+    a = -math.pi / 4.0
+    first = direction_basis(a)
+    assert direction_basis(a) is first
+    # An angle already in [0, 2*pi) reduces to itself, and ints and numpy
+    # floats are read as the same float.
+    assert direction_basis(a % (2.0 * math.pi)) is first
+    assert direction_basis(np.float64(a)) is first
+    assert direction_basis(1) is direction_basis(1.0)
+    assert direction_basis(0.3) is not direction_basis(0.30000000000000004)
+    assert qcore._direction_basis.cache_info().maxsize == qcore.DIRECTION_CACHE
+
+
+def test_direction_basis_checks_each_new_angle_once(monkeypatch):
+    from wignerfriend import qcore
+
+    checks = []
+    real = qcore._is_unitary
+
+    def counted(u, v):
+        checks.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(qcore, "_is_unitary", counted)
+    qcore._direction_basis.cache_clear()
+    first = direction_basis(1.25)
+    assert direction_basis(1.25) is first
+    assert len(checks) == 1
+    direction_basis(2.5)
+    assert len(checks) == 2
+
+
+def test_direction_basis_cache_is_bounded():
+    from wignerfriend import qcore
+
+    angles = [0.01 * k for k in range(qcore.DIRECTION_CACHE + 10)]
+    for a in angles:
+        direction_basis(a)
+    info = qcore._direction_basis.cache_info()
+    assert info.currsize == info.maxsize == qcore.DIRECTION_CACHE
+    # The least recently used angle was evicted, so asking again misses.
+    direction_basis(angles[0])
+    assert qcore._direction_basis.cache_info().misses == info.misses + 1
