@@ -5,7 +5,6 @@ machine-readable JSON on stdout.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -33,26 +32,39 @@ MAX_SAMPLES = 2**63 - 1
 # and -0.5, and reads -1e-3 as an unknown option; this is 3.13's pattern.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
-_FOLIATIONS = ("F", "Fprime")
-_COUPLINGS = ("monotone", "independent")
 # The friends' names, as memory.Friend spells them.
 _FRIENDS = ("F", "Fbar")
 
 
 def fmt_prob(x: float) -> str:
-    """Decimal to 15 significant digits, plus the small rational p/q
-    (q <= 144, lowest terms) that matches to 1e-12, when there is one.
+    """Decimal to 15 significant digits, plus the closest fraction p/q with
+    q <= 144 when it matches to 1e-12.
 
-    Two distinct such rationals lie at least 1/(144*143) apart, so at most one
-    matches, and the first q whose nearest p/q matches gives it in lowest
-    terms: the same suffix as ``Fraction(x).limit_denominator(144)``, without
-    importing ``fractions`` and the ``decimal`` it loads.
+    The fraction is ``Fraction(x).limit_denominator(144)``, computed the same
+    way, by continued-fraction steps on ``x.as_integer_ratio()`` in integers,
+    without importing ``fractions`` and the ``decimal`` it loads.  Searching
+    q = 1, 2, ... for the first p/q within 1e-12 is not the same: above about
+    2**38 the float spacing lets several p/q match, and the closest need not
+    have the smallest q.
     """
     out = f"{x:.15g}"
-    for q in range(1, _MAX_DENOMINATOR + 1):
-        p = round(x * q)
-        if abs(x - p / q) <= RATIONAL_TOL:
-            return out + (f" ({p}/{q})" if q != 1 else f" ({p})")
+    p, q = x.as_integer_ratio()
+    if q > _MAX_DENOMINATOR:
+        n, d, exact_q = p, q, q
+        p0, q0, p, q = 0, 1, 1, 0
+        while True:
+            a = n // d
+            if q0 + a * q > _MAX_DENOMINATOR:
+                break
+            p0, q0, p, q = p, q, p0 + a * p, q0 + a * q
+            n, d = d, n - a * d
+        # The last convergent p/q, or the semiconvergent before it, whichever
+        # is closer to x; a tie goes to the convergent.
+        k = (_MAX_DENOMINATOR - q0) // q
+        if 2 * d * (q0 + k * q) > exact_q:
+            p, q = p0 + k * p, q0 + k * q
+    if abs(x - p / q) <= RATIONAL_TOL:
+        return out + (f" ({p}/{q})" if q != 1 else f" ({p})")
     return out
 
 
@@ -221,13 +233,10 @@ def cmd_memory(args) -> tuple[str, dict]:
 
     kept = tuple(memory.Friend(name) for name in args.keep)
     state = hardy.hardy_state()
-    erased_names = getattr(args, "erased", None)
-    if erased_names is None:
-        erased_names = _FRIENDS
     final = state
-    for name in erased_names:
-        agent = memory.Friend(name)
-        final = memory.record_and_erase(final, agent, state.bases[agent.system]).final_state
+    for agent in memory.Friend:
+        if agent not in kept:
+            final = memory.record_and_erase(final, agent, state.bases[agent.system]).final_state
     coherent_table = born_distribution(final, hardy.CTX_WBAR_W.bases)
 
     lines = [f"kept records: {', '.join(args.keep) if args.keep else 'none'}"]
@@ -304,21 +313,20 @@ _HANDLERS = {
     "chsh": cmd_chsh,
 }
 
-# The JSON type each config key must have; bool is not accepted as int.
-_CONFIG_TYPES = {
-    "scenario": str,
-    "foliation": str,
-    "coupling": str,
-    "kept": list,
-    "erased": list,
-    "quad": list,
-    "scan": bool,
-    "erased_vs_kept": bool,
-    "forbid_counterfactual": bool,
-    "format": str,
-    "seed": int,
-    "samples": int,
-    "grid": int,
+# Each config key's JSON type and the option it stands for; bool is not
+# accepted as int.
+_CONFIG_KEYS = {
+    "format": (str, "--format"),
+    "seed": (int, "--seed"),
+    "samples": (int, "--samples"),
+    "foliation": (str, "--foliation"),
+    "coupling": (str, "--coupling"),
+    "forbid_counterfactual": (bool, "--forbid-counterfactual"),
+    "kept": (list, "--keep"),
+    "quad": (list, "--quad"),
+    "scan": (bool, "--scan"),
+    "erased_vs_kept": (bool, "--erased-vs-kept"),
+    "grid": (int, "--grid"),
 }
 
 
@@ -346,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bohm", help="hidden-variable trajectory sets")
     _add_common(p)
-    p.add_argument("--foliation", choices=(*_FOLIATIONS, "both"), default="F")
-    p.add_argument("--coupling", choices=_COUPLINGS, default="monotone")
+    p.add_argument("--foliation", choices=("F", "Fprime", "both"), default="F")
+    p.add_argument("--coupling", choices=("monotone", "independent"), default="monotone")
 
     p = sub.add_parser("agents", help="statement classifications and the trace")
     _add_common(p)
@@ -367,60 +375,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_distinct(parser: argparse.ArgumentParser, what: str, agents: list) -> None:
-    if len(set(agents)) != len(agents):
-        parser.error(f"{what} lists an agent more than once: {', '.join(agents)}")
-
-
-def _namespace_from_config(raw: dict, parser: argparse.ArgumentParser) -> argparse.Namespace:
+def _argv_from_config(raw, parser: argparse.ArgumentParser) -> list[str]:
+    """The command line a config stands for: its scenario, then each key as
+    its option.  Values are written in ``=`` form, so that no string can pass
+    for an option; defaults, choices and bounds are left to the parser."""
     if type(raw) is not dict:
         parser.error("config must be a JSON object")
-    unknown = set(raw) - set(_CONFIG_TYPES)
-    if unknown:
-        parser.error(f"unknown config keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        if type(value) is not _CONFIG_TYPES[key]:
-            parser.error(f"config key {key!r} must be a JSON {_CONFIG_TYPES[key].__name__}")
     scenario = raw.get("scenario")
-    if scenario not in _HANDLERS:
+    if type(scenario) is not str or scenario not in _HANDLERS:
         parser.error(f"unknown scenario name: {scenario!r}")
-    kept = raw.get("kept", [])
-    ns = argparse.Namespace(
-        command=scenario,
-        format=raw.get("format"),
-        seed=raw.get("seed"),
-        samples=raw.get("samples"),
-        foliation=raw.get("foliation", "F"),
-        coupling=raw.get("coupling", "monotone"),
-        forbid_counterfactual=raw.get("forbid_counterfactual", False),
-        keep=kept,
-        erased=raw.get("erased", [a for a in _FRIENDS if a not in kept]),
-        quad=raw.get("quad"),
-        scan=raw.get("scan", False),
-        erased_vs_kept=raw.get("erased_vs_kept", False),
-        grid=raw.get("grid", 20),
-        config=None,
-    )
-    if ns.format not in (None, "table", "json"):
-        parser.error(f"invalid format: {ns.format!r}")
-    if ns.foliation not in (*_FOLIATIONS, "both"):
-        parser.error(f"invalid foliation: {ns.foliation!r}")
-    if ns.coupling not in _COUPLINGS:
-        parser.error(f"invalid coupling: {ns.coupling!r}")
-    if not all(type(k) is str and k in _FRIENDS for k in ns.keep + ns.erased):
-        parser.error(f"invalid agent names: kept {ns.keep!r}, erased {ns.erased!r}")
-    _require_distinct(parser, "config key 'kept'", ns.keep)
-    _require_distinct(parser, "config key 'erased'", ns.erased)
-    if set(ns.keep) & set(ns.erased):
-        parser.error("an agent's record cannot be both kept and erased")
-    if ns.quad is not None:
-        if len(ns.quad) != 4 or not all(type(x) in (int, float) for x in ns.quad):
-            parser.error("quad must be four angles")
-        try:
-            ns.quad = [float(x) for x in ns.quad]
-        except OverflowError:
-            parser.error("quad angles must be finite")
-    return ns
+    argv = [scenario]
+    for key, value in raw.items():
+        if key == "scenario":
+            continue
+        if key not in _CONFIG_KEYS:
+            parser.error(f"unknown config key: {key!r}")
+        kind, option = _CONFIG_KEYS[key]
+        if type(value) is not kind:
+            parser.error(f"config key {key!r} must be a JSON {kind.__name__}")
+        if key == "kept":
+            if not all(type(name) is str for name in value):
+                parser.error("config key 'kept' must be a list of names")
+            argv += [f"{option}={name}" for name in value]
+        elif key == "quad":
+            if len(value) != 4 or not all(type(x) in (int, float) for x in value):
+                parser.error("config key 'quad' must be four numbers")
+            argv += [option, *map(repr, value)]
+        elif kind is bool:
+            if value:
+                argv.append(option)
+        else:
+            argv.append(f"{option}={value}")
+    return argv
 
 
 def _numpy_missing() -> bool:
@@ -436,8 +422,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.config is not None:
-        if args.command is not None:
-            parser.error("give either a subcommand or --config, not both")
+        # A config stands for the whole command line.
+        if any(value is not None for name, value in vars(args).items() if name != "config"):
+            parser.error("--config takes no subcommand or other option beside it")
+        import json
+
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -445,7 +434,7 @@ def main(argv=None) -> int:
         # RecursionError, JSON nested deeper than the parser's stack.
         except (OSError, ValueError, RecursionError) as exc:
             parser.error(f"cannot read config: {exc}")
-        args = _namespace_from_config(raw, parser)
+        args = parser.parse_args(_argv_from_config(raw, parser))
     if args.command is None:
         parser.error("a subcommand (or --config) is required")
 
@@ -457,8 +446,8 @@ def main(argv=None) -> int:
         parser.error("--seed must be a non-negative integer")
     if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:
         parser.error(f"--samples must be from 1 to {MAX_SAMPLES}")
-    if args.command == "memory":
-        _require_distinct(parser, "--keep", args.keep)
+    if args.command == "memory" and len(set(args.keep)) != len(args.keep):
+        parser.error(f"--keep lists an agent more than once: {', '.join(args.keep)}")
     if args.command == "chsh":
         if not 1 <= args.grid <= MAX_GRID:
             parser.error(f"--grid must be an integer from 1 to {MAX_GRID}")
@@ -474,14 +463,17 @@ def main(argv=None) -> int:
             )
             return 2
 
-    fmt = args.format or "table"
     try:
         text, payload = _HANDLERS[args.command](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        import json
+
+        text = json.dumps(payload, indent=2)
     try:
-        print(json.dumps(payload, indent=2) if fmt == "json" else text)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (as `| head` does): the documented recipe

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from wignerfriend import cli
@@ -188,13 +188,14 @@ def test_chsh_malformed_angles_are_usage_error(capsys):
     assert info.value.code == 2
 
 
-def _usage_error_without_traceback(capsys, argv):
+def _usage_error_without_traceback(capsys, argv) -> str:
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -336,12 +337,12 @@ def test_config_rejects_kept_and_erased_overlap(tmp_path, capsys):
     assert info.value.code == 2
 
 
-def test_config_memory_with_explicit_sets(tmp_path, capsys):
+def test_config_erased_is_an_unknown_key(tmp_path, capsys):
+    # Erasure returns its input, so no output ever depended on this key.
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"scenario": "memory", "kept": ["Fbar"], "erased": ["F"]}))
-    code, out, _ = run_cli(capsys, "--config", str(cfg))
-    assert code == 0
-    assert "0.416666666666667 (5/12)" in out
+    err = _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+    assert "unknown config key: 'erased'" in err
 
 
 def test_config_and_subcommand_conflict(tmp_path, capsys):
@@ -350,6 +351,99 @@ def test_config_and_subcommand_conflict(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--config", str(cfg), "contexts"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--format", "json"], ["--samples", "10", "--seed", "1"]],
+    ids=["format", "samples-seed"],
+)
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_config_takes_no_other_option(tmp_path, capsys, options, before):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"scenario": "bohm"}))
+    config = ["--config", str(cfg)]
+    err = _usage_error_without_traceback(capsys, options + config if before else config + options)
+    assert err.splitlines()[-1] == "wignerfriend: error: --config takes no subcommand or other option beside it"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"scenario": "contexts", "foliation": "F"},
+        {"scenario": "agents", "quad": [0, 1, 2, 3]},
+        {"scenario": "memory", "grid": 7},
+        {"scenario": "bohm", "kept": ["F"]},
+        {"scenario": "chsh", "forbid_counterfactual": True},
+    ],
+    ids=["contexts-foliation", "agents-quad", "memory-grid", "bohm-kept", "chsh-flag"],
+)
+def test_config_key_the_scenario_does_not_take_is_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(raw))
+    err = _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+    assert "unrecognized arguments" in err
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each command line with the config that stands for it; together they use
+# every config key.
+_TWINS = [
+    (["contexts"], {"scenario": "contexts"}),
+    (["bohm"], {"scenario": "bohm"}),
+    (["bohm", "--foliation", "Fprime"], {"scenario": "bohm", "foliation": "Fprime"}),
+    (
+        ["bohm", "--foliation", "both", "--coupling", "independent"],
+        {"scenario": "bohm", "foliation": "both", "coupling": "independent"},
+    ),
+    (["bohm", "--samples", "1000", "--seed", "1"], {"scenario": "bohm", "samples": 1000, "seed": 1}),
+    (["agents"], {"scenario": "agents", "forbid_counterfactual": False}),
+    (["agents", "--forbid-counterfactual"], {"scenario": "agents", "forbid_counterfactual": True}),
+    (["memory"], {"scenario": "memory", "kept": []}),
+    (["memory", "--keep", "Fbar", "--keep", "F"], {"scenario": "memory", "kept": ["Fbar", "F"]}),
+    (["chsh"], {"scenario": "chsh"}),
+    (["chsh", "--quad", "0", "1", "2", "3"], {"scenario": "chsh", "quad": [0, 1, 2, 3]}),
+    (["chsh", "--quad", "0", "-1e-3", "0", "0"], {"scenario": "chsh", "quad": [0, -1e-3, 0, 0]}),
+    (
+        ["chsh", "--scan", "--erased-vs-kept", "--grid", "7"],
+        {"scenario": "chsh", "scan": True, "erased_vs_kept": True, "grid": 7},
+    ),
+]
+# Twins that exit 2, on a bound, a choice and a repeat checked by the parser.
+_BAD_TWINS = [
+    (["chsh", "--scan", "--grid", "0"], {"scenario": "chsh", "scan": True, "grid": 0}),
+    (["bohm", "--coupling", "G"], {"scenario": "bohm", "coupling": "G"}),
+    (["memory", "--keep", "F", "--keep", "F"], {"scenario": "memory", "kept": ["F", "F"]}),
+]
+
+
+def test_twins_use_every_config_key():
+    # format is added to every twin by the test below.
+    assert set().union(*(raw for _, raw in _TWINS)) == {"scenario", *cli._CONFIG_KEYS} - {"format"}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "argv, raw, code",
+    [(argv, raw, 0) for argv, raw in _TWINS] + [(argv, raw, 2) for argv, raw in _BAD_TWINS],
+    ids=[" ".join(argv) for argv, _ in _TWINS + _BAD_TWINS],
+)
+def test_config_runs_as_the_command_line_it_stands_for(tmp_path, fmt, argv, raw, code):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({**raw, "format": fmt}))
+    typed = _run_main([*argv, "--format", fmt])[:2]
+    assert typed[0] == code
+    assert _run_main(["--config", str(cfg)])[:2] == typed
 
 
 def test_invariant_violation_exits_one(monkeypatch, capsys):
@@ -436,17 +530,19 @@ def test_closed_stdout_exits_quietly():
 
 # Invocations run one after another in a fresh process, which reports for
 # each its exit code and whether numpy is in sys.modules after cli.main
-# returned.
+# returned.  The runs come as a JSON list of lists of strings, which is also
+# a Python literal: reading it with ast leaves json to be loaded by the CLI.
 _COLD_CHECK = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 before = set(sys.modules)
 from wignerfriend import cli
 report, entered = [], []
-for argv in json.loads(sys.argv[1]):
+for argv in ast.literal_eval(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     report.append([code, "numpy" in sys.modules])
     entered.append(sorted(set(sys.modules) - before))
+import json
 print(json.dumps(report))
 print(json.dumps(entered))
 """
@@ -533,6 +629,13 @@ def test_numpy_free_subcommands_load_no_class_generator_or_fractions(tmp_path):
     assert {" ".join(run): sorted(_NOT_LOADED & set(e)) for run, e in zip(runs, entered)} == {
         " ".join(run): [] for run in runs
     }
+
+
+def test_table_command_lines_load_no_json():
+    # A JSON-format run last shows that the check sees json when it loads.
+    runs = [[*argv, "--format", "table"] for argv in _NUMPY_FREE] + [["contexts", "--format", "json"]]
+    entered = _cold_run(runs, line=1)
+    assert ["json" in e for e in entered] == [False] * len(_NUMPY_FREE) + [True]
 
 
 _SETTINGS_GRIDS = [["chsh", "--scan"], ["chsh", "--erased-vs-kept", "--grid", "8"]]
@@ -647,7 +750,6 @@ _TYPED_VALUES = {
     "coupling": _mostly(st.sampled_from(["monotone", "independent"]), _WORDS),
     "format": _mostly(st.sampled_from(["json", "table"]), _WORDS),
     "kept": st.lists(_mostly(st.sampled_from(["F", "Fbar"]), _WORDS), max_size=3),
-    "erased": st.lists(_mostly(st.sampled_from(["F", "Fbar"]), _WORDS), max_size=3),
     "quad": st.lists(_mostly(st.floats(-10, 10), _NUMBERS), min_size=3, max_size=5),
     "scan": st.booleans(),
     "erased_vs_kept": st.booleans(),
@@ -656,12 +758,28 @@ _TYPED_VALUES = {
     "samples": _INTS,
     "grid": _INTS,
 }
+
+
+def test_config_fuzz_covers_every_key():
+    assert set(_TYPED_VALUES) == set(cli._CONFIG_KEYS)
+
+
+@st.composite
+def _scenario_configs(draw) -> dict:
+    scenario = draw(st.sampled_from(sorted(_SUBCOMMAND_OPTIONS)))
+    options = _SUBCOMMAND_OPTIONS[scenario] + ["--format"]
+    own = [key for key, (_, option) in cli._CONFIG_KEYS.items() if option in options]
+    # Mostly the scenario's own keys, sometimes any key at all.
+    keys = _mostly(st.sampled_from(own), st.sampled_from(sorted(_TYPED_VALUES)))
+    raw = {"scenario": scenario}
+    for key in draw(st.lists(keys, max_size=4)):
+        raw[key] = draw(_mostly(_TYPED_VALUES[key], _JSON_VALUES))
+    return raw
+
+
 _CONFIGS = _mostly(
     st.one_of(
-        st.fixed_dictionaries(
-            {"scenario": st.sampled_from(sorted(cli._HANDLERS))},
-            optional={key: _mostly(values, _JSON_VALUES) for key, values in _TYPED_VALUES.items()},
-        ),
+        _scenario_configs(),
         st.fixed_dictionaries({"scenario": st.just("bohm"), "seed": _INTS, "samples": _INTS}),
     ),
     st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=3) | _JSON_VALUES,
@@ -669,14 +787,9 @@ _CONFIGS = _mostly(
 
 
 def _exit_code_and_stderr(argv) -> tuple[int, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, _, err = _run_main(argv)
     event(f"exit {code}")
-    return code, err.getvalue()
+    return code, err
 
 
 @settings(max_examples=150, deadline=None)
@@ -724,6 +837,9 @@ _NEAR = st.sampled_from([0.0, 1e-13, 5e-13, 9.99e-13, 1e-12, 1.01e-12, 2e-12, 1e
 
 
 @settings(max_examples=500)
+# Above 2**38, several p/q lie within 1e-12 of x; the closest is not the one
+# with the smallest q.
+@example(1125899906842624.8)
 @given(
     st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -742,6 +858,7 @@ def test_fmt_prob_matches_the_fraction_reference(x):
 
 
 def test_fmt_prob_suffixes():
+    assert cli.fmt_prob(1125899906842624.8) == "1.12589990684262e+15 (4503599627370499/4)"
     assert cli.fmt_prob(1 / 12) == "0.0833333333333333 (1/12)"
     assert cli.fmt_prob(1.0) == "1 (1)"
     assert cli.fmt_prob(-0.0) == "-0 (0)"

@@ -3,15 +3,7 @@ import pytest
 
 import oracles
 from wignerfriend.hardy import ALL_CONTEXTS, CTX_WBAR_W, context_table, hardy_state
-from wignerfriend.memory import (
-    DEFINITE_OUTCOME,
-    EMPTY,
-    Friend,
-    MemoryRegister,
-    definite_outcome_flag,
-    record_and_erase,
-    record_and_keep,
-)
+from wignerfriend.memory import Friend, record_and_erase, record_and_keep
 from wignerfriend.qcore import SPIN_W, born_distribution, fidelity
 
 S = hardy_state()
@@ -25,7 +17,7 @@ def erase_both():
 
 def test_erase_returns_input_state():
     run = record_and_erase(S, Friend.F, Z)
-    assert run.erased and run.coherent
+    assert run.erased
     assert fidelity(S, run.final_state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -77,7 +69,7 @@ KEPT_WW_TABLES = {
 @pytest.mark.parametrize("kept", sorted(KEPT_WW_TABLES, key=len))
 def test_kept_records_decohere_the_port_table(kept):
     run = record_and_keep(S, kept)
-    assert not run.coherent
+    assert not run.erased
     table = run.tables()["Wbar,W"]
     for key, p in KEPT_WW_TABLES[kept].items():
         assert table[key] == pytest.approx(p, abs=1e-12)
@@ -127,27 +119,6 @@ def test_erased_vs_kept_gap_on_failbar_fail():
         assert coherent - kept_p >= 1 / 3 - 1e-12
 
 
-def test_flag_carries_no_outcome_information():
-    run = record_and_erase(S, Friend.F, Z)
-    flag = definite_outcome_flag(run)
-    assert flag.agent is Friend.F
-    # one register walk per branch with support, all ending in the same flag
-    assert len(run.registers) == 2
-    assert all(reg.content == DEFINITE_OUTCOME for reg in run.registers)
-    # final state does not depend on which outcome was recorded
-    assert fidelity(S, run.final_state) == pytest.approx(1.0, abs=1e-12)
-    tables = run.tables()
-    for ctx in ALL_CONTEXTS:
-        for key, p in context_table(ctx).items():
-            assert tables[ctx.name][key] == pytest.approx(p, abs=1e-12)
-
-
-def test_flag_requires_erasure():
-    run = record_and_keep(S, (Friend.F,))
-    with pytest.raises(ValueError, match="flag requires erasure"):
-        definite_outcome_flag(run)
-
-
 def test_tables_are_empty_for_non_coin_spin_states():
     from wignerfriend.bell import PAIR_Z, singlet
 
@@ -155,21 +126,3 @@ def test_tables_are_empty_for_non_coin_spin_states():
     assert run.tables() == {}
     assert run.to_json_dict()["tables"] == {}
 
-
-def test_register_walks_the_allowed_transitions_only():
-    reg = MemoryRegister(Friend.F)
-    assert reg.content == EMPTY
-    reg.record("up")
-    assert reg.content == "up"
-    reg.erase(keep_flag=False)
-    assert reg.content == EMPTY  # full erasure ends empty
-    reg.record("down")
-    reg.erase(keep_flag=True)
-    assert reg.content == DEFINITE_OUTCOME
-
-    fresh = MemoryRegister(Friend.FBAR)
-    with pytest.raises(ValueError):
-        fresh.erase()  # nothing recorded yet
-    fresh.record("t")
-    with pytest.raises(ValueError):
-        fresh.record("h")  # cannot record over a record

@@ -45,7 +45,6 @@ def _instances() -> dict:
         trace.axioms,
         trace.witness,
         trace,
-        memory.definite_outcome_flag(run),
         run,
         bell.observer_independent_facts_model(),
         bell.OPTIMAL_QUAD,
@@ -59,7 +58,7 @@ INSTANCES = _instances()
 # The classes that keep a __dict__, for their cached numpy views.
 _WITH_DICT = {qcore.Basis, qcore.StateVector, qcore.LocalUnitary, qcore.DensityOperator}
 # Equal only to themselves: states, maps, a model holding a function, and a
-# run holding mutable registers.
+# protocol run holding a state.
 _IDENTITY = {
     qcore.StateVector,
     qcore.LocalUnitary,
@@ -77,7 +76,7 @@ def test_every_value_class_is_covered():
         if isinstance(obj, type) and issubclass(obj, Frozen) and obj not in (Frozen, FrozenValue)
     }
     assert classes == set(INSTANCES)
-    assert len(classes) == 29
+    assert len(classes) == 28
     assert {c for c in classes if not issubclass(c, FrozenValue)} == _IDENTITY
 
 
@@ -190,4 +189,3 @@ def test_constructors_keep_their_checks_and_defaults():
         "",
     )
     assert bohm.TransportCoupling(bohm.CouplingKind.MONOTONE) == bohm.MONOTONE
-    assert memory.ProtocolRun((), True, hardy.hardy_state()).registers == ()
