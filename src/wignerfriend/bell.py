@@ -13,24 +13,24 @@ float for scalar settings).  A ``CorrelationFn`` or ``LHVModel.response``
 given to this module must broadcast the same way, because ``chsh_scan`` and
 ``erased_vs_kept_chsh`` evaluate whole grids of settings in one call.
 Scalar settings run on the exact kernel of :mod:`qcore` and never import
-numpy; array settings, ``chsh_scan`` and ``erased_vs_kept_chsh`` import it
-when called.
+numpy.  Array settings read the state's correlation block, four scalar
+Born-rule correlations computed once per state.  They, ``chsh_scan`` and
+``erased_vs_kept_chsh`` import numpy when called.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from .qcore import (
     UP,
     DOWN,
-    NORM_TOL,
     Basis,
     DensityOperator,
     Frozen,
     FrozenValue,
-    InvariantViolation,
     StateVector,
     System,
     born_distribution,
@@ -44,173 +44,18 @@ if TYPE_CHECKING:
 _TWO_PI = 2.0 * math.pi
 # Largest |E - n(a)^T T n(b)| that chsh_scan accepts on its check grid.
 BILINEAR_TOL = 1e-12
+# Distinct states whose correlation block is kept.  A CHSH solve reads its
+# state's block twice, and erased_vs_kept_chsh reads the kept density's three
+# times; the least recently used block is evicted first.
+CORRELATION_CACHE = 64
 
 # z basis for either particle of the pair, ordered (up, down).
 PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
 
 # Outcome product x*y over the joint outcomes (plus, plus), (plus, minus),
-# (minus, plus), (minus, minus): the first-system-major order of both
-# born_distribution and born_tables.
+# (minus, plus), (minus, minus): the first-system-major order of
+# born_distribution.
 _OUTCOME_PRODUCT = (1.0, -1.0, -1.0, 1.0)
-
-
-# Broadcast Born rule.  The qcore kernel works on one state and one basis per
-# system; the CHSH grids below need whole stacks of settings at once, so they
-# run on the numpy views of the states (``amps``, ``matrix``) through the
-# helpers below, which repeat every check of the kernel per stack entry.
-# Positivity has the kernel's one rule: the LDL^H factorisation of
-# (M + M^H)/2 + NORM_TOL*I must have every pivot positive; here it runs as
-# numpy's Cholesky, the same factorisation (see _require_density).
-
-
-def direction_matrices(angle) -> np.ndarray:
-    """The matrices of :func:`qcore.direction_basis`, stacked over an array of
-    angles: shape ``np.shape(angle) + (2, 2)``.
-
-    Nothing is checked here; :func:`born_tables` checks each matrix it is
-    given, so a non-finite angle fails there as "not unitary".
-    """
-    import numpy as np
-
-    half = (np.mod(np.asarray(angle, dtype=float), _TWO_PI) / 2.0)[..., None, None]
-    # cos(t) * I + sin(t) * (quarter turn) is the rotation by t, exactly:
-    # each entry adds a zero product to +-cos(t) or +-sin(t).
-    return np.cos(half) * np.eye(2) + np.sin(half) * np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def _worst(residual: np.ndarray) -> float:
-    """Largest |residual| over a stack; NaN when any entry is NaN."""
-    return float(abs(residual).max(initial=0.0))
-
-
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.swapaxes(-1, -2).conj()
-
-
-def _require_unitary(m: np.ndarray) -> None:
-    """max |M^H M - I| <= NORM_TOL for each matrix of a stack ``(..., 2, 2)``,
-    else ValueError("not unitary"); a non-finite entry fails."""
-    import numpy as np
-
-    if not _worst(_adjoint(m) @ m - np.eye(2)) <= NORM_TOL:
-        raise ValueError("not unitary")
-
-
-def _require_density(m: np.ndarray) -> None:
-    """The checks of the DensityOperator constructor, for each matrix of a
-    stack ``(..., d, d)``: Hermitian, unit trace and positive, else
-    InvariantViolation; a non-finite entry fails.
-
-    Positivity is the rule of :func:`qcore._is_positive`: the Cholesky
-    factorisation of (M + M^H)/2 + NORM_TOL*I, which is LDL^H with sqrt(D)
-    folded into L, must succeed, so every pivot must be positive.  That holds
-    exactly when every eigenvalue of (M + M^H)/2 is above -NORM_TOL; an
-    eigenvalue of exactly -NORM_TOL fails, as it does in the kernel.
-    """
-    import numpy as np
-
-    h = _adjoint(m)
-    if not _worst(m - h) <= NORM_TOL:
-        raise InvariantViolation("density operator not Hermitian")
-    trace_drift = _worst(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    if not trace_drift <= NORM_TOL:
-        raise InvariantViolation(f"density operator trace drifted from 1 by {trace_drift}")
-    try:
-        np.linalg.cholesky((m + h) / 2.0 + NORM_TOL * np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError:
-        raise InvariantViolation("density operator not positive semidefinite") from None
-
-
-def _on_axis(m: np.ndarray, axis: int, flat: np.ndarray) -> np.ndarray:
-    """Apply the 2x2 matrix ``m`` to one axis of a flat, first-axis-major
-    tensor whose axes all have length 2.
-
-    Either may be a stack: ``m`` of shape ``(..., 2, 2)`` and ``flat`` of
-    shape ``(..., 2**n)``, with leading shapes that broadcast.
-    """
-    if m.ndim == 2 and flat.ndim == 1:
-        # One map on one tensor, as for scalar settings; the stacked form
-        # below costs about 1 us more per call.
-        return (m @ flat.reshape(2**axis, 2, -1)).reshape(-1)
-    size = flat.shape[-1]
-    out = m[..., None, :, :] @ flat.reshape(flat.shape[:-1] + (2**axis, 2, size >> (axis + 1)))
-    return out.reshape(out.shape[:-3] + (size,))
-
-
-def _kron(maps) -> np.ndarray:
-    """U_0 (x) U_1 (x) ... (x) U_(n-1) for stacks of 2x2 maps ``(..., 2, 2)``
-    whose leading shapes broadcast, system-0-major like the tensor index:
-    entry ``[..., i, j]`` is the product of ``U_k[..., i_k, j_k]`` over the
-    bits i_k, j_k of i and j, most significant first."""
-    k = maps[0]
-    for u in maps[1:]:
-        k = k[..., :, None, :, None] * u[..., None, :, None, :]
-        d = k.shape[-1] * k.shape[-2]
-        k = k.reshape(k.shape[:-4] + (d, d))
-    return k
-
-
-def born_tables(obj, local) -> np.ndarray:
-    """Born-rule probability tables of a state or density operator for whole
-    stacks of measurement bases at once.
-
-    ``local[k]`` is an array ``(..., 2, 2)`` of measurement-basis matrices
-    for system k, laid out as ``Basis.matrix``: column j is outcome j's vector
-    in the system's reference frame.  The stacks' leading shapes broadcast to
-    a shape S, and the result has shape ``S + (2**n,)``; entry ``[..., i]``
-    is the probability of the joint outcome ``i`` in first-system-major order,
-    as :func:`qcore.born_distribution` keys it.
-
-    Every entry gets the checks of the kernel, at NORM_TOL, with a non-finite
-    value failing: each measurement matrix is unitary (else
-    ValueError("not unitary")); each re-expressed state has unit norm, each
-    re-expressed density operator passes :func:`_require_density`, and each
-    table has no entry below -NORM_TOL and sums to 1 (else
-    :class:`InvariantViolation`).
-    Entries are clipped at 0, as :func:`qcore.born_distribution` clips them.
-    """
-    import numpy as np
-
-    if not isinstance(obj, (StateVector, DensityOperator)):
-        raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
-    n = obj.num_systems
-    if len(local) != n:
-        raise ValueError("dimension mismatch")
-    # maps[k] re-expresses system k from its current basis into local[k].
-    maps = []
-    for k, m in enumerate(local):
-        m = np.asarray(m)
-        if m.shape[-2:] != (2, 2):
-            raise ValueError("dimension mismatch")
-        _require_unitary(m)
-        maps.append(_adjoint(m) @ obj.bases[k].matrix)
-
-    if isinstance(obj, StateVector):
-        flat = obj.amps
-        probs = flat.real**2 + flat.imag**2
-        for k, u in enumerate(maps):
-            flat = _on_axis(u, k, flat)
-            probs = flat.real**2 + flat.imag**2
-            norm_drift = _worst(np.sqrt(probs.sum(-1)) - 1.0)
-            if not norm_drift <= NORM_TOL:
-                raise InvariantViolation(f"state norm drifted from 1 by {norm_drift}")
-    else:
-        # One map on the whole space per stack entry: rho' = K rho K^H.  The
-        # state is one matrix, so K rho is a single product over the stack.
-        kron = _kron(maps)
-        d = obj.matrix.shape[0]
-        rho = (kron.reshape(-1, d) @ obj.matrix).reshape(kron.shape) @ _adjoint(kron)
-        _require_density(rho)
-        probs = np.diagonal(rho, axis1=-2, axis2=-1).real
-
-    lowest = float(probs.min(initial=0.0))
-    if not lowest >= -NORM_TOL:
-        raise InvariantViolation(f"negative probability {lowest}")
-    probs = np.maximum(probs, 0.0)
-    sum_drift = _worst(probs.sum(-1) - 1.0)
-    if not sum_drift <= NORM_TOL:
-        raise InvariantViolation(f"probabilities sum to 1 only within {sum_drift}")
-    return probs
 
 
 def singlet() -> StateVector:
@@ -235,6 +80,22 @@ def _scalar_or_array(x):
     return x if getattr(x, "ndim", 0) else float(x)
 
 
+def _born_correlation(obj, alpha: float, beta: float) -> float:
+    """E(alpha, beta) from one Born distribution in two direction bases."""
+    dist = born_distribution(obj, (direction_basis(alpha), direction_basis(beta)))
+    return sum(x * p for x, p in zip(_OUTCOME_PRODUCT, dist.probs.values()))
+
+
+@lru_cache(maxsize=CORRELATION_CACHE)
+def _correlation_block(obj) -> tuple[float, float, float, float]:
+    """T = (E(0, 0), E(0, pi/2), E(pi/2, 0), E(pi/2, pi/2)) of a checked
+    two-spin state: the z/x block of Tr(rho sigma_i (x) sigma_j), so that
+    E(a, b) = n(a)^T T n(b) with n(a) = (cos a, sin a).  Memoized per state
+    object (states compare by identity)."""
+    quarter = math.pi / 2.0
+    return tuple(_born_correlation(obj, a, b) for a in (0.0, quarter) for b in (0.0, quarter))
+
+
 def quantum_correlation(alpha, beta, state=None):
     """Expectation of the +-1 outcome product at settings (alpha, beta).
 
@@ -242,10 +103,12 @@ def quantum_correlation(alpha, beta, state=None):
     where the closed form is -cos(alpha - beta)); accepts a density operator
     as well.  Two scalar settings take one :func:`qcore.born_distribution`
     in two :func:`qcore.direction_basis` bases and give a float.  Otherwise
-    ``alpha`` and ``beta`` broadcast like a ufunc's arguments, and one
-    Born-rule call (:func:`born_tables`) evaluates every pair.  The state
-    must hold two spin systems: ValueError "dimension mismatch" otherwise,
-    and "basis mismatch" for a coin system.
+    ``alpha`` and ``beta`` broadcast like a ufunc's arguments, and every pair
+    is n(alpha)^T T n(beta) on the state's correlation block T, which four
+    such Born-rule calls give once per state.  A non-finite setting raises
+    ValueError "not unitary", as direction_basis does.  The state must hold
+    two spin systems: ValueError "dimension mismatch" otherwise, and "basis
+    mismatch" for a coin system.
     """
     obj = _SINGLET if state is None else state
     if not isinstance(obj, (StateVector, DensityOperator)):
@@ -255,10 +118,17 @@ def quantum_correlation(alpha, beta, state=None):
     if any(b.system is not System.SPIN for b in obj.bases):
         raise ValueError("basis mismatch: correlations are defined on two spin systems")
     if _is_scalar(alpha) and _is_scalar(beta):
-        dist = born_distribution(obj, (direction_basis(alpha), direction_basis(beta)))
-        return sum(x * p for x, p in zip(_OUTCOME_PRODUCT, dist.probs.values()))
-    probs = born_tables(obj, (direction_matrices(alpha), direction_matrices(beta)))
-    return _scalar_or_array(probs @ _OUTCOME_PRODUCT)
+        return _born_correlation(obj, alpha, beta)
+    import numpy as np
+
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("not unitary")
+    # Reduced mod 2*pi, as direction_basis reduces a scalar setting.
+    a, b = np.mod(a, _TWO_PI), np.mod(b, _TWO_PI)
+    t00, t01, t10, t11 = _correlation_block(obj)
+    cb, sb = np.cos(b), np.sin(b)
+    return _scalar_or_array(np.cos(a) * (t00 * cb + t01 * sb) + np.sin(a) * (t10 * cb + t11 * sb))
 
 
 class LHVModel(Frozen):

@@ -184,13 +184,19 @@ INDEPENDENT = TransportCoupling(CouplingKind.INDEPENDENT)
 class HiddenConfig(FrozenValue):
     """The pair of hidden branch labels, in the pilot state's current bases."""
 
-    __slots__ = ("coin", "spin")
+    __slots__ = ("coin", "spin", "_hash")
     coin: str
     spin: str
 
     def __init__(self, coin: str, spin: str) -> None:
         object.__setattr__(self, "coin", coin)
         object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "_hash", hash((coin, spin)))
+
+    def __hash__(self) -> int:
+        # Computed once: configurations key the dicts that origin_of and
+        # initial_distribution build.
+        return self._hash
 
     def label(self, system: int) -> str:
         return self.coin if system == 0 else self.spin

@@ -29,8 +29,11 @@ MAX_GRID = 50
 # cost does not grow with the count.
 MAX_SAMPLES = 2**63 - 1
 # Before Python 3.13, argparse takes a negative number only in the forms -5
-# and -0.5, and reads -1e-3 as an unknown option; this is 3.13's pattern.
-_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+# and -0.5, and reads -1e-3 as an unknown option; this is 3.13's pattern,
+# plus the non-finite spellings float() reads (-inf, -infinity, -nan in any
+# case), so that they reach the finiteness check instead of passing for
+# options.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\.?\d|(?:inf(?:inity)?|nan)$)", re.IGNORECASE)
 
 # The friends' names, as memory.Friend spells them.
 _FRIENDS = ("F", "Fbar")
@@ -281,6 +284,13 @@ def cmd_chsh(args) -> tuple[str, dict]:
     }
     if args.scan:
         scan_q = bell.chsh_scan(bell.quantum_correlation, grid_n=args.grid)
+        # The scan solves on the singlet's correlation block; S from the Born
+        # rule at its argmax (four scalar correlations) checks that block.
+        s_born = bell.chsh(bell.quantum_correlation, scan_q.argmax)
+        if not abs(s_born - scan_q.max_s) <= bell.BILINEAR_TOL:
+            raise InvariantViolation(
+                f"scan maximum {scan_q.max_s!r} is not the Born-rule S {s_born!r} at its argmax"
+            )
         scan_l = bell.chsh_scan(lambda a, b: bell.lhv_correlation(model, a, b), grid_n=args.grid)
         lines.append(
             f"scan (closed form, checked on a {args.grid}x{args.grid} grid): "

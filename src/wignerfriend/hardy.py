@@ -39,7 +39,7 @@ class MeasurementContext(FrozenValue):
     four distinct contexts exist; equality is structural.
     """
 
-    __slots__ = ("coin_basis", "spin_basis")
+    __slots__ = ("coin_basis", "spin_basis", "_hash")
     coin_basis: Basis
     spin_basis: Basis
 
@@ -50,6 +50,11 @@ class MeasurementContext(FrozenValue):
             raise ValueError(f"outcome not in context: spin basis {spin_basis.name}")
         object.__setattr__(self, "coin_basis", coin_basis)
         object.__setattr__(self, "spin_basis", spin_basis)
+        object.__setattr__(self, "_hash", hash((coin_basis, spin_basis)))
+
+    def __hash__(self) -> int:
+        # Computed once: every context_table lookup hashes its context.
+        return self._hash
 
     @property
     def bases(self) -> tuple[Basis, Basis]:

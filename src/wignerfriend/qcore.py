@@ -39,13 +39,11 @@ and ``LocalUnitary`` check that their matrix is unitary (max |M^H M - I|) and
 raise ValueError("not unitary").  ``StateVector`` checks |norm - 1|,
 ``OutcomeDistribution`` the sum and sign of its probabilities, and
 ``DensityOperator`` Hermiticity (max |M - M^H|), unit trace and positivity;
-these raise :class:`InvariantViolation`.  Positivity has one rule, here and
-in the stacked checks of :mod:`bell`: the LDL^H factorisation of
-H + NORM_TOL*I, with H = (M + M^H)/2, must have every pivot positive, which
-holds exactly when every eigenvalue of H is above -NORM_TOL (an eigenvalue of
-exactly -NORM_TOL fails).  The factorisation is a fixed number of steps, with
-no iteration and no convergence tolerance; ``bell`` runs it as numpy's
-Cholesky, which is the same factorisation with sqrt(D) folded into L.
+these raise :class:`InvariantViolation`.  Positivity has one rule: the LDL^H
+factorisation of H + NORM_TOL*I, with H = (M + M^H)/2, must have every pivot
+positive, which holds exactly when every eigenvalue of H is above -NORM_TOL
+(an eigenvalue of exactly -NORM_TOL fails).  The factorisation is a fixed
+number of steps, with no iteration and no convergence tolerance.
 Input that is not numbers of the right shape raises ValueError("dimension
 mismatch").  Every operation that returns a new state or density operator
 builds it through these constructors, so each intermediate is checked too.
@@ -455,7 +453,7 @@ def _pairs(axis: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + s) for i in range(1 << n) if not i & s)
 
 
-def _on_axis(u: _Rows, pairs, vec) -> list:
+def _map_pairs(u: _Rows, pairs, vec) -> list:
     """The 2x2 matrix ``u`` applied to each pair of entries of ``vec``."""
     (a, b), (c, d) = u
     out = list(vec)
@@ -495,7 +493,7 @@ def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
         )
     k = u.system
     bases = state.bases[:k] + (u.target,) + state.bases[k + 1 :]
-    return StateVector(bases, _on_axis(u.rows, _pairs(k, state.num_systems), state.vec))
+    return StateVector(bases, _map_pairs(u.rows, _pairs(k, state.num_systems), state.vec))
 
 
 def express(state: StateVector, bases: tuple[Basis, ...]) -> StateVector:

@@ -9,10 +9,8 @@ from wignerfriend.bell import (
     PAIR_Z,
     AngleQuad,
     LHVModel,
-    born_tables,
     chsh,
     chsh_scan,
-    direction_matrices,
     erased_vs_kept_chsh,
     lhv_correlation,
     lhv_joint,
@@ -22,7 +20,13 @@ from wignerfriend.bell import (
 )
 from wignerfriend.hardy import hardy_state
 from wignerfriend.memory import Friend, record_and_erase, record_and_keep
-from wignerfriend.qcore import born_distribution, direction_basis, make_state
+from wignerfriend.qcore import (
+    SPIN_W,
+    DensityOperator,
+    born_distribution,
+    direction_basis,
+    make_state,
+)
 
 INV = 2.0 ** -0.5
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -252,18 +256,6 @@ def test_closed_form_chsh_maximum_matches_the_oracles(case):
     assert oracles.chsh_grid_max(oracle_fn, 12) <= result.max_s + 1e-12
 
 
-@pytest.mark.parametrize("case", ["kept-4", "kept-5", "kept-6"])
-def test_born_tables_on_a_kept_density_match_the_kernel_on_a_20x20_grid(case):
-    kept, _ = _case_state(case)
-    grid = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
-    tables = born_tables(kept, (direction_matrices(grid[:, None]), direction_matrices(grid[None, :])))
-    assert tables.shape == (20, 20, 4)
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
-            dist = born_distribution(kept, (direction_basis(float(a)), direction_basis(float(b))))
-            assert np.max(np.abs(tables[i, j] - list(dist.probs.values()))) <= 1e-12
-
-
 @pytest.mark.parametrize(
     "fn",
     [
@@ -328,9 +320,6 @@ def _value_error(alpha, state) -> str:
 def test_errors_come_through_the_broadcast_path():
     with pytest.raises(ValueError, match="not unitary"):
         quantum_correlation(np.array([0.1, np.nan, 0.3]), 0.2)
-    stretched = np.array([np.eye(2), np.diag([1.0, 1.0 + 1e-9])])
-    with pytest.raises(ValueError, match="not unitary"):
-        born_tables(singlet(), (stretched, np.eye(2)))
     with pytest.raises(ValueError, match="basis mismatch"):
         quantum_correlation(GRID_12, 0.0, hardy_state())
     three = make_state(np.eye(8)[0], (PAIR_Z, PAIR_Z, PAIR_Z))
@@ -339,7 +328,8 @@ def test_errors_come_through_the_broadcast_path():
     one = make_state([1.0, 0.0], (PAIR_Z,))
     with pytest.raises(ValueError, match="dimension mismatch"):
         quantum_correlation(0.0, 0.0, one)
-    # Scalar settings run on the kernel, arrays on born_tables: same errors.
+    # Scalar settings run on the kernel, arrays on the correlation block:
+    # same errors.
     for angle, state, message in (
         (math.nan, None, "not unitary"),
         (0.0, hardy_state(), "basis mismatch"),
@@ -348,3 +338,66 @@ def test_errors_come_through_the_broadcast_path():
         scalar = _value_error(angle, state)
         assert message in scalar
         assert _value_error(np.array([angle]), state) == scalar
+
+
+def _other_frame_case(kind: str):
+    """(state, oracle density) for a pure state or a mixed density stored in
+    the (W, A(0.7)) bases; the oracle density is in the reference frame,
+    where direction 0 is coordinate 0."""
+    bases = (SPIN_W, direction_basis(0.7))
+    psi = _random_amps(7)
+    stored = np.outer(psi, psi.conj())
+    if kind == "pure":
+        state = make_state(psi, bases)
+    else:
+        phi = _random_amps(8)
+        stored = 0.6 * stored + 0.4 * np.outer(phi, phi.conj())
+        state = DensityOperator(bases, stored)
+    # Column k of a basis matrix is label k in the reference frame.
+    change = np.kron(bases[0].matrix, bases[1].matrix)
+    return state, change @ stored @ change.conj().T
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_correlations_of_states_in_other_frames_match_the_reference_path(kind):
+    state, rho = _other_frame_case(kind)
+    grid = quantum_correlation(GRID_12[:, None], GRID_12[None, :], state)
+    want = np.array([[_reference_correlation(state, a, b) for b in GRID_12] for a in GRID_12])
+    oracle = np.array([[oracles.pair_correlation(rho, a, b) for b in GRID_12] for a in GRID_12])
+    assert np.max(np.abs(want - oracle)) <= 1e-12
+    assert np.max(np.abs(grid - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_a_non_finite_array_setting_fails_as_the_scalar_one_does(bad, side):
+    kept, _ = _case_state("kept-5")
+    messages = []
+    for setting in (float(bad), np.array([0.1, bad, 0.3])):
+        args = (setting, 0.2) if side == "alpha" else (0.2, setting)
+        with pytest.raises(ValueError) as info:
+            quantum_correlation(*args, kept)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "not unitary"
+
+
+def test_one_state_yields_one_cached_block_and_the_cache_is_bounded():
+    from wignerfriend import bell
+
+    block = bell._correlation_block
+    assert block.cache_info().maxsize == bell.CORRELATION_CACHE
+    state, _ = _case_state("pure-2")
+    before = block.cache_info()
+    quantum_correlation(GRID_12[:, None], GRID_12[None, :], state)
+    chsh_scan(lambda a, b: quantum_correlation(a, b, state), 12)
+    after = block.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 2
+    assert block(state) is block(state)
+    # Scalar settings run on the Born rule and never read the block.
+    quantum_correlation(0.3, 1.1, make_state(_random_amps(9), (PAIR_Z, PAIR_Z)))
+    assert block.cache_info().misses == after.misses
+    for seed in range(bell.CORRELATION_CACHE + 5):
+        fresh = make_state(_random_amps(100 + seed), (PAIR_Z, PAIR_Z))
+        quantum_correlation(GRID_12, 0.5, fresh)
+    assert block.cache_info().currsize == bell.CORRELATION_CACHE

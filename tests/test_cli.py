@@ -217,6 +217,39 @@ def test_chsh_non_finite_quad_is_usage_error(capsys, bad):
     _usage_error_without_traceback(capsys, ["chsh", "--quad", "0", bad, "0", "0"])
 
 
+@pytest.mark.parametrize("bad", ["-inf", "-infinity", "-Infinity", "-INF", "-nan", "-NaN"])
+def test_chsh_negative_non_finite_quad_is_read_as_an_angle(capsys, bad):
+    err = _usage_error_without_traceback(capsys, ["chsh", "--quad", "0", bad, "0", "0"])
+    assert err.splitlines()[-1].endswith("error: --quad angles must be finite")
+
+
+def test_config_negative_infinite_quad_says_must_be_finite(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"scenario": "chsh", "quad": [0, -Infinity, 0, 0]}')
+    err = _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+    assert err.splitlines()[-1].endswith("error: --quad angles must be finite")
+
+
+@pytest.mark.parametrize("word", ["-information", "-nano"])
+def test_words_that_start_like_non_finite_numbers_stay_options(capsys, word):
+    err = _usage_error_without_traceback(capsys, ["chsh", "--quad", "0", word, "0", "0"])
+    assert "expected 4 arguments" in err
+
+
+def test_chsh_scan_is_cross_checked_against_the_born_rule(monkeypatch, capsys):
+    from wignerfriend import bell
+
+    # A correlation block that is not the singlet's: the scan solves on it
+    # without complaint, and only the Born-rule check at the argmax sees it.
+    monkeypatch.setattr(bell, "_correlation_block", lambda obj: (-1.0, 0.0, 0.0, -0.5))
+    assert bell.chsh_scan(bell.quantum_correlation, 7).max_s == pytest.approx(2.0 * math.hypot(1.0, 0.5))
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, "chsh", "--scan")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("invariant violation: scan maximum ")
+
+
 @pytest.mark.parametrize(
     "raw",
     [

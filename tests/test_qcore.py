@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from wignerfriend.bell import _require_density, born_tables, direction_matrices
 from wignerfriend.qcore import (
     COIN_WBAR,
     COIN_ZBAR,
@@ -412,55 +411,6 @@ def test_born_distribution_matches_kron_oracle_on_three_systems(system, seed):
             assert table[key] == pytest.approx(p, abs=1e-12)
 
 
-def _random_unitaries(rng, shape):
-    """Random complex 2x2 unitaries stacked to ``shape + (2, 2)``."""
-    z = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
-    return np.linalg.qr(z)[0]
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_born_tables_match_born_distribution_on_three_systems(seed):
-    rng = np.random.default_rng(seed)
-    # Leading shapes (3, 1, 1), (1, 2, 1) and (2,) broadcast to (3, 2, 2).
-    local = [
-        _random_unitaries(rng, (3, 1, 1)),
-        _random_unitaries(rng, (1, 2, 1)),
-        np.stack([SPIN_W.matrix, SPIN_Z.matrix]),
-    ]
-    for obj in (_three_system_state(seed), _three_system_density(seed)):
-        tables = born_tables(obj, local)
-        assert tables.shape == (3, 2, 2, 8)
-        for index in np.ndindex(3, 2, 2):
-            bases = tuple(
-                Basis("M", source.labels, tuple(map(tuple, np.broadcast_to(m, (3, 2, 2, 2, 2))[index].T)))
-                for source, m in zip(THREE_SOURCE, local)
-            )
-            want = list(born_distribution(obj, bases).probs.values())
-            assert np.max(np.abs(tables[index] - want)) <= 1e-12
-
-
-def test_direction_matrices_are_the_direction_bases():
-    angles = np.array([0.0, 0.3, -2.0, math.pi, 7.5, 1e5])
-    stack = direction_matrices(angles)
-    assert stack.shape == (6, 2, 2)
-    for a, m in zip(angles, stack):
-        assert np.array_equal(m, direction_basis(a).matrix)
-
-
-def test_born_tables_rejects_bad_input():
-    state = _three_system_state(1)
-    eye = np.eye(2)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        born_tables(state, (eye, eye))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        born_tables(state, (eye, eye, np.eye(3)))
-    for bad in (np.full((2, 2), np.nan), np.array([eye, 2.0 * eye]), np.array([[1.0, 1e-9], [0.0, 1.0]])):
-        with pytest.raises(ValueError, match="not unitary"):
-            born_tables(state, (eye, bad, eye))
-    with pytest.raises(TypeError):
-        born_tables(state.amps, (eye, eye, eye))
-
-
 def _density_with_spectrum(rng, spectrum):
     """V diag(spectrum) V^H for a seeded random unitary V."""
     d = len(spectrum)
@@ -495,38 +445,6 @@ def test_positivity_check_agrees_with_eigvalsh_oracle(systems, lam, rank_one):
         else:
             with pytest.raises(InvariantViolation, match="not positive semidefinite"):
                 DensityOperator(bases, m)
-
-
-@pytest.mark.parametrize("d", [4, 8])
-@pytest.mark.parametrize("lam", LAMBDA_MIN)
-def test_stacked_positivity_check_rejects_exactly_a_bad_entry(d, lam):
-    rng = np.random.default_rng(d)
-    stack = np.empty((3, 4, d, d), dtype=complex)
-    for index in np.ndindex(3, 4):
-        weights = rng.uniform(0.1, 1.0, size=d)
-        stack[index] = _density_with_spectrum(rng, weights / weights.sum())
-    assert min(oracles.smallest_eigenvalue(m) for m in stack.reshape(-1, d, d)) > 0.0
-    rest = rng.uniform(0.1, 1.0, size=d - 1)
-    bad = _density_with_spectrum(rng, np.concatenate(([lam], rest * (1.0 - lam) / rest.sum())))
-    rejected = oracles.smallest_eigenvalue(bad) < -1e-12
-    assert rejected == (lam < -1e-12)
-    for index in ((0, 0), (1, 2), (2, 3)):
-        entries = stack.copy()
-        entries[index] = bad
-        if rejected:
-            with pytest.raises(InvariantViolation, match="not positive semidefinite"):
-                _require_density(entries)
-        else:
-            _require_density(entries)
-
-
-@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (3, 3)])
-def test_stacked_density_check_rejects_a_nan_entry(entry):
-    stack = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (3, 4, 4, 4)).copy()
-    _require_density(stack)
-    stack[1, 2][entry] = np.nan
-    with pytest.raises(InvariantViolation):
-        _require_density(stack)
 
 
 def test_numpy_views_are_read_only_and_built_once():

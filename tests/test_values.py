@@ -114,6 +114,31 @@ def test_values_pickle_to_equal_values():
             assert pickle.loads(pickle.dumps(obj)) == obj, cls
 
 
+# Values that hold a dict, and so have no hash.
+_UNHASHABLE = {qcore.OutcomeDistribution, bohm.FoliationReport}
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in _CLASSES if c not in _IDENTITY | _UNHASHABLE],
+    ids=lambda c: c.__qualname__,
+)
+def test_copies_and_pickles_are_hash_equal(cls):
+    obj = INSTANCES[cls]
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert twin == obj
+        assert hash(twin) == hash(obj)
+
+
+def test_hashes_kept_at_construction_are_the_hashes_of_the_fields():
+    for value, fields in (
+        (bohm.HiddenConfig("h", "down"), ("h", "down")),
+        (hardy.MeasurementContext(qcore.COIN_WBAR, qcore.SPIN_Z), (qcore.COIN_WBAR, qcore.SPIN_Z)),
+        (qcore.COIN_WBAR, (qcore.COIN_WBAR.name, qcore.COIN_WBAR.labels, qcore.COIN_WBAR.vectors)),
+    ):
+        assert hash(value) == hash(fields)
+
+
 def test_repr_names_the_fields_in_order():
     assert repr(bohm.HiddenConfig("h", "down")) == "HiddenConfig(coin='h', spin='down')"
     assert repr(epistemic.AxiomSet(C=False)) == "AxiomSet(Q=True, C=False, S=True)"
@@ -125,6 +150,7 @@ def test_values_built_twice_are_equal_and_hash_equal():
     pairs = [
         (qcore.Basis(w.name, w.labels, w.vectors), w),
         (hardy.MeasurementContext(qcore.COIN_ZBAR, qcore.SPIN_W), hardy.CTX_ZBAR_W),
+        (bohm.HiddenConfig("t", "up"), bohm.HiddenConfig("h", "up").with_label(0, "t")),
         (epistemic.AxiomSet(), epistemic.AxiomSet(True, True, True)),
         (
             bohm.evolve.__wrapped__(bohm.FOLIATION_FPRIME, bohm.INDEPENDENT),
