@@ -447,6 +447,49 @@ def test_positivity_check_agrees_with_eigvalsh_oracle(systems, lam, rank_one):
                 DensityOperator(bases, m)
 
 
+def _check_stack(stack):
+    """Build each entry of a (3, 4, d, d) stack as a DensityOperator; the
+    indices of the entries the kernel rejects, in order."""
+    d = stack.shape[-1]
+    bases = (COIN_ZBAR,) + (SPIN_Z,) * (d.bit_length() - 2)
+    rejected = []
+    for index in np.ndindex(stack.shape[:2]):
+        try:
+            DensityOperator(bases, stack[index])
+        except InvariantViolation as err:
+            rejected.append((index, str(err)))
+    return rejected
+
+
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("lam", LAMBDA_MIN)
+def test_stacked_positivity_check_rejects_exactly_a_bad_entry(d, lam):
+    rng = np.random.default_rng(d)
+    stack = np.empty((3, 4, d, d), dtype=complex)
+    for index in np.ndindex(3, 4):
+        weights = rng.uniform(0.1, 1.0, size=d)
+        stack[index] = _density_with_spectrum(rng, weights / weights.sum())
+    assert min(oracles.smallest_eigenvalue(m) for m in stack.reshape(-1, d, d)) > 0.0
+    assert _check_stack(stack) == []
+    rest = rng.uniform(0.1, 1.0, size=d - 1)
+    bad = _density_with_spectrum(rng, np.concatenate(([lam], rest * (1.0 - lam) / rest.sum())))
+    rejected = oracles.smallest_eigenvalue(bad) < -1e-12
+    assert rejected == (lam < -1e-12)
+    for index in ((0, 0), (1, 2), (2, 3)):
+        entries = stack.copy()
+        entries[index] = bad
+        want = [(index, "density operator not positive semidefinite")] if rejected else []
+        assert _check_stack(entries) == want
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (3, 3)])
+def test_stacked_density_check_rejects_a_nan_entry(entry):
+    stack = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (3, 4, 4, 4)).copy()
+    assert _check_stack(stack) == []
+    stack[1, 2][entry] = np.nan
+    assert [index for index, _ in _check_stack(stack)] == [(1, 2)]
+
+
 def test_numpy_views_are_read_only_and_built_once():
     state = hardy()
     rho = density_from_state(state)
