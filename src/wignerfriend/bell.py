@@ -157,9 +157,7 @@ class LHVModel(Frozen):
         # Negated comparisons, so that a NaN weight or a non-finite sum fails.
         if any(not p >= 0 for p in prior) or not abs(sum(prior) - 1.0) <= 1e-12:
             raise ValueError("prior must be a probability distribution")
-        object.__setattr__(self, "lambda_space", lambda_space)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "response", response)
+        Frozen.__init__(self, lambda_space, prior, response)
 
 
 def observer_independent_facts_model() -> LHVModel:
@@ -215,10 +213,7 @@ class AngleQuad(FrozenValue):
     bprime: float
 
     def __init__(self, a: float, aprime: float, b: float, bprime: float) -> None:
-        object.__setattr__(self, "a", float(a) % _TWO_PI)
-        object.__setattr__(self, "aprime", float(aprime) % _TWO_PI)
-        object.__setattr__(self, "b", float(b) % _TWO_PI)
-        object.__setattr__(self, "bprime", float(bprime) % _TWO_PI)
+        FrozenValue.__init__(self, *(float(x) % _TWO_PI for x in (a, aprime, b, bprime)))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.aprime, self.b, self.bprime)
@@ -246,11 +241,6 @@ class ScanResult(FrozenValue):
     max_s: float
     argmax: AngleQuad
     grid_n: int
-
-    def __init__(self, max_s: float, argmax: AngleQuad, grid_n: int) -> None:
-        object.__setattr__(self, "max_s", max_s)
-        object.__setattr__(self, "argmax", argmax)
-        object.__setattr__(self, "grid_n", grid_n)
 
 
 def _on_grid(correlation_fn: CorrelationFn, angles: np.ndarray) -> np.ndarray:
@@ -310,22 +300,6 @@ class ErasedKeptReport(FrozenValue):
     aligned_correlation: float
     kept_vs_lhv_max_gap: float
 
-    def __init__(
-        self,
-        quad: AngleQuad,
-        s_erased: float,
-        s_kept_at_quad: float,
-        s_kept_max: float,
-        aligned_correlation: float,
-        kept_vs_lhv_max_gap: float,
-    ) -> None:
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "s_erased", s_erased)
-        object.__setattr__(self, "s_kept_at_quad", s_kept_at_quad)
-        object.__setattr__(self, "s_kept_max", s_kept_max)
-        object.__setattr__(self, "aligned_correlation", aligned_correlation)
-        object.__setattr__(self, "kept_vs_lhv_max_gap", kept_vs_lhv_max_gap)
-
     def to_json_dict(self) -> dict:
         return {
             "quad": list(self.quad.as_tuple()),
@@ -341,8 +315,10 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
     """Erased records leave the singlet coherent (S = 2*sqrt2); kept records
     dephase it in z, and the dephased correlations equal the
     observer-independent-facts model's -cos(alpha)cos(beta) exactly, to the
-    largest gap over a match_grid x match_grid angle grid.  A match_grid
-    below 1 raises ValueError before anything is computed."""
+    largest gap over a match_grid x match_grid angle grid.  A grid_n or a
+    match_grid below 1 raises ValueError before anything is computed."""
+    if not grid_n >= 1:
+        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     if not match_grid >= 1:
         raise ValueError(f"match_grid must be at least 1, got {match_grid}")
     import numpy as np

@@ -70,8 +70,7 @@ class Foliation(FrozenValue):
     def __init__(self, name: str, ordering: tuple[MeasurementEvent, MeasurementEvent]) -> None:
         if set(ordering) != {MeasurementEvent.SPIN_BS, MeasurementEvent.COIN_BS}:
             raise ValueError("ordering must permute the two measurement events")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ordering", ordering)
+        FrozenValue.__init__(self, name, ordering)
 
 
 FOLIATION_F = Foliation("F", (MeasurementEvent.SPIN_BS, MeasurementEvent.COIN_BS))
@@ -94,7 +93,6 @@ BRANCH_RANK: dict[str, int] = {
     "ok": 0,
     "fail": 1,
 }
-_RANKS = tuple(sorted(BRANCH_RANK.items()))
 
 
 class TransportCoupling(FrozenValue):
@@ -105,17 +103,8 @@ class TransportCoupling(FrozenValue):
     both marginals are reproduced exactly.
     """
 
-    __slots__ = ("kind", "ranks")
+    __slots__ = ("kind",)
     kind: CouplingKind
-    ranks: tuple[tuple[str, int], ...]
-
-    def __init__(self, kind: CouplingKind, ranks: tuple[tuple[str, int], ...] = _RANKS) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ranks", ranks)
-
-    @property
-    def rank_of(self) -> dict[str, int]:
-        return dict(self.ranks)
 
     def joint(
         self, input_dist: dict[str, float], output_dist: dict[str, float]
@@ -137,14 +126,13 @@ class TransportCoupling(FrozenValue):
     def _monotone(
         self, input_dist: dict[str, float], output_dist: dict[str, float]
     ) -> dict[tuple[str, str], float]:
-        rank = self.rank_of
         ins = sorted(
             ((lab, p) for lab, p in input_dist.items() if p > _ADVANCE_TOL),
-            key=lambda kv: rank[kv[0]],
+            key=lambda kv: BRANCH_RANK[kv[0]],
         )
         outs = sorted(
             ((lab, p) for lab, p in output_dist.items() if p > _ADVANCE_TOL),
-            key=lambda kv: rank[kv[0]],
+            key=lambda kv: BRANCH_RANK[kv[0]],
         )
         joint: dict[tuple[str, str], float] = {}
         i = j = 0
@@ -189,8 +177,7 @@ class HiddenConfig(FrozenValue):
     spin: str
 
     def __init__(self, coin: str, spin: str) -> None:
-        object.__setattr__(self, "coin", coin)
-        object.__setattr__(self, "spin", spin)
+        FrozenValue.__init__(self, coin, spin)
         object.__setattr__(self, "_hash", hash((coin, spin)))
 
     def __hash__(self) -> int:
@@ -211,11 +198,6 @@ class Transition(FrozenValue):
     source: str
     target: str
 
-    def __init__(self, system: str, source: str, target: str) -> None:
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-
 
 class TrajectoryPath(FrozenValue):
     __slots__ = ("initial", "events", "final", "weight")
@@ -223,18 +205,6 @@ class TrajectoryPath(FrozenValue):
     events: tuple[Transition, ...]
     final: tuple[str, str]  # (coin label, spin label)
     weight: float
-
-    def __init__(
-        self,
-        initial: HiddenConfig,
-        events: tuple[Transition, ...],
-        final: tuple[str, str],
-        weight: float,
-    ) -> None:
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "weight", weight)
 
     @property
     def signature(self) -> tuple:
@@ -265,10 +235,7 @@ class TrajectorySet(FrozenValue):
             total += p.weight
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolation(f"path weights sum to {total}")
-        object.__setattr__(self, "foliation", foliation)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "paths", paths)
+        FrozenValue.__init__(self, foliation, context, coupling, paths)
 
     def final_marginal(self) -> dict[tuple[str, str], float]:
         out: dict[tuple[str, str], float] = {}
@@ -452,26 +419,6 @@ class FoliationReport(FrozenValue):
     origin_differs: dict[tuple[str, str], bool]
     marginals_identical: bool
     born_identical: bool
-
-    def __init__(
-        self,
-        coupling: TransportCoupling,
-        marginal_f: dict,
-        marginal_fprime: dict,
-        origins_f: dict,
-        origins_fprime: dict,
-        origin_differs: dict,
-        marginals_identical: bool,
-        born_identical: bool,
-    ) -> None:
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "marginal_f", marginal_f)
-        object.__setattr__(self, "marginal_fprime", marginal_fprime)
-        object.__setattr__(self, "origins_f", origins_f)
-        object.__setattr__(self, "origins_fprime", origins_fprime)
-        object.__setattr__(self, "origin_differs", origin_differs)
-        object.__setattr__(self, "marginals_identical", marginals_identical)
-        object.__setattr__(self, "born_identical", born_identical)
 
 
 def compare_foliations(coupling: TransportCoupling = MONOTONE) -> FoliationReport:

@@ -47,11 +47,6 @@ class OutcomeClaim(FrozenValue):
     outcome: str
     time: str
 
-    def __init__(self, quantity: str, outcome: str, time: str) -> None:
-        object.__setattr__(self, "quantity", quantity)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "time", time)
-
 
 class CertainThat(FrozenValue):
     """One agent's certainty about another agent's claim.
@@ -67,8 +62,7 @@ class CertainThat(FrozenValue):
     def __init__(self, agent: Agent, inner: OutcomeClaim) -> None:
         if not isinstance(inner, OutcomeClaim):
             raise ValueError("certainty nesting deeper than one wrapper is rejected")
-        object.__setattr__(self, "agent", agent)
-        object.__setattr__(self, "inner", inner)
+        FrozenValue.__init__(self, agent, inner)
 
 
 Proposition = OutcomeClaim | CertainThat
@@ -85,10 +79,6 @@ class ZeroBacking(FrozenValue):
     __slots__ = ("context", "outcome")
     context: MeasurementContext
     outcome: tuple[str, str]
-
-    def __init__(self, context: MeasurementContext, outcome: tuple[str, str]) -> None:
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "outcome", outcome)
 
 
 class EpistemicStatement(FrozenValue):
@@ -125,15 +115,10 @@ class EpistemicStatement(FrozenValue):
         backing: tuple[ZeroBacking, ...] = (),
         note: str = "",
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "author", author)
-        object.__setattr__(self, "proposition", proposition)
-        object.__setattr__(self, "assumed_context", assumed_context)
-        object.__setattr__(self, "actual_context", actual_context)
-        object.__setattr__(self, "derived_from", derived_from)
-        object.__setattr__(self, "axioms_used", axioms_used)
-        object.__setattr__(self, "backing", backing)
-        object.__setattr__(self, "note", note)
+        FrozenValue.__init__(
+            self, id, author, proposition, assumed_context, actual_context,
+            derived_from, axioms_used, backing, note,
+        )
 
     @property
     def classification(self) -> Classification:
@@ -286,9 +271,7 @@ class AxiomSet(FrozenValue):
     S: bool
 
     def __init__(self, Q: bool = True, C: bool = True, S: bool = True) -> None:
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "S", S)
+        FrozenValue.__init__(self, Q, C, S)
 
     @property
     def enabled(self) -> frozenset[str]:
@@ -303,14 +286,6 @@ class Witness(FrozenValue):
     outcome: tuple[str, str]
     composed: float
     actual: float
-
-    def __init__(
-        self, context: str, outcome: tuple[str, str], composed: float, actual: float
-    ) -> None:
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "composed", composed)
-        object.__setattr__(self, "actual", actual)
 
 
 class TraceReport(FrozenValue):
@@ -334,28 +309,6 @@ class TraceReport(FrozenValue):
     contradiction: bool
     witness: Witness | None
     minimal_counterfactual: tuple[str, ...]
-
-    def __init__(
-        self,
-        axioms: AxiomSet,
-        allow_counterfactual: bool,
-        statements: tuple[EpistemicStatement, ...],
-        admitted: tuple[str, ...],
-        active: tuple[str, ...],
-        edges: tuple[tuple[str, str], ...],
-        contradiction: bool,
-        witness: Witness | None,
-        minimal_counterfactual: tuple[str, ...],
-    ) -> None:
-        object.__setattr__(self, "axioms", axioms)
-        object.__setattr__(self, "allow_counterfactual", allow_counterfactual)
-        object.__setattr__(self, "statements", statements)
-        object.__setattr__(self, "admitted", admitted)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "contradiction", contradiction)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "minimal_counterfactual", minimal_counterfactual)
 
     def to_json_dict(self) -> dict:
         return {

@@ -48,8 +48,7 @@ class MeasurementContext(FrozenValue):
             raise ValueError(f"outcome not in context: coin basis {coin_basis.name}")
         if spin_basis not in (SPIN_Z, SPIN_W):
             raise ValueError(f"outcome not in context: spin basis {spin_basis.name}")
-        object.__setattr__(self, "coin_basis", coin_basis)
-        object.__setattr__(self, "spin_basis", spin_basis)
+        FrozenValue.__init__(self, coin_basis, spin_basis)
         object.__setattr__(self, "_hash", hash((coin_basis, spin_basis)))
 
     def __hash__(self) -> int:
@@ -111,9 +110,7 @@ class InferenceRule(FrozenValue):
     def __init__(self, context: MeasurementContext, premise: str, conclusion: str) -> None:
         if _locate(context, premise) == _locate(context, conclusion):
             raise ValueError("outcome not in context: premise and conclusion share a system")
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "premise", premise)
-        object.__setattr__(self, "conclusion", conclusion)
+        FrozenValue.__init__(self, context, premise, conclusion)
 
 
 def check_inference(rule: InferenceRule) -> bool:
@@ -142,20 +139,6 @@ class ContradictionCertificate(FrozenValue):
     outcome: tuple[str, str]
     composed_prediction: float
     actual: float
-
-    def __init__(
-        self,
-        chain: tuple[InferenceRule, ...],
-        context: MeasurementContext,
-        outcome: tuple[str, str],
-        composed_prediction: float,
-        actual: float,
-    ) -> None:
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "composed_prediction", composed_prediction)
-        object.__setattr__(self, "actual", actual)
 
     @property
     def valid(self) -> bool:

@@ -44,16 +44,6 @@ class ProtocolRun(Frozen):
     erased: bool
     final_state: StateVector | DensityOperator
 
-    def __init__(
-        self,
-        agents: tuple[Friend, ...],
-        erased: bool,
-        final_state: StateVector | DensityOperator,
-    ) -> None:
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "erased", erased)
-        object.__setattr__(self, "final_state", final_state)
-
     def tables(self) -> dict[str, OutcomeDistribution]:
         """Context tables of the final state, when it is a coin/spin pair."""
         out = {}

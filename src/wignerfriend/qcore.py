@@ -7,14 +7,17 @@ is safe for concurrent use without synchronization.
 
 Values: every value class of the package derives from :class:`Frozen`
 (identity equality) or :class:`FrozenValue` (equal, and hash-equal, when the
-class and the fields are), both defined here.  A value class is slotted: its
-fields are its ``__slots__``, plus a ``__dict__`` only where a
-``cached_property`` needs one.  Its own ``__init__`` checks its arguments and
-sets each field once; afterwards assigning a field raises
-AttributeError("cannot assign to field 'x'"), and deleting one raises
-AttributeError too.  The classes are written out by hand, not generated at
-import: generating them, and importing what the generator needs, cost a
-fresh process more time than the computation a CLI call runs.
+class and the fields are), both defined here.  A value class is slotted, and
+its fields are named once, in ``__slots__`` (names starting with an
+underscore, and the ``__dict__`` a ``cached_property`` needs, are not
+fields).  One constructor, ``Frozen.__init__``, binds positional values to
+the fields in that order; a class that checks or converts its arguments does
+so in its own ``__init__`` and then calls it.  Afterwards assigning a field
+raises AttributeError("cannot assign to field 'x'"), and deleting one raises
+AttributeError too.  The shared constructor is plain code, not generated at
+import: generating the classes (``dataclasses``), and importing what the
+generator needs, cost a fresh process more time than the computation a CLI
+call runs.
 
 Storage: numbers are Python ``complex`` values in tuples, and the module does
 not import numpy.  A state's ``vec`` is its flat tuple of amplitudes; a
@@ -26,11 +29,10 @@ on system k is a pairwise update of the amplitude pairs (i, i + 2**(n-k-1)),
 which works for any number of systems; on a density operator it updates the
 row pairs with U and then the column pairs of each row with conj(U).
 
-Numpy views: ``StateVector.amps`` and the ``matrix`` of ``Basis``,
-``LocalUnitary`` and ``DensityOperator`` are read-only numpy arrays of the
-same numbers, for callers that compute with numpy.  Each is built on first
-access, which is when numpy is imported, and then kept.  Nothing in this
-module reads them.
+Numpy views: ``StateVector.amps`` and ``DensityOperator.matrix`` are
+read-only numpy arrays of the same numbers, for callers that compute with
+numpy.  Each is built on first access, which is when numpy is imported, and
+then kept.  Nothing in the package reads them.
 
 What is checked, and when: every constructor checks its value once, when it
 is built, by computing the largest residual directly and comparing it with
@@ -88,16 +90,27 @@ class Frozen:
     """Base of an immutable slotted value class; equality is identity.
 
     The fields are the subclass's ``__slots__`` that do not start with an
-    underscore, in the order ``__init__`` takes them, so ``repr`` and
-    ``pickle`` see the same fields as the constructor.
+    underscore.  ``__init__`` takes one positional value per field, in that
+    order, so ``repr`` and ``pickle`` see the same fields as the constructor.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(s for s in cls.__dict__.get("__slots__", ()) if not s.startswith("_"))
+        # Each field's slot descriptor stores it past the refusing __setattr__.
+        cls._setters = tuple(cls.__dict__[f].__set__ for f in cls._fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._setters):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(self._fields)} fields, got {len(values)}"
+            )
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -163,9 +176,7 @@ class BasisLabel(FrozenValue):
             raise ValueError(f"label {name!r} not allowed on {system.value}")
         if (angle is not None) != (name in _ANGLED_NAMES):
             raise ValueError(f"label {name!r} takes an angle iff it is angled")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "angle", angle)
+        FrozenValue.__init__(self, system, name, angle)
 
 
 H = BasisLabel(System.COIN, "h")
@@ -237,13 +248,13 @@ class Basis(FrozenValue):
     vectors coincide, so context equality is structural.
     """
 
-    __slots__ = ("name", "labels", "vectors", "_hash", "__dict__")
+    __slots__ = ("name", "labels", "vectors", "_hash")
     name: str
     labels: tuple[BasisLabel, BasisLabel]
     vectors: tuple[_Vec, _Vec]
 
     # The four classes of the numerical kernel (Basis, StateVector,
-    # LocalUnitary, DensityOperator) check and set their fields in
+    # LocalUnitary, DensityOperator) check and bind their fields in
     # ``__post_init__``, called once by ``__init__``: one method per
     # construction, which bench/layertrace.py wraps to count constructions.
     def __init__(self, name: str, labels: tuple[BasisLabel, BasisLabel], vectors) -> None:
@@ -257,21 +268,13 @@ class Basis(FrozenValue):
         vectors = _square(vectors, 2)
         if not _is_unitary(*vectors):
             raise ValueError("not unitary")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "vectors", vectors)
+        FrozenValue.__init__(self, name, labels, vectors)
         object.__setattr__(self, "_hash", hash((name, labels, vectors)))
 
     def __hash__(self) -> int:
         # Computed once: every basis_change lookup hashes two bases, and
         # hashing the labels afresh costs more than the lookup itself.
         return self._hash
-
-    @cached_property
-    def matrix(self):
-        """2x2 read-only complex numpy array; column k is labels[k] in the
-        reference frame."""
-        return _read_only_array(tuple(zip(*self.vectors)))
 
     @property
     def system(self) -> System:
@@ -353,8 +356,7 @@ class StateVector(Frozen):
         norm = _norm(vec)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"state norm {norm} drifted from 1")
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "vec", vec)
+        Frozen.__init__(self, bases, vec)
 
     @cached_property
     def amps(self):
@@ -399,7 +401,7 @@ class LocalUnitary(Frozen):
     """A 2x2 unitary acting on one system, mapping amplitudes expressed in
     ``source`` to amplitudes expressed in ``target``."""
 
-    __slots__ = ("system", "rows", "source", "target", "__dict__")
+    __slots__ = ("system", "rows", "source", "target")
     system: int
     rows: _Rows
     source: Basis
@@ -413,15 +415,7 @@ class LocalUnitary(Frozen):
         (a, b), (c, d) = rows
         if not _is_unitary((a, c), (b, d)):
             raise ValueError("not unitary")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-
-    @cached_property
-    def matrix(self):
-        """``rows`` as a read-only 2x2 complex numpy array."""
-        return _read_only_array(self.rows)
+        Frozen.__init__(self, system, rows, source, target)
 
 
 def _dot(u: _Vec, v: _Vec) -> complex:
@@ -524,8 +518,7 @@ class OutcomeDistribution(FrozenValue):
             total += p
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"probabilities sum to {total}")
-        object.__setattr__(self, "basis_names", basis_names)
-        object.__setattr__(self, "probs", probs)
+        FrozenValue.__init__(self, basis_names, probs)
 
     def __getitem__(self, key: tuple[str, ...]) -> float:
         return self.probs[key]
@@ -635,8 +628,7 @@ class DensityOperator(Frozen):
             raise InvariantViolation(f"density operator trace {tr}")
         if not _is_positive(m):
             raise InvariantViolation("density operator not positive semidefinite")
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "rows", m)
+        Frozen.__init__(self, bases, m)
 
     @cached_property
     def matrix(self):

@@ -207,6 +207,18 @@ def test_erased_vs_kept_rejects_an_empty_match_grid_before_computing(monkeypatch
     assert report.kept_vs_lhv_max_gap <= 1e-12
 
 
+@pytest.mark.parametrize("grid_n", [0, -2])
+def test_erased_vs_kept_rejects_an_empty_scan_grid_before_computing(monkeypatch, grid_n):
+    from wignerfriend import bell, memory
+
+    def refused(*args):
+        raise AssertionError("record_and_keep ran before grid_n was checked")
+
+    monkeypatch.setattr(memory, "record_and_keep", refused)
+    with pytest.raises(ValueError, match="grid_n must be at least 1"):
+        bell.erased_vs_kept_chsh(grid_n=grid_n)
+
+
 def _random_amps(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -353,8 +365,8 @@ def _other_frame_case(kind: str):
         phi = _random_amps(8)
         stored = 0.6 * stored + 0.4 * np.outer(phi, phi.conj())
         state = DensityOperator(bases, stored)
-    # Column k of a basis matrix is label k in the reference frame.
-    change = np.kron(bases[0].matrix, bases[1].matrix)
+    # The change of basis has column k = label k's vector in the reference frame.
+    change = np.kron(np.array(bases[0].vectors).T, np.array(bases[1].vectors).T)
     return state, change @ stored @ change.conj().T
 
 

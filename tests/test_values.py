@@ -56,7 +56,7 @@ def _instances() -> dict:
 
 INSTANCES = _instances()
 # The classes that keep a __dict__, for their cached numpy views.
-_WITH_DICT = {qcore.Basis, qcore.StateVector, qcore.LocalUnitary, qcore.DensityOperator}
+_WITH_DICT = {qcore.StateVector, qcore.DensityOperator}
 # Equal only to themselves: states, maps, a model holding a function, and a
 # protocol run holding a state.
 _IDENTITY = {
@@ -215,3 +215,46 @@ def test_constructors_keep_their_checks_and_defaults():
         "",
     )
     assert bohm.TransportCoupling(bohm.CouplingKind.MONOTONE) == bohm.MONOTONE
+
+
+# Classes whose fields are bound by Frozen.__init__ alone.
+_PLAIN = {
+    bell.ScanResult,
+    bell.ErasedKeptReport,
+    bohm.TransportCoupling,
+    bohm.Transition,
+    bohm.TrajectoryPath,
+    bohm.FoliationReport,
+    epistemic.OutcomeClaim,
+    epistemic.ZeroBacking,
+    epistemic.Witness,
+    epistemic.TraceReport,
+    hardy.ContradictionCertificate,
+    memory.ProtocolRun,
+}
+# Positional arguments a constructor needs, where fields have defaults.
+_REQUIRED = {
+    qcore.BasisLabel: 2,
+    qcore.OutcomeDistribution: 1,
+    epistemic.EpistemicStatement: 5,
+    epistemic.AxiomSet: 0,
+}
+
+
+def test_plain_classes_take_the_shared_constructor():
+    assert len(_PLAIN) == 12
+    for cls in _PLAIN:
+        assert "__init__" not in vars(cls), cls
+        assert cls.__init__ is Frozen.__init__, cls
+    assert bohm.TransportCoupling._fields == ("kind",)
+
+
+@pytest.mark.parametrize("cls", _CLASSES, ids=lambda c: c.__qualname__)
+def test_constructors_refuse_a_wrong_number_of_fields(cls):
+    values = [getattr(INSTANCES[cls], f) for f in cls._fields]
+    with pytest.raises(TypeError, match=cls.__qualname__):
+        cls(*values, values[0])
+    required = _REQUIRED.get(cls, len(values))
+    if required:
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*values[: required - 1])
