@@ -16,11 +16,18 @@ Scalar settings run on the exact kernel of :mod:`qcore` and never import
 numpy.  Array settings read the state's correlation block, four scalar
 Born-rule correlations computed once per state.  They, ``chsh_scan`` and
 ``erased_vs_kept_chsh`` import numpy when called.
+
+``erased_vs_kept_chsh`` builds its own singlet, so its report depends on its
+two grid sizes alone: it is memoized per ``(grid_n, match_grid)``, and each
+report is checked when computed, its kept-records maximum against the Born
+rule at the scan's argmax (``born_rule_residual``).  Grid sizes must be
+integers of at least 1, checked before anything is computed or cached.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
@@ -31,6 +38,7 @@ from .qcore import (
     DensityOperator,
     Frozen,
     FrozenValue,
+    InvariantViolation,
     StateVector,
     System,
     born_distribution,
@@ -48,6 +56,9 @@ BILINEAR_TOL = 1e-12
 # state's block twice, and erased_vs_kept_chsh reads the kept density's three
 # times; the least recently used block is evicted first.
 CORRELATION_CACHE = 64
+# Distinct (grid_n, match_grid) pairs whose erased-versus-kept report is kept;
+# the least recently used report is evicted first.
+REPORT_CACHE = 16
 
 # z basis for either particle of the pair, ordered (up, down).
 PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
@@ -243,6 +254,17 @@ class ScanResult(FrozenValue):
     grid_n: int
 
 
+def _grid_size(name: str, value) -> int:
+    """``value`` as an int of at least 1.  TypeError for what
+    ``operator.index`` refuses and for a bool; ValueError below 1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    size = operator.index(value)
+    if size < 1:
+        raise ValueError(f"{name} must be at least 1, got {size}")
+    return size
+
+
 def _on_grid(correlation_fn: CorrelationFn, angles: np.ndarray) -> np.ndarray:
     """E(a, b) for every pair of ``angles``, in one broadcast call."""
     import numpy as np
@@ -261,12 +283,12 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
     grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
     called twice, on the 2x2 ends and on the whole grid, so it must broadcast.
-    A grid_n below 1 raises ValueError before the correlation is called.
+    A grid_n that is not an integer (a bool included) raises TypeError, and
+    one below 1 ValueError, before the correlation is called.
     """
+    grid_n = _grid_size("grid_n", grid_n)
     import numpy as np
 
-    if not grid_n >= 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
     t = _on_grid(correlation_fn, np.array([0.0, math.pi / 2.0]))
     grid = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
     e = _on_grid(correlation_fn, grid)
@@ -280,6 +302,20 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     dirs = np.column_stack((u, vt.T @ np.array([[c, c], [si, -si]])))
     quad = AngleQuad(*np.arctan2(dirs[1], dirs[0]))
     return ScanResult(2.0 * math.hypot(s[0], s[1]), quad, grid_n)
+
+
+def born_rule_residual(scan: ScanResult, state=None) -> float:
+    """|S - scan.max_s|, with S from the Born rule at the scan's argmax: four
+    scalar correlations of the state (default: the singlet), which never read
+    the correlation block that the scan solved on.  A residual above
+    BILINEAR_TOL raises InvariantViolation."""
+    s_born = chsh(lambda a, b: quantum_correlation(a, b, state), scan.argmax)
+    residual = abs(s_born - scan.max_s)
+    if not residual <= BILINEAR_TOL:
+        raise InvariantViolation(
+            f"scan maximum {scan.max_s!r} is not the Born-rule S {s_born!r} at its argmax"
+        )
+    return residual
 
 
 class ErasedKeptReport(FrozenValue):
@@ -315,12 +351,21 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
     """Erased records leave the singlet coherent (S = 2*sqrt2); kept records
     dephase it in z, and the dephased correlations equal the
     observer-independent-facts model's -cos(alpha)cos(beta) exactly, to the
-    largest gap over a match_grid x match_grid angle grid.  A grid_n or a
-    match_grid below 1 raises ValueError before anything is computed."""
-    if not grid_n >= 1:
-        raise ValueError(f"grid_n must be at least 1, got {grid_n}")
-    if not match_grid >= 1:
-        raise ValueError(f"match_grid must be at least 1, got {match_grid}")
+    largest gap over a match_grid x match_grid angle grid.
+
+    The kept-records maximum is the closed-form scan checked on a grid_n x
+    grid_n grid, and then against the Born rule at its argmax: a residual
+    above BILINEAR_TOL raises InvariantViolation.  The report is memoized per
+    (grid_n, match_grid), the least recently used of REPORT_CACHE pairs
+    evicted first; it is frozen and shared.  A grid size that is not an
+    integer (a bool included) raises TypeError, and one below 1 ValueError,
+    before anything is computed or cached."""
+    return _erased_vs_kept(_grid_size("grid_n", grid_n), _grid_size("match_grid", match_grid))
+
+
+# The report builds its own singlet, so it depends on the two sizes alone.
+@lru_cache(maxsize=REPORT_CACHE, typed=True)
+def _erased_vs_kept(grid_n: int, match_grid: int) -> ErasedKeptReport:
     import numpy as np
 
     from .memory import Friend, record_and_erase, record_and_keep
@@ -337,7 +382,8 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
         return quantum_correlation(a, b, kept)
 
     s_kept_at_quad = chsh(kept_corr, OPTIMAL_QUAD)
-    s_kept_max = chsh_scan(kept_corr, grid_n=grid_n).max_s
+    scan = chsh_scan(kept_corr, grid_n=grid_n)
+    born_rule_residual(scan, kept)
 
     model = observer_independent_facts_model()
     angles = np.linspace(0.0, _TWO_PI, match_grid, endpoint=False)
@@ -347,7 +393,7 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
         OPTIMAL_QUAD,
         s_erased,
         s_kept_at_quad,
-        s_kept_max,
+        scan.max_s,
         kept_corr(0.0, 0.0),
         gap,
     )

@@ -285,12 +285,8 @@ def cmd_chsh(args) -> tuple[str, dict]:
     if args.scan:
         scan_q = bell.chsh_scan(bell.quantum_correlation, grid_n=args.grid)
         # The scan solves on the singlet's correlation block; S from the Born
-        # rule at its argmax (four scalar correlations) checks that block.
-        s_born = bell.chsh(bell.quantum_correlation, scan_q.argmax)
-        if not abs(s_born - scan_q.max_s) <= bell.BILINEAR_TOL:
-            raise InvariantViolation(
-                f"scan maximum {scan_q.max_s!r} is not the Born-rule S {s_born!r} at its argmax"
-            )
+        # rule at its argmax checks that block.
+        bell.born_rule_residual(scan_q)
         scan_l = bell.chsh_scan(lambda a, b: bell.lhv_correlation(model, a, b), grid_n=args.grid)
         lines.append(
             f"scan (closed form, checked on a {args.grid}x{args.grid} grid): "

@@ -23,6 +23,7 @@ from wignerfriend.memory import Friend, record_and_erase, record_and_keep
 from wignerfriend.qcore import (
     SPIN_W,
     DensityOperator,
+    InvariantViolation,
     born_distribution,
     direction_basis,
     make_state,
@@ -153,6 +154,29 @@ def test_chsh_scan_rejects_an_empty_grid_before_calling_the_correlation(grid_n):
     assert chsh_scan(fn, 1).max_s == pytest.approx(TSIRELSON, abs=1e-12)
 
 
+# Not integers: a float (even a whole one), a bool, a string, None.
+NOT_A_SIZE = [2.5, 20.0, True, False, "3", None]
+
+
+@pytest.mark.parametrize("grid_n", NOT_A_SIZE)
+def test_chsh_scan_rejects_a_non_integer_grid_before_calling_the_correlation(grid_n):
+    calls = []
+
+    def fn(a, b):
+        calls.append((a, b))
+        return quantum_correlation(a, b)
+
+    with pytest.raises(TypeError, match="grid_n must be an integer"):
+        chsh_scan(fn, grid_n)
+    assert calls == []
+
+
+def test_chsh_scan_takes_any_index_as_its_grid():
+    result = chsh_scan(quantum_correlation, np.int64(7))
+    assert type(result.grid_n) is int and result.grid_n == 7
+    assert result == chsh_scan(quantum_correlation, 7)
+
+
 def test_lhv_scan_respects_the_local_bound():
     result = chsh_scan(lambda a, b: lhv_correlation(MODEL, a, b), grid_n=20)
     assert result.max_s <= 2.0 + 1e-9
@@ -217,6 +241,90 @@ def test_erased_vs_kept_rejects_an_empty_scan_grid_before_computing(monkeypatch,
     monkeypatch.setattr(memory, "record_and_keep", refused)
     with pytest.raises(ValueError, match="grid_n must be at least 1"):
         bell.erased_vs_kept_chsh(grid_n=grid_n)
+
+
+def _refuse_record_and_keep(monkeypatch):
+    from wignerfriend import memory
+
+    def refused(*args):
+        raise AssertionError("record_and_keep ran before the grid sizes were checked")
+
+    monkeypatch.setattr(memory, "record_and_keep", refused)
+
+
+@pytest.mark.parametrize("bad", NOT_A_SIZE)
+@pytest.mark.parametrize("name", ["grid_n", "match_grid"])
+def test_erased_vs_kept_rejects_a_non_integer_grid_before_computing(monkeypatch, name, bad):
+    from wignerfriend import bell
+
+    _refuse_record_and_keep(monkeypatch)
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        bell.erased_vs_kept_chsh(**{name: bad})
+    assert bell._erased_vs_kept.cache_info().currsize == 0
+
+
+def test_equal_grid_sizes_share_one_cached_report():
+    from wignerfriend import bell
+
+    report = erased_vs_kept_chsh(7, 5)
+    assert erased_vs_kept_chsh(grid_n=7, match_grid=5) is report
+    assert erased_vs_kept_chsh(np.int64(7), match_grid=np.int64(5)) is report
+    assert erased_vs_kept_chsh() is erased_vs_kept_chsh(20, 10)
+    info = bell._erased_vs_kept.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (2, 2, bell.REPORT_CACHE)
+
+
+def test_a_rejected_grid_raises_on_every_call_even_with_valid_reports_cached(monkeypatch):
+    from wignerfriend import bell
+
+    erased_vs_kept_chsh()
+    erased_vs_kept_chsh(grid_n=1)
+    before = bell._erased_vs_kept.cache_info()
+    _refuse_record_and_keep(monkeypatch)
+    for _ in range(2):
+        for kwargs, error in (
+            ({"grid_n": 0}, ValueError),
+            ({"grid_n": -2}, ValueError),
+            ({"match_grid": 0}, ValueError),
+            ({"grid_n": 20.0}, TypeError),
+            ({"grid_n": True}, TypeError),
+        ):
+            with pytest.raises(error):
+                erased_vs_kept_chsh(**kwargs)
+    assert bell._erased_vs_kept.cache_info() == before
+
+
+def test_a_recomputed_report_equals_the_cached_one():
+    from wignerfriend import bell
+
+    cached = erased_vs_kept_chsh()
+    bell._erased_vs_kept.cache_clear()
+    fresh = erased_vs_kept_chsh()
+    assert fresh is not cached
+    assert fresh == cached and hash(fresh) == hash(cached)
+
+
+# A correlation block that is not the state's: a scan solves on it without
+# complaint, and only the Born rule at the argmax sees it.
+WRONG_BLOCK = (-1.0, 0.0, 0.0, -0.5)
+
+
+def test_born_rule_residual_is_below_tolerance_on_true_blocks():
+    from wignerfriend import bell
+
+    kept = record_and_keep(singlet(), (Friend.F, Friend.FBAR)).final_state
+    assert bell.born_rule_residual(chsh_scan(quantum_correlation, 7)) <= bell.BILINEAR_TOL
+    scan = chsh_scan(lambda a, b: quantum_correlation(a, b, kept), 7)
+    assert bell.born_rule_residual(scan, kept) <= bell.BILINEAR_TOL
+
+
+def test_erased_vs_kept_checks_the_kept_maximum_against_the_born_rule(monkeypatch):
+    from wignerfriend import bell
+
+    monkeypatch.setattr(bell, "_correlation_block", lambda obj: WRONG_BLOCK)
+    with pytest.raises(InvariantViolation, match="^scan maximum .* is not the Born-rule S .* at its argmax$"):
+        erased_vs_kept_chsh()
+    assert bell._erased_vs_kept.cache_info().currsize == 0
 
 
 def _random_amps(seed: int) -> np.ndarray:

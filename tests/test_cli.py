@@ -250,6 +250,19 @@ def test_chsh_scan_is_cross_checked_against_the_born_rule(monkeypatch, capsys):
         assert err.startswith("invariant violation: scan maximum ")
 
 
+def test_chsh_erased_vs_kept_is_cross_checked_against_the_born_rule(monkeypatch, capsys):
+    from wignerfriend import bell
+
+    # The kept records' maximum solves on this block; the Born rule at its
+    # argmax does not, and exits 1 in both formats.
+    monkeypatch.setattr(bell, "_correlation_block", lambda obj: (-1.0, 0.0, 0.0, -0.5))
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, "chsh", "--erased-vs-kept")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("invariant violation: scan maximum ")
+
+
 @pytest.mark.parametrize(
     "raw",
     [
