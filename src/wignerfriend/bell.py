@@ -17,11 +17,10 @@ numpy.  Array settings read the state's correlation block, four scalar
 Born-rule correlations computed once per state.  They, ``chsh_scan`` and
 ``erased_vs_kept_chsh`` import numpy when called.
 
-``erased_vs_kept_chsh`` builds its own singlet, so its report depends on its
-two grid sizes alone: it is memoized per ``(grid_n, match_grid)``, and each
-report is checked when computed, its kept-records maximum against the Born
-rule at the scan's argmax (``born_rule_residual``).  Grid sizes must be
-integers of at least 1, checked before anything is computed or cached.
+``erased_vs_kept_chsh`` checks its kept-records maximum against the Born
+rule at the scan's argmax (``born_rule_residual``), as ``chsh --scan`` checks
+the singlet's.  Grid sizes must be integers of at least 1, checked before
+anything is computed.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ BILINEAR_TOL = 1e-12
 # state's block twice, and erased_vs_kept_chsh reads the kept density's three
 # times; the least recently used block is evicted first.
 CORRELATION_CACHE = 64
-# Distinct (grid_n, match_grid) pairs whose erased-versus-kept report is kept;
-# the least recently used report is evicted first.
-REPORT_CACHE = 16
 
 # z basis for either particle of the pair, ordered (up, down).
 PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
@@ -355,17 +351,11 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
 
     The kept-records maximum is the closed-form scan checked on a grid_n x
     grid_n grid, and then against the Born rule at its argmax: a residual
-    above BILINEAR_TOL raises InvariantViolation.  The report is memoized per
-    (grid_n, match_grid), the least recently used of REPORT_CACHE pairs
-    evicted first; it is frozen and shared.  A grid size that is not an
+    above BILINEAR_TOL raises InvariantViolation.  A grid size that is not an
     integer (a bool included) raises TypeError, and one below 1 ValueError,
-    before anything is computed or cached."""
-    return _erased_vs_kept(_grid_size("grid_n", grid_n), _grid_size("match_grid", match_grid))
-
-
-# The report builds its own singlet, so it depends on the two sizes alone.
-@lru_cache(maxsize=REPORT_CACHE, typed=True)
-def _erased_vs_kept(grid_n: int, match_grid: int) -> ErasedKeptReport:
+    before anything is computed."""
+    grid_n = _grid_size("grid_n", grid_n)
+    match_grid = _grid_size("match_grid", match_grid)
     import numpy as np
 
     from .memory import Friend, record_and_erase, record_and_keep

@@ -48,7 +48,12 @@ positive, which holds exactly when every eigenvalue of H is above -NORM_TOL
 number of steps, with no iteration and no convergence tolerance.
 Input that is not numbers of the right shape raises ValueError("dimension
 mismatch").  Every operation that returns a new state or density operator
-builds it through these constructors, so each intermediate is checked too.
+builds it through these constructors.  Re-expressing a value in new bases
+(``express``, ``express_density``, ``born_distribution``) applies checked
+basis changes to a checked value's numbers, one system after another, and
+checks only what it returns: the re-expressed value, or the outcome
+distribution, which ``born_distribution`` reads off the diagonal without
+building the re-expressed value at all.
 
 Conventions, fixed so that emitted tables and files are deterministic:
 
@@ -490,15 +495,23 @@ def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
     return StateVector(bases, _map_pairs(u.rows, _pairs(k, state.num_systems), state.vec))
 
 
+def _expressed_vec(state: StateVector, bases: tuple[Basis, ...]):
+    """``state.vec`` re-expressed in ``bases``, one basis change per system
+    whose basis differs; ``state.vec`` itself when none does."""
+    n = state.num_systems
+    if len(bases) != n:
+        raise ValueError("dimension mismatch")
+    vec = state.vec
+    for k, b in enumerate(bases):
+        if state.bases[k] != b:
+            vec = _map_pairs(basis_change(k, state.bases[k], b).rows, _pairs(k, n), vec)
+    return vec
+
+
 def express(state: StateVector, bases: tuple[Basis, ...]) -> StateVector:
     """Re-express every system of ``state`` in the given bases."""
-    if len(bases) != state.num_systems:
-        raise ValueError("dimension mismatch")
-    out = state
-    for k, b in enumerate(bases):
-        if out.bases[k] != b:
-            out = apply_local(out, basis_change(k, out.bases[k], b))
-    return out
+    vec = _expressed_vec(state, bases)
+    return state if vec is state.vec else StateVector(tuple(bases), vec)
 
 
 class OutcomeDistribution(FrozenValue):
@@ -535,13 +548,15 @@ def _distribution_from_diagonal(diag, bases: tuple[Basis, ...]) -> OutcomeDistri
 
 def born_distribution(obj, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     """Born-rule outcome probabilities of a state or density operator in the
-    given measurement bases (one per system)."""
+    given measurement bases (one per system): the diagonal that
+    :func:`express` or :func:`express_density` would give, read without
+    building and re-checking the re-expressed value."""
     bases = tuple(bases)
     if isinstance(obj, StateVector):
-        vec = express(obj, bases).vec
+        vec = _expressed_vec(obj, bases)
         return _distribution_from_diagonal([abs(z) ** 2 for z in vec], bases)
     if isinstance(obj, DensityOperator):
-        rows = express_density(obj, bases).rows
+        rows = _expressed_rows(obj, bases)
         return _distribution_from_diagonal([rows[i][i].real for i in range(len(rows))], bases)
     raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
 
@@ -647,18 +662,23 @@ def density_from_state(state: StateVector) -> DensityOperator:
     return DensityOperator(state.bases, [[x * y for y in vc] for x in v])
 
 
-def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOperator:
-    """Re-express a density operator in the given bases."""
+def _expressed_rows(rho: DensityOperator, bases: tuple[Basis, ...]):
+    """``rho.rows`` re-expressed in ``bases``, U rho U^H per system whose
+    basis differs; ``rho.rows`` itself when none does."""
     n = rho.num_systems
     if len(bases) != n:
         raise ValueError("dimension mismatch")
-    if all(b == c for b, c in zip(rho.bases, bases)):
-        return rho
     rows = rho.rows
     for k, b in enumerate(bases):
         if rho.bases[k] != b:
             rows = _conjugate_by(basis_change(k, rho.bases[k], b).rows, _pairs(k, n), rows)
-    return DensityOperator(tuple(bases), rows)
+    return rows
+
+
+def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOperator:
+    """Re-express a density operator in the given bases."""
+    rows = _expressed_rows(rho, bases)
+    return rho if rows is rho.rows else DensityOperator(tuple(bases), rows)
 
 
 def dephase(rho: DensityOperator, system: int, basis: Basis) -> DensityOperator:

@@ -260,48 +260,10 @@ def test_erased_vs_kept_rejects_a_non_integer_grid_before_computing(monkeypatch,
     _refuse_record_and_keep(monkeypatch)
     with pytest.raises(TypeError, match=f"{name} must be an integer"):
         bell.erased_vs_kept_chsh(**{name: bad})
-    assert bell._erased_vs_kept.cache_info().currsize == 0
 
 
-def test_equal_grid_sizes_share_one_cached_report():
-    from wignerfriend import bell
-
-    report = erased_vs_kept_chsh(7, 5)
-    assert erased_vs_kept_chsh(grid_n=7, match_grid=5) is report
-    assert erased_vs_kept_chsh(np.int64(7), match_grid=np.int64(5)) is report
-    assert erased_vs_kept_chsh() is erased_vs_kept_chsh(20, 10)
-    info = bell._erased_vs_kept.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (2, 2, bell.REPORT_CACHE)
-
-
-def test_a_rejected_grid_raises_on_every_call_even_with_valid_reports_cached(monkeypatch):
-    from wignerfriend import bell
-
-    erased_vs_kept_chsh()
-    erased_vs_kept_chsh(grid_n=1)
-    before = bell._erased_vs_kept.cache_info()
-    _refuse_record_and_keep(monkeypatch)
-    for _ in range(2):
-        for kwargs, error in (
-            ({"grid_n": 0}, ValueError),
-            ({"grid_n": -2}, ValueError),
-            ({"match_grid": 0}, ValueError),
-            ({"grid_n": 20.0}, TypeError),
-            ({"grid_n": True}, TypeError),
-        ):
-            with pytest.raises(error):
-                erased_vs_kept_chsh(**kwargs)
-    assert bell._erased_vs_kept.cache_info() == before
-
-
-def test_a_recomputed_report_equals_the_cached_one():
-    from wignerfriend import bell
-
-    cached = erased_vs_kept_chsh()
-    bell._erased_vs_kept.cache_clear()
-    fresh = erased_vs_kept_chsh()
-    assert fresh is not cached
-    assert fresh == cached and hash(fresh) == hash(cached)
+def test_erased_vs_kept_takes_any_index_as_its_grid_sizes():
+    assert erased_vs_kept_chsh(np.int64(7), match_grid=np.int64(5)) == erased_vs_kept_chsh(7, 5)
 
 
 # A correlation block that is not the state's: a scan solves on it without
@@ -322,9 +284,9 @@ def test_erased_vs_kept_checks_the_kept_maximum_against_the_born_rule(monkeypatc
     from wignerfriend import bell
 
     monkeypatch.setattr(bell, "_correlation_block", lambda obj: WRONG_BLOCK)
-    with pytest.raises(InvariantViolation, match="^scan maximum .* is not the Born-rule S .* at its argmax$"):
+    message = "^scan maximum .* is not the Born-rule S .* at its argmax$"
+    with pytest.raises(InvariantViolation, match=message):
         erased_vs_kept_chsh()
-    assert bell._erased_vs_kept.cache_info().currsize == 0
 
 
 def _random_amps(seed: int) -> np.ndarray:

@@ -404,6 +404,40 @@ def test_born_distribution_matches_kron_oracle_on_three_systems(system, seed):
             assert table[key] == pytest.approx(p, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("system", [0, 1, 2, None])
+def test_born_distribution_is_the_re_expressed_diagonal_bit_for_bit(system, seed):
+    target = THREE_TARGET if system is None else _change_one(system)
+    state = _three_system_state(seed)
+    rho = _three_system_density(seed)
+    vec = express(state, target).vec
+    assert list(born_distribution(state, target).probs.values()) == [abs(z) ** 2 for z in vec]
+    rows = express_density(rho, target).rows
+    diag = [max(rows[i][i].real, 0.0) for i in range(len(rows))]
+    assert list(born_distribution(rho, target).probs.values()) == diag
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_express_is_the_chain_of_local_basis_changes(seed):
+    state = _three_system_state(seed)
+    chained = state
+    for k, (source, target) in enumerate(zip(THREE_SOURCE, THREE_TARGET)):
+        chained = apply_local(chained, basis_change(k, source, target))
+    out = express(state, THREE_TARGET)
+    assert (out.bases, out.vec) == (chained.bases, chained.vec)
+    rho = _three_system_density(seed)
+    assert express(state, THREE_SOURCE) is state
+    assert express_density(rho, THREE_SOURCE) is rho
+
+
+@pytest.mark.parametrize(
+    "obj", [_three_system_state(1), _three_system_density(1)], ids=["state", "density"]
+)
+def test_born_distribution_rejects_a_basis_count_mismatch(obj):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        born_distribution(obj, THREE_TARGET[:2])
+
+
 def _density_with_spectrum(rng, spectrum):
     """V diag(spectrum) V^H for a seeded random unitary V."""
     d = len(spectrum)
