@@ -272,15 +272,20 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     """Maximize S over coplanar settings in closed form.
 
     With n(a) = (cos a, sin a), a correlation on one great circle is
-    E(a, b) = n(a)^T T n(b), and T is read off E at a, b in {0, pi/2}.  Then
-    S_max = 2*sqrt(s1^2 + s2^2) over the singular values of T (Horodecki
-    criterion restricted to one plane), reached at a = u1, a' = u2 and
-    b, b' = cos(t) v1 +- sin(t) v2 with tan(t) = s2/s1.  Bilinearity is
-    checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
-    grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
-    called twice, on the 2x2 ends and on the whole grid, so it must broadcast.
-    A grid_n that is not an integer (a bool included) raises TypeError, and
-    one below 1 ValueError, before the correlation is called.
+    E(a, b) = n(a)^T T n(b), and T is read off E at a, b in {0, pi/2}.  The
+    2x2 block is solved in plain Python as T = R(phi) diag(s1, s2) R(theta),
+    R a rotation: with e, f = (t00 +- t11)/2 and g, h = (t10 +- t01)/2,
+    phi and theta = (atan2(h, e) +- atan2(g, f))/2, s1 = hypot(e, h) +
+    hypot(f, g) and s2 = hypot(e, h) - hypot(f, g).  Then S_max =
+    2*hypot(s1, s2) (Horodecki criterion restricted to one plane), reached at
+    a = phi, a' = phi + pi/2 and b, b' = -theta +- sign(s2)*t with
+    t = atan2(|s2|, s1).  Bilinearity is checked, not assumed: E must match
+    the bilinear form to BILINEAR_TOL on a grid_n x grid_n angle grid, or
+    ValueError is raised.  The correlation is called twice, on the 2x2 ends
+    and on the whole grid, so it must broadcast; on a state or density
+    operator it builds no state or density of its own.  A grid_n that is not
+    an integer (a bool included) raises TypeError, and one below 1
+    ValueError, before the correlation is called.
     """
     grid_n = _grid_size("grid_n", grid_n)
     import numpy as np
@@ -292,12 +297,17 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     residual = float(np.max(np.abs(e - n @ t @ n.T)))
     if not residual <= BILINEAR_TOL:
         raise ValueError(f"correlation is not bilinear in the settings: residual {residual:.3g}")
-    u, s, vt = np.linalg.svd(t)
-    theta = math.atan2(s[1], s[0])
-    c, si = math.cos(theta), math.sin(theta)
-    dirs = np.column_stack((u, vt.T @ np.array([[c, c], [si, -si]])))
-    quad = AngleQuad(*np.arctan2(dirs[1], dirs[0]))
-    return ScanResult(2.0 * math.hypot(s[0], s[1]), quad, grid_n)
+    (t00, t01), (t10, t11) = t.tolist()
+    e, f = (t00 + t11) / 2.0, (t00 - t11) / 2.0
+    g, h = (t10 + t01) / 2.0, (t10 - t01) / 2.0
+    plus, minus = math.atan2(h, e), math.atan2(g, f)
+    phi, theta = (plus + minus) / 2.0, (plus - minus) / 2.0
+    s1 = math.hypot(e, h) + math.hypot(f, g)
+    s2 = math.hypot(e, h) - math.hypot(f, g)
+    # s1 >= |s2|; a negative s2 turns Bob's offset the other way.
+    offset = math.copysign(math.atan2(abs(s2), s1), s2)
+    quad = AngleQuad(phi, phi + math.pi / 2.0, -theta + offset, -theta - offset)
+    return ScanResult(2.0 * math.hypot(s1, s2), quad, grid_n)
 
 
 def born_rule_residual(scan: ScanResult, state=None) -> float:

@@ -20,8 +20,6 @@ from .qcore import (
     OutcomeDistribution,
     StateVector,
     born_distribution,
-    density_from_state,
-    dephase,
 )
 
 
@@ -86,12 +84,26 @@ def record_and_erase(state: StateVector, agent: Friend, basis: Basis) -> Protoco
 
 def record_and_keep(state: StateVector, agents) -> ProtocolRun:
     """Record without erasure: each recording agent's system decoheres in its
-    recording basis, and the run's final state is the dephased density."""
+    recording basis, and the run's final state is the dephased density.
+
+    Each agent records in its system's current basis, so the density is
+    |psi><psi| with the coherences of every recorded system zeroed, built in
+    one pass and checked once: the rows that :func:`qcore.density_from_state`
+    followed by one :func:`qcore.dephase` per agent would give."""
     agents = tuple(sorted(set(agents), key=lambda a: a.system))
     if not agents:
         raise ValueError("no agents")
-    rho = density_from_state(state)
-    for agent in agents:
-        rho = dephase(rho, agent.system, state.bases[agent.system])
-    return ProtocolRun(agents, False, rho)
+    n = state.num_systems
+    if agents[-1].system >= n:
+        raise ValueError("system index out of range")
+    # Entry (r, c) is a coherence of a recorded system when r and c differ in
+    # that system's bit of the first-system-major index.
+    recorded = sum(1 << (n - agent.system - 1) for agent in agents)
+    v = state.vec
+    vc = [y.conjugate() for y in v]
+    rows = [
+        [x * y if (r ^ c) & recorded == 0 else 0j for c, y in enumerate(vc)]
+        for r, x in enumerate(v)
+    ]
+    return ProtocolRun(agents, False, DensityOperator(state.bases, rows))
 

@@ -53,7 +53,9 @@ builds it through these constructors.  Re-expressing a value in new bases
 basis changes to a checked value's numbers, one system after another, and
 checks only what it returns: the re-expressed value, or the outcome
 distribution, which ``born_distribution`` reads off the diagonal without
-building the re-expressed value at all.
+building the re-expressed value at all.  For a density operator it computes
+only the diagonal of the last basis change, the same floats that the full
+change would put there.
 
 Conventions, fixed so that emitted tables and files are deterministic:
 
@@ -480,6 +482,23 @@ def _conjugate_by(u: _Rows, pairs, rows) -> list:
     return out
 
 
+def _conjugated_diagonal(u: _Rows, pairs, rows) -> list[float]:
+    """The real diagonal of :func:`_conjugate_by`'s result, computed alone:
+    the diagonal entries of (U B) U^H for each 2x2 block B on the diagonal,
+    with the same floating-point operations in the same order."""
+    (a, b), (c, d) = u
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    out = [0.0] * len(rows)
+    for i0, i1 in pairs:
+        r0, r1 = rows[i0], rows[i1]
+        p, q, r, s = r0[i0], r0[i1], r1[i0], r1[i1]
+        x00, x01 = a * p + b * r, a * q + b * s
+        x10, x11 = c * p + d * r, c * q + d * s
+        out[i0] = (x00 * ac + x01 * bc).real
+        out[i1] = (x10 * cc + x11 * dc).real
+    return out
+
+
 def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
     """Apply a local unitary; the norm is preserved and the system's basis tag
     is updated to the unitary's target."""
@@ -550,14 +569,14 @@ def born_distribution(obj, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     """Born-rule outcome probabilities of a state or density operator in the
     given measurement bases (one per system): the diagonal that
     :func:`express` or :func:`express_density` would give, read without
-    building and re-checking the re-expressed value."""
+    building and re-checking the re-expressed value.  A density's last basis
+    change computes the diagonal alone."""
     bases = tuple(bases)
     if isinstance(obj, StateVector):
         vec = _expressed_vec(obj, bases)
         return _distribution_from_diagonal([abs(z) ** 2 for z in vec], bases)
     if isinstance(obj, DensityOperator):
-        rows = _expressed_rows(obj, bases)
-        return _distribution_from_diagonal([rows[i][i].real for i in range(len(rows))], bases)
+        return _distribution_from_diagonal(_expressed_rows(obj, bases, diagonal=True), bases)
     raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
 
 
@@ -662,17 +681,22 @@ def density_from_state(state: StateVector) -> DensityOperator:
     return DensityOperator(state.bases, [[x * y for y in vc] for x in v])
 
 
-def _expressed_rows(rho: DensityOperator, bases: tuple[Basis, ...]):
+def _expressed_rows(rho: DensityOperator, bases: tuple[Basis, ...], diagonal: bool = False):
     """``rho.rows`` re-expressed in ``bases``, U rho U^H per system whose
-    basis differs; ``rho.rows`` itself when none does."""
+    basis differs; ``rho.rows`` itself when none does.  With ``diagonal``,
+    only the real diagonal of that result: the last basis change computes
+    nothing else."""
     n = rho.num_systems
     if len(bases) != n:
         raise ValueError("dimension mismatch")
+    changed = [k for k in range(n) if rho.bases[k] != bases[k]]
     rows = rho.rows
-    for k, b in enumerate(bases):
-        if rho.bases[k] != b:
-            rows = _conjugate_by(basis_change(k, rho.bases[k], b).rows, _pairs(k, n), rows)
-    return rows
+    for k in changed:
+        u = basis_change(k, rho.bases[k], bases[k]).rows
+        if diagonal and k == changed[-1]:
+            return _conjugated_diagonal(u, _pairs(k, n), rows)
+        rows = _conjugate_by(u, _pairs(k, n), rows)
+    return [rows[i][i].real for i in range(len(rows))] if diagonal else rows
 
 
 def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOperator:

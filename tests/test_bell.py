@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from wignerfriend.bell import (
@@ -310,8 +312,35 @@ def _case_state(name: str):
     return state, rho
 
 
+def _bilinear(block):
+    """E(a, b) = n(a)^T T n(b) on a 2x2 block T, broadcasting over arrays."""
+    (t00, t01), (t10, t11) = block
+
+    def correlation(a, b):
+        return np.cos(a) * (t00 * np.cos(b) + t01 * np.sin(b)) + np.sin(a) * (
+            t10 * np.cos(b) + t11 * np.sin(b)
+        )
+
+    return correlation
+
+
+# Synthetic blocks: degenerate (the singlet's is -I), rank one (as for kept
+# records), zero, and det T < 0 (the second singular value negative in the
+# rotation form).
+BLOCKS = {
+    "block-identity": np.eye(2),
+    "block-minus-identity": -np.eye(2),
+    "block-rank-one": np.diag([-1.0, 0.0]),
+    "block-zero": np.zeros((2, 2)),
+    "block-negative-det": np.array([[0.3, 0.8], [0.5, -0.2]]),
+}
+
+
 def _chsh_case(name: str):
     """(package correlation, oracle correlation, oracle block) for one case."""
+    if name in BLOCKS:
+        fn = _bilinear(BLOCKS[name])
+        return fn, fn, BLOCKS[name]
     if name == "lhv":
         return (
             lambda a, b: lhv_correlation(MODEL, a, b),
@@ -327,15 +356,37 @@ def _chsh_case(name: str):
 
 
 @pytest.mark.parametrize(
-    "case", ["singlet", "lhv", "pure-1", "pure-2", "pure-3", "kept-4", "kept-5", "kept-6"]
+    "case",
+    ["singlet", "lhv", "pure-1", "pure-2", "pure-3", "kept-4", "kept-5", "kept-6", *BLOCKS],
 )
 def test_closed_form_chsh_maximum_matches_the_oracles(case):
     fn, oracle_fn, block = _chsh_case(case)
     result = chsh_scan(fn, 12)
+    _assert_matches_the_svd(fn, block, result)
+    assert oracles.chsh_grid_max(oracle_fn, 12) <= result.max_s + 1e-12
+
+
+def _assert_matches_the_svd(fn, block, result):
     sigma = np.linalg.svd(block, compute_uv=False)
     assert result.max_s == pytest.approx(2.0 * math.hypot(*sigma), abs=1e-12)
     assert chsh(fn, result.argmax) == pytest.approx(result.max_s, abs=1e-12)
-    assert oracles.chsh_grid_max(oracle_fn, 12) <= result.max_s + 1e-12
+
+
+def test_a_negative_determinant_turns_bobs_offset_the_other_way():
+    fn = _bilinear(BLOCKS["block-negative-det"])
+    quad = chsh_scan(fn, 4).argmax
+    # Bob's two settings sit symmetrically about -theta; with det T < 0 the
+    # first of them is the one below it, and swapping them lowers S.
+    swapped = AngleQuad(quad.a, quad.aprime, quad.bprime, quad.b)
+    assert chsh(fn, swapped) < chsh(fn, quad) - 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_closed_form_chsh_maximum_matches_the_svd_on_any_block(entries):
+    block = np.array(entries).reshape(2, 2)
+    fn = _bilinear(block)
+    _assert_matches_the_svd(fn, block, chsh_scan(fn, 4))
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,24 @@ def test_chsh_scan_json_has_the_report_fields(capsys):
     assert float(payload["S_lhv_max"]) <= 2.0 + 1e-9
 
 
+# The singlet's correlation block is -I, so every rotated quad is a maximum;
+# the closed-form solve picks this one.
+SINGLET_ARGMAX = [0.7853981633974483, 2.356194490192345, 4.71238898038469, 3.141592653589793]
+
+
+@pytest.mark.parametrize("grid", ["1", "7", "20", "50"])
+def test_chsh_scan_json_pins_the_singlet_argmax(capsys, grid):
+    from wignerfriend import bell
+
+    payload = run_json(capsys, "chsh", "--scan", "--grid", grid)
+    assert payload["argmax_quad"] == SINGLET_ARGMAX
+    assert payload["S_quantum_max"] == "2.8284271247461907"
+    scan = bell.ScanResult(
+        float(payload["S_quantum_max"]), bell.AngleQuad(*SINGLET_ARGMAX), int(grid)
+    )
+    assert bell.born_rule_residual(scan) <= bell.BILINEAR_TOL
+
+
 def test_chsh_erased_vs_kept(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--erased-vs-kept", "--grid", "8")
     assert code == 0

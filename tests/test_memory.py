@@ -4,7 +4,20 @@ import pytest
 import oracles
 from wignerfriend.hardy import ALL_CONTEXTS, CTX_WBAR_W, context_table, hardy_state
 from wignerfriend.memory import Friend, record_and_erase, record_and_keep
-from wignerfriend.qcore import SPIN_W, born_distribution, fidelity
+from wignerfriend.qcore import (
+    COIN_ZBAR,
+    SPIN_W,
+    SPIN_Z,
+    DensityOperator,
+    Frozen,
+    InvariantViolation,
+    StateVector,
+    born_distribution,
+    density_from_state,
+    dephase,
+    fidelity,
+    make_state,
+)
 
 S = hardy_state()
 ZBAR, Z = S.bases
@@ -126,3 +139,80 @@ def test_tables_are_empty_for_non_coin_spin_states():
     assert run.tables() == {}
     assert run.to_json_dict()["tables"] == {}
 
+
+AGENT_SETS = [(Friend.F,), (Friend.FBAR,), (Friend.FBAR, Friend.F)]
+
+
+def _random_state(seed: int, bases):
+    rng = np.random.default_rng(seed)
+    d = 2 ** len(bases)
+    return make_state(rng.normal(size=d) + 1j * rng.normal(size=d), bases)
+
+
+def _dephase_chain(state, agents):
+    rho = density_from_state(state)
+    for agent in agents:
+        rho = dephase(rho, agent.system, state.bases[agent.system])
+    return rho
+
+
+@pytest.mark.parametrize("agents", AGENT_SETS)
+@pytest.mark.parametrize(
+    "state",
+    [
+        S,
+        _random_state(1, (ZBAR, Z)),
+        _random_state(2, (SPIN_W, SPIN_Z)),
+        _random_state(3, (COIN_ZBAR, Z, SPIN_W)),
+    ],
+    ids=["hardy", "random", "port-basis", "three-systems"],
+)
+def test_kept_rows_are_the_dephase_chain_bit_for_bit(state, agents):
+    kept = record_and_keep(state, agents).final_state
+    chained = _dephase_chain(state, agents)
+    assert kept.bases == chained.bases
+    assert kept.rows == chained.rows
+
+
+@pytest.mark.parametrize("agents", AGENT_SETS)
+def test_keeping_records_builds_and_checks_one_density(monkeypatch, agents):
+    built = []
+    check = DensityOperator.__post_init__
+
+    def spy(self, *args):
+        built.append(self)
+        check(self, *args)
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", spy)
+    run = record_and_keep(S, agents)
+    assert built == [run.final_state]
+
+
+def _forged_state(vec):
+    """A StateVector whose amplitudes skipped the constructor's check."""
+    state = object.__new__(StateVector)
+    Frozen.__init__(state, S.bases, tuple(vec))
+    return state
+
+
+@pytest.mark.parametrize("agents", AGENT_SETS)
+@pytest.mark.parametrize(
+    "vec, message",
+    [
+        ((float("nan"), 0j, 0j, 1.0), "not Hermitian"),
+        ((1.0, 1.0, 0j, 0j), "trace"),
+    ],
+    ids=["nan", "unnormalized"],
+)
+def test_keeping_records_of_a_bad_state_fails_the_density_check(agents, vec, message):
+    state = _forged_state(vec)
+    with pytest.raises(InvariantViolation, match=message):
+        _dephase_chain(state, agents)
+    with pytest.raises(InvariantViolation, match=message):
+        record_and_keep(state, agents)
+
+
+def test_keeping_a_record_of_a_missing_system_is_out_of_range():
+    one_coin = make_state([1.0, 0.0], (ZBAR,))
+    with pytest.raises(ValueError, match="system index out of range"):
+        record_and_keep(one_coin, (Friend.F,))

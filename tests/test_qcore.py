@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -305,6 +306,8 @@ def test_density_validation_rejects_bad_matrices():
         DensityOperator(HARDY_BASES, np.diag([0.9, 0.3, 0, 0]))  # trace 1.2
     with pytest.raises(InvariantViolation):
         DensityOperator(HARDY_BASES, np.diag([1.5, -0.5, 0, 0]))  # negative eigenvalue
+    with pytest.raises(InvariantViolation, match="not Hermitian"):
+        DensityOperator(HARDY_BASES, [[0.5, 0.1, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
 
 
 def test_near_unitary_basis_is_rejected():
@@ -415,6 +418,33 @@ def test_born_distribution_is_the_re_expressed_diagonal_bit_for_bit(system, seed
     rows = express_density(rho, target).rows
     diag = [max(rows[i][i].real, 0.0) for i in range(len(rows))]
     assert list(born_distribution(rho, target).probs.values()) == diag
+
+
+TWO_SOURCE = (SPIN_Z, SPIN_Z)
+TWO_TARGET = (direction_basis(0.7), SPIN_W)
+
+
+def _random_density(seed, source):
+    rng = np.random.default_rng(seed)
+    d = 2 ** len(source)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return DensityOperator(source, rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "source, target", [(TWO_SOURCE, TWO_TARGET), (THREE_SOURCE, THREE_TARGET)], ids=["two", "three"]
+)
+def test_density_born_rule_is_the_full_diagonal_for_every_changed_subset(source, target, seed):
+    # The Born rule computes only the diagonal of the last basis change;
+    # express_density computes every entry of every change.
+    rho = _random_density(seed, source)
+    for changed in itertools.product((False, True), repeat=len(source)):
+        bases = tuple(t if c else s for s, t, c in zip(source, target, changed))
+        rows = express_density(rho, bases).rows
+        diag = [max(rows[i][i].real, 0.0) for i in range(len(rows))]
+        assert list(born_distribution(rho, bases).probs.values()) == diag
 
 
 @pytest.mark.parametrize("seed", [1, 2])
