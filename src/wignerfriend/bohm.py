@@ -545,6 +545,32 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     return _binomial_btrs(rng, n, p)
 
 
+def _split(group: list[TrajectoryPath], depth: int):
+    """The split tree of ``group``, paths that agree before ``depth``: the
+    signature of a single path, or else a list of ``(p, child)``, one per
+    distinct initial configuration (depth 0) or transition at ``depth``, in
+    order of first appearance, where p is the branch's mass over the mass of
+    that branch and every later one."""
+    if len(group) == 1:
+        return group[0].signature
+    buckets: dict[object, list[TrajectoryPath]] = {}
+    for p in group:
+        key = p.initial if depth == 0 else p.events[depth - 1]
+        buckets.setdefault(key, []).append(p)
+    masses = [sum(q.weight for q in bucket) for bucket in buckets.values()]
+    # Path weights are positive, so mass_i <= the sum and p <= 1.
+    return [
+        (masses[i] / sum(masses[i:]), _split(bucket, depth + 1))
+        for i, bucket in enumerate(buckets.values())
+    ]
+
+
+# Keyed like evolve, whose frozen paths each tree splits.
+@lru_cache(maxsize=16)
+def _split_tree(foliation: Foliation, coupling: TransportCoupling):
+    return _split(list(evolve(foliation, coupling).paths), 0)
+
+
 def sample_paths(
     foliation: Foliation,
     coupling: TransportCoupling = MONOTONE,
@@ -555,33 +581,30 @@ def sample_paths(
 
     At each branching node the count is split among the branches by
     sequential conditional binomial draws (:func:`binomial`): branch i gets
-    Binomial(count left, mass_i / mass of branches i and after).  That is a
-    multinomial draw, so it is distribution-identical to simulating each run
-    independently.  The generator is ``random.Random(seed)``, so counts are
-    deterministic given the seed; they differ from version 0.1.0's, which
-    drew them with numpy.  Returns counts keyed by path signature.
+    Binomial(count left, mass_i / mass of branches i and after), and the last
+    branch the rest, without a draw.  That is a multinomial draw, so it is
+    distribution-identical to simulating each run independently.  The nodes
+    and their ratios depend on the experiment alone, so they are computed
+    once per (foliation, coupling) from :func:`evolve`'s paths and kept;
+    each call only walks them, drawing nothing below a count of zero.  The
+    generator is ``random.Random(seed)``, so counts are deterministic given
+    the seed; they differ from version 0.1.0's, which drew them with numpy.
+    Returns counts keyed by path signature.
     """
-    ts = evolve(foliation, coupling)
     rng = random.Random(seed)
     counts: dict[tuple, int] = {}
 
-    def assign(count: int, group: list[TrajectoryPath], depth: int) -> None:
+    def assign(count: int, node) -> None:
         if count == 0:
             return
-        if len(group) == 1:
-            counts[group[0].signature] = count
+        if type(node) is not list:
+            counts[node] = count
             return
-        buckets: dict[object, list[TrajectoryPath]] = {}
-        for p in group:
-            key = p.initial if depth == 0 else p.events[depth - 1]
-            buckets.setdefault(key, []).append(p)
-        masses = [sum(q.weight for q in bucket) for bucket in buckets.values()]
-        last = len(masses) - 1
-        for i, bucket in enumerate(buckets.values()):
-            # Path weights are positive, so mass_i <= the sum and p <= 1.
-            got = count if i == last else binomial(rng, count, masses[i] / sum(masses[i:]))
-            assign(got, bucket, depth + 1)
+        last = len(node) - 1
+        for i, (p, child) in enumerate(node):
+            got = count if i == last else binomial(rng, count, p)
+            assign(got, child)
             count -= got
 
-    assign(samples, list(ts.paths), 0)
+    assign(samples, _split_tree(foliation, coupling))
     return counts

@@ -55,7 +55,12 @@ checks only what it returns: the re-expressed value, or the outcome
 distribution, which ``born_distribution`` reads off the diagonal without
 building the re-expressed value at all.  For a density operator it computes
 only the diagonal of the last basis change, the same floats that the full
-change would put there.
+change would put there.  What a re-expression needs apart from the numbers
+is planned once per pair of (value's bases, target bases) and kept: the
+rows of each checked basis change, the index pairs it mixes, the outcome
+names and the outcome keys.  The plan is keyed by the bases alone, never by
+a value or a result, and at most ``BASIS_CHANGE_CACHE`` plans are kept; a
+call that raises leaves none behind.
 
 Conventions, fixed so that emitted tables and files are deterministic:
 
@@ -80,7 +85,8 @@ from operator import attrgetter
 NORM_TOL = 1e-12
 ZERO_BRANCH_TOL = 1e-15
 
-# Distinct (system, source, target) triples kept by basis_change.  The fixed
+# Distinct (system, source, target) triples kept by basis_change, and
+# distinct (source bases, target bases) plans kept by _born_plan.  The fixed
 # bases need a few per system.
 BASIS_CHANGE_CACHE = 256
 # Distinct reduced angles kept by direction_basis.
@@ -514,23 +520,42 @@ def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
     return StateVector(bases, _map_pairs(u.rows, _pairs(k, state.num_systems), state.vec))
 
 
-def _expressed_vec(state: StateVector, bases: tuple[Basis, ...]):
-    """``state.vec`` re-expressed in ``bases``, one basis change per system
-    whose basis differs; ``state.vec`` itself when none does."""
-    n = state.num_systems
-    if len(bases) != n:
+@lru_cache(maxsize=BASIS_CHANGE_CACHE)
+def _born_plan(source: tuple[Basis, ...], target: tuple[Basis, ...]):
+    """What re-expressing a value from ``source`` bases into ``target`` needs,
+    keyed by the bases alone: the checked ``(rows, pairs)`` of each system's
+    basis change where the bases differ, in system order; the target's basis
+    names; and the outcome keys, first-system-major.
+
+    Memoized like :func:`basis_change`.  A basis count mismatch raises
+    ValueError("dimension mismatch") and a change between systems of
+    different kinds ValueError("basis mismatch"); neither is cached.
+    """
+    n = len(source)
+    if len(target) != n:
         raise ValueError("dimension mismatch")
-    vec = state.vec
-    for k, b in enumerate(bases):
-        if state.bases[k] != b:
-            vec = _map_pairs(basis_change(k, state.bases[k], b).rows, _pairs(k, n), vec)
+    changes = tuple(
+        (basis_change(k, s, t).rows, _pairs(k, n))
+        for k, (s, t) in enumerate(zip(source, target))
+        if s != t
+    )
+    keys = tuple(itertools.product(*(b.label_names for b in target)))
+    return changes, tuple(b.name for b in target), keys
+
+
+def _expressed_amps(vec, changes):
+    """``vec`` re-expressed by a plan's ``changes``, one 2x2 map per changed
+    system; ``vec`` itself when there are none."""
+    for u, pairs in changes:
+        vec = _map_pairs(u, pairs, vec)
     return vec
 
 
 def express(state: StateVector, bases: tuple[Basis, ...]) -> StateVector:
     """Re-express every system of ``state`` in the given bases."""
-    vec = _expressed_vec(state, bases)
-    return state if vec is state.vec else StateVector(tuple(bases), vec)
+    bases = tuple(bases)
+    changes = _born_plan(tuple(state.bases), bases)[0]
+    return StateVector(bases, _expressed_amps(state.vec, changes)) if changes else state
 
 
 class OutcomeDistribution(FrozenValue):
@@ -559,12 +584,6 @@ class OutcomeDistribution(FrozenValue):
         return self.probs.items()
 
 
-def _distribution_from_diagonal(diag, bases: tuple[Basis, ...]) -> OutcomeDistribution:
-    keys = itertools.product(*(b.label_names for b in bases))
-    probs = {key: max(p, 0.0) for key, p in zip(keys, diag)}
-    return OutcomeDistribution(tuple(b.name for b in bases), probs)
-
-
 def born_distribution(obj, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     """Born-rule outcome probabilities of a state or density operator in the
     given measurement bases (one per system): the diagonal that
@@ -573,11 +592,14 @@ def born_distribution(obj, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     change computes the diagonal alone."""
     bases = tuple(bases)
     if isinstance(obj, StateVector):
-        vec = _expressed_vec(obj, bases)
-        return _distribution_from_diagonal([abs(z) ** 2 for z in vec], bases)
-    if isinstance(obj, DensityOperator):
-        return _distribution_from_diagonal(_expressed_rows(obj, bases, diagonal=True), bases)
-    raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
+        changes, names, keys = _born_plan(tuple(obj.bases), bases)
+        diag = [abs(z) ** 2 for z in _expressed_amps(obj.vec, changes)]
+    elif isinstance(obj, DensityOperator):
+        changes, names, keys = _born_plan(tuple(obj.bases), bases)
+        diag = _expressed_rows(obj.rows, changes, diagonal=True)
+    else:
+        raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
+    return OutcomeDistribution(names, {key: max(p, 0.0) for key, p in zip(keys, diag)})
 
 
 def project(state: StateVector, system: int, outcome: str) -> tuple[StateVector, float]:
@@ -681,28 +703,24 @@ def density_from_state(state: StateVector) -> DensityOperator:
     return DensityOperator(state.bases, [[x * y for y in vc] for x in v])
 
 
-def _expressed_rows(rho: DensityOperator, bases: tuple[Basis, ...], diagonal: bool = False):
-    """``rho.rows`` re-expressed in ``bases``, U rho U^H per system whose
-    basis differs; ``rho.rows`` itself when none does.  With ``diagonal``,
-    only the real diagonal of that result: the last basis change computes
-    nothing else."""
-    n = rho.num_systems
-    if len(bases) != n:
-        raise ValueError("dimension mismatch")
-    changed = [k for k in range(n) if rho.bases[k] != bases[k]]
-    rows = rho.rows
-    for k in changed:
-        u = basis_change(k, rho.bases[k], bases[k]).rows
-        if diagonal and k == changed[-1]:
-            return _conjugated_diagonal(u, _pairs(k, n), rows)
-        rows = _conjugate_by(u, _pairs(k, n), rows)
+def _expressed_rows(rows: _Rows, changes, diagonal: bool = False):
+    """``rows`` re-expressed by a plan's ``changes``, U rho U^H per changed
+    system; ``rows`` itself when there are none.  With ``diagonal``, only the
+    real diagonal of that result: the last basis change computes nothing
+    else."""
+    last = len(changes) - 1 if diagonal else -1
+    for i, (u, pairs) in enumerate(changes):
+        if i == last:
+            return _conjugated_diagonal(u, pairs, rows)
+        rows = _conjugate_by(u, pairs, rows)
     return [rows[i][i].real for i in range(len(rows))] if diagonal else rows
 
 
 def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOperator:
     """Re-express a density operator in the given bases."""
-    rows = _expressed_rows(rho, bases)
-    return rho if rows is rho.rows else DensityOperator(tuple(bases), rows)
+    bases = tuple(bases)
+    changes = _born_plan(tuple(rho.bases), bases)[0]
+    return DensityOperator(bases, _expressed_rows(rho.rows, changes)) if changes else rho
 
 
 def dephase(rho: DensityOperator, system: int, basis: Basis) -> DensityOperator:

@@ -204,6 +204,37 @@ def enumerate_paths(
     return results
 
 
+def sample_paths_per_call(paths, samples: int, rng, binomial) -> dict[tuple, int]:
+    """The sampler's split, regrouped on every call: the paths (objects with
+    ``initial``, ``events``, ``weight`` and ``signature``) are bucketed by
+    initial configuration, then by each transition in turn, and a count is
+    split among a node's buckets by sequential conditional draws,
+    ``binomial(rng, count left, mass_i / mass of buckets i and after)``, the
+    last bucket taking the rest.  The draw function is passed in, so the
+    counts can be compared bit for bit with the package's."""
+    counts: dict[tuple, int] = {}
+
+    def assign(count: int, group: list, depth: int) -> None:
+        if count == 0:
+            return
+        if len(group) == 1:
+            counts[group[0].signature] = count
+            return
+        buckets: dict[object, list] = {}
+        for p in group:
+            key = p.initial if depth == 0 else p.events[depth - 1]
+            buckets.setdefault(key, []).append(p)
+        masses = [sum(q.weight for q in bucket) for bucket in buckets.values()]
+        last = len(masses) - 1
+        for i, bucket in enumerate(buckets.values()):
+            got = count if i == last else binomial(rng, count, masses[i] / sum(masses[i:]))
+            assign(got, bucket, depth + 1)
+            count -= got
+
+    assign(samples, list(paths), 0)
+    return counts
+
+
 def dephase_matrix(rho: np.ndarray, site: int) -> np.ndarray:
     """Projector-sum dephasing of a 4x4 two-qubit density in the current basis."""
     out = np.zeros_like(rho)

@@ -282,6 +282,28 @@ def test_sampler_tracks_enumerated_weights(foliation):
         assert abs(got - p.weight) <= 4 * sigma
 
 
+@pytest.mark.parametrize("coupling", ALL_COUPLINGS)
+@pytest.mark.parametrize("foliation", ALL_FOLIATIONS)
+@pytest.mark.parametrize("samples", [0, 1, 7, 10**3, 10**6])
+def test_sampler_walks_the_same_splits_as_regrouping_every_call(foliation, coupling, samples):
+    paths = evolve(foliation, coupling).paths
+    for seed in (0, 1, 11, 2026):
+        expected = oracles.sample_paths_per_call(paths, samples, random.Random(seed), binomial)
+        got = sample_paths(foliation, coupling, samples=samples, seed=seed)
+        assert list(got.items()) == list(expected.items())
+
+
+def test_sampler_builds_each_split_tree_once_in_a_bounded_cache():
+    from wignerfriend import bohm
+
+    assert 0 < bohm._split_tree.cache_info().maxsize < math.inf
+    sample_paths(FOLIATION_F, INDEPENDENT, samples=10, seed=1)
+    before = bohm._split_tree.cache_info()
+    sample_paths(FOLIATION_F, INDEPENDENT, samples=10, seed=2)
+    after = bohm._split_tree.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def _chi_square_passes(draws: list[int], n: int, p: float) -> bool:
     """Pearson's chi-square of the draws against the exact pmf, below its
     1e-6 upper quantile.  Bins are runs of k that each expect at least 20

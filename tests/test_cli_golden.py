@@ -3,7 +3,7 @@ stdout, byte for byte, in both formats, as recorded in golden_cli.json.
 
 The file imports nothing beyond pytest, json and the CLI, so it also runs on
 an install without numpy.  ``chsh --scan`` and ``--erased-vs-kept`` stay out:
-their last digits come from numpy's linear algebra.
+their last digits come from numpy's trigonometry on the settings grid.
 """
 
 import json

@@ -423,6 +423,22 @@ def test_born_distribution_is_the_re_expressed_diagonal_bit_for_bit(system, seed
 TWO_SOURCE = (SPIN_Z, SPIN_Z)
 TWO_TARGET = (direction_basis(0.7), SPIN_W)
 
+# Source and target bases of two and three systems, direction bases among
+# them, for changing every subset of the systems.
+CHANGES = {
+    "two": (TWO_SOURCE, TWO_TARGET),
+    "three": (THREE_SOURCE, THREE_TARGET),
+    "three-directions": (
+        (COIN_WBAR, SPIN_W, direction_basis(1.3)),
+        (COIN_ZBAR, direction_basis(2.1), direction_basis(-0.4)),
+    ),
+}
+
+
+def _subsets(source, target):
+    for changed in itertools.product((False, True), repeat=len(source)):
+        yield tuple(t if c else s for s, t, c in zip(source, target, changed))
+
 
 def _random_density(seed, source):
     rng = np.random.default_rng(seed)
@@ -433,31 +449,100 @@ def _random_density(seed, source):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize(
-    "source, target", [(TWO_SOURCE, TWO_TARGET), (THREE_SOURCE, THREE_TARGET)], ids=["two", "three"]
-)
+@pytest.mark.parametrize("source, target", list(CHANGES.values()), ids=list(CHANGES))
 def test_density_born_rule_is_the_full_diagonal_for_every_changed_subset(source, target, seed):
     # The Born rule computes only the diagonal of the last basis change;
     # express_density computes every entry of every change.
     rho = _random_density(seed, source)
-    for changed in itertools.product((False, True), repeat=len(source)):
-        bases = tuple(t if c else s for s, t, c in zip(source, target, changed))
+    for bases in _subsets(source, target):
         rows = express_density(rho, bases).rows
         diag = [max(rows[i][i].real, 0.0) for i in range(len(rows))]
         assert list(born_distribution(rho, bases).probs.values()) == diag
 
 
+def _chained(obj, bases):
+    """``obj`` re-expressed one system at a time, in system order: by
+    apply_local for a state, by one-system express_density for a density."""
+    for k, b in enumerate(bases):
+        if obj.bases[k] != b:
+            if isinstance(obj, StateVector):
+                obj = apply_local(obj, basis_change(k, obj.bases[k], b))
+            else:
+                obj = express_density(obj, obj.bases[:k] + (b,) + obj.bases[k + 1 :])
+    return obj
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_express_is_the_chain_of_local_basis_changes(seed):
-    state = _three_system_state(seed)
-    chained = state
-    for k, (source, target) in enumerate(zip(THREE_SOURCE, THREE_TARGET)):
-        chained = apply_local(chained, basis_change(k, source, target))
-    out = express(state, THREE_TARGET)
-    assert (out.bases, out.vec) == (chained.bases, chained.vec)
-    rho = _three_system_density(seed)
-    assert express(state, THREE_SOURCE) is state
-    assert express_density(rho, THREE_SOURCE) is rho
+    # Every subset of changed systems, bit for bit: express, express_density
+    # and the Born rule on states and densities of two and three systems.
+    for source, target in CHANGES.values():
+        d = 2 ** len(source)
+        rng = np.random.default_rng(seed)
+        state = make_state(rng.normal(size=d) + 1j * rng.normal(size=d), source)
+        rho = _random_density(seed, source)
+        for bases in _subsets(source, target):
+            keys = list(itertools.product(*_labels(bases)))
+            chained = _chained(state, bases)
+            out = express(state, bases)
+            assert (out.bases, out.vec) == (chained.bases, chained.vec)
+            table = born_distribution(state, bases)
+            assert table.basis_names == tuple(b.name for b in bases)
+            assert list(table.probs) == keys
+            assert list(table.probs.values()) == [abs(z) ** 2 for z in chained.vec]
+            chained = _chained(rho, bases)
+            out = express_density(rho, bases)
+            assert (out.bases, out.rows) == (chained.bases, chained.rows)
+            table = born_distribution(rho, bases)
+            assert table.basis_names == tuple(b.name for b in bases)
+            assert list(table.probs) == keys
+            diag = [max(row[i].real, 0.0) for i, row in enumerate(chained.rows)]
+            assert list(table.probs.values()) == diag
+        assert express(state, source) is state
+        assert express_density(rho, source) is rho
+
+
+def test_born_plan_is_memoized_in_a_bounded_cache():
+    from wignerfriend import qcore
+
+    info = qcore._born_plan.cache_info()
+    assert 0 < info.maxsize < math.inf
+    state = hardy()
+    born_distribution(state, (COIN_WBAR, SPIN_W))
+    before = qcore._born_plan.cache_info()
+    # The same context again, from a state, a list of bases and a density.
+    born_distribution(hardy(), [COIN_WBAR, SPIN_W])
+    express(state, (COIN_WBAR, SPIN_W))
+    born_distribution(density_from_state(state), (COIN_WBAR, SPIN_W))
+    after = qcore._born_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 3, before.misses)
+
+
+@pytest.mark.parametrize("call", [born_distribution, express, express_density])
+def test_a_basis_count_mismatch_is_not_cached(call):
+    from wignerfriend import qcore
+
+    obj = _three_system_density(1) if call is express_density else _three_system_state(1)
+    before = qcore._born_plan.cache_info()
+    for bases in (THREE_TARGET[:2], THREE_TARGET + (SPIN_Z,), ()):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call(obj, bases)
+    after = qcore._born_plan.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 3
+
+
+@pytest.mark.parametrize("call", [born_distribution, express, express_density])
+def test_a_coin_basis_on_a_spin_system_is_a_basis_mismatch(call):
+    obj = _three_system_density(1) if call is express_density else _three_system_state(1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="basis mismatch"):
+            call(obj, (COIN_ZBAR, COIN_WBAR, SPIN_Z))
+
+
+def test_born_distribution_of_a_non_state_is_a_type_error():
+    with pytest.raises(TypeError, match="cannot take Born distribution of tuple"):
+        born_distribution(hardy().vec, HARDY_BASES)
 
 
 @pytest.mark.parametrize(
