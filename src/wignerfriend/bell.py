@@ -3,36 +3,45 @@ observer-independent-facts hidden-variable model, and the CHSH comparison
 (local models at most 2, the singlet at 2*sqrt2).
 
 Measurement directions are restricted to one Bloch great circle (real
-amplitudes), so a setting is a single angle and the hidden-variable responses
-are the familiar cos^2(angle/2) laws.  Outcome +1 means the "plus" port.
-Correlations are bilinear on that circle, so ``chsh_scan`` solves in closed form.
+amplitudes), so a setting is a single angle n(a) = (cos a, sin a) in the
+(z, x) plane.  Outcome +1 means the "plus" port.  Every correlation here is
+the bilinear form E(a, b) = n(a)^T T n(b) of a 2x2 block T, so ``chsh_scan``
+solves in closed form.
+
+A quantum block, T_ij = Tr(rho sigma_i (x) sigma_j) for i, j in (z, x), is
+read in closed form from the state's or density's numbers in the pair's z
+bases, on every call: nothing is cached.  A hidden-variable model gives each
+side of each hidden configuration a Bloch vector in the plane, so its block
+T = sum p r s^T is bilinear by construction.  The kept-versus-model gap of
+``erased_vs_kept_chsh`` is the largest singular value of the difference of
+the two blocks: the supremum of |E_kept - E_model| over all settings.
 
 Correlations broadcast like numpy ufuncs: settings may be arrays of angles,
 and a correlation returns one value per broadcast pair of settings (a Python
-float for scalar settings).  A ``CorrelationFn`` or ``LHVModel.response``
-given to this module must broadcast the same way, because ``chsh_scan`` and
-``erased_vs_kept_chsh`` evaluate whole grids of settings in one call.
-Scalar settings run on the exact kernel of :mod:`qcore` and never import
-numpy.  Array settings read the state's correlation block, four scalar
-Born-rule correlations computed once per state.  They, ``chsh_scan`` and
-``erased_vs_kept_chsh`` import numpy when called.
+float for scalar settings).  Scalar quantum settings take one Born
+distribution on the exact kernel of :mod:`qcore`; scalar hidden-variable
+settings read the model's block with :mod:`math`.  Neither imports numpy.
+Array settings read the block on numpy, and so do ``chsh_scan`` and
+``erased_vs_kept_chsh``.  A ``CorrelationFn`` given to ``chsh_scan`` must
+broadcast the same way, because it is called on whole grids of settings.
 
-``erased_vs_kept_chsh`` checks its kept-records maximum against the Born
-rule at the scan's argmax (``born_rule_residual``), as ``chsh --scan`` checks
-the singlet's.  Grid sizes must be integers of at least 1, checked before
-anything is computed.
+``born_rule_residual`` checks a scan's maximum against four scalar Born-rule
+correlations at its argmax, in direction bases: arithmetic independent of the
+block's.  ``erased_vs_kept_chsh`` runs it on its kept-records maximum, as
+``chsh --scan`` does on the singlet's.  Grid sizes must be integers of at
+least 1, checked before anything is computed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 from .qcore import (
     UP,
     DOWN,
+    NORM_TOL,
     Basis,
     DensityOperator,
     Frozen,
@@ -42,6 +51,8 @@ from .qcore import (
     System,
     born_distribution,
     direction_basis,
+    express,
+    express_density,
     make_state,
 )
 
@@ -51,13 +62,13 @@ if TYPE_CHECKING:
 _TWO_PI = 2.0 * math.pi
 # Largest |E - n(a)^T T n(b)| that chsh_scan accepts on its check grid.
 BILINEAR_TOL = 1e-12
-# Distinct states whose correlation block is kept.  A CHSH solve reads its
-# state's block twice, and erased_vs_kept_chsh reads the kept density's three
-# times; the least recently used block is evicted first.
-CORRELATION_CACHE = 64
 
 # z basis for either particle of the pair, ordered (up, down).
 PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
+_PAIR_ZZ = (PAIR_Z, PAIR_Z)
+# The entries (i, j) of a pair density in _PAIR_ZZ that its correlation block
+# reads: the diagonal, then the coherences of t01, t10 and t11 in turn.
+_BLOCK_ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
 
 # Outcome product x*y over the joint outcomes (plus, plus), (plus, minus),
 # (minus, plus), (minus, minus): the first-system-major order of
@@ -68,7 +79,7 @@ _OUTCOME_PRODUCT = (1.0, -1.0, -1.0, 1.0)
 def singlet() -> StateVector:
     """The pair state (|up,down> - |down,up>)/sqrt2."""
     inv = 1.0 / math.sqrt(2.0)
-    return make_state([0.0, inv, -inv, 0.0], (PAIR_Z, PAIR_Z))
+    return make_state([0.0, inv, -inv, 0.0], _PAIR_ZZ)
 
 
 # States are immutable, so the default pair is built and checked once.
@@ -81,41 +92,86 @@ def _is_scalar(setting) -> bool:
     return isinstance(setting, (int, float))
 
 
-def _scalar_or_array(x):
-    """A float for a scalar or 0-d result, as for scalar settings; else the
-    array."""
-    return x if getattr(x, "ndim", 0) else float(x)
-
-
 def _born_correlation(obj, alpha: float, beta: float) -> float:
     """E(alpha, beta) from one Born distribution in two direction bases."""
     dist = born_distribution(obj, (direction_basis(alpha), direction_basis(beta)))
     return sum(x * p for x, p in zip(_OUTCOME_PRODUCT, dist.probs.values()))
 
 
-@lru_cache(maxsize=CORRELATION_CACHE)
+def _direction(angle) -> tuple[float, float]:
+    """n(angle) = (cos, sin) of a scalar setting reduced mod 2*pi, as
+    direction_basis reduces it; ValueError "not unitary" if it is not
+    finite, as there."""
+    if not math.isfinite(angle):
+        raise ValueError("not unitary")
+    angle %= _TWO_PI
+    return math.cos(angle), math.sin(angle)
+
+
+def _bilinear(block, alpha, beta):
+    """n(alpha)^T T n(beta) on a block T = (t00, t01, t10, t11).  Scalar
+    settings use :mod:`math` and give a float; otherwise the settings
+    broadcast like a ufunc's arguments, on numpy.  Either way they are
+    reduced mod 2*pi, and a non-finite one raises ValueError "not unitary"."""
+    t00, t01, t10, t11 = block
+    if _is_scalar(alpha) and _is_scalar(beta):
+        (ca, sa), (cb, sb) = _direction(alpha), _direction(beta)
+    else:
+        import numpy as np
+
+        a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("not unitary")
+        a, b = np.mod(a, _TWO_PI), np.mod(b, _TWO_PI)
+        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+    e = ca * (t00 * cb + t01 * sb) + sa * (t10 * cb + t11 * sb)
+    # A float for scalar or 0-d settings, else the array.
+    return e if getattr(e, "ndim", 0) else float(e)
+
+
 def _correlation_block(obj) -> tuple[float, float, float, float]:
-    """T = (E(0, 0), E(0, pi/2), E(pi/2, 0), E(pi/2, pi/2)) of a checked
-    two-spin state: the z/x block of Tr(rho sigma_i (x) sigma_j), so that
-    E(a, b) = n(a)^T T n(b) with n(a) = (cos a, sin a).  Memoized per state
-    object (states compare by identity)."""
-    quarter = math.pi / 2.0
-    return tuple(_born_correlation(obj, a, b) for a in (0.0, quarter) for b in (0.0, quarter))
+    """T = (t00, t01, t10, t11), T_ij = Tr(rho sigma_i (x) sigma_j) for i, j
+    in (z, x), of a two-spin state or density, so that E(a, b) =
+    n(a)^T T n(b) with n(a) = (cos a, sin a).
+
+    Read in closed form from rho in (PAIR_Z, PAIR_Z), where the value itself
+    is used if it is already there: t00 = rho00 - rho11 - rho22 + rho33,
+    t01 = 2 Re(rho01 - rho23), t10 = 2 Re(rho02 - rho13) and
+    t11 = 2 Re(rho03 + rho12), with rho_ij = v_i conj(v_j) for a state.
+    Computed on every call.  As the Born distributions at 0 and pi/2 would
+    be, it is checked: the diagonal must sum to 1 within NORM_TOL and every
+    entry must be finite with |T_ij| <= 1 + NORM_TOL, or InvariantViolation
+    is raised.
+    """
+    if isinstance(obj, StateVector):
+        v = express(obj, _PAIR_ZZ).vec
+        rho = [v[i] * v[j].conjugate() for i, j in _BLOCK_ENTRIES]
+    else:
+        rows = express_density(obj, _PAIR_ZZ).rows
+        rho = [rows[i][j] for i, j in _BLOCK_ENTRIES]
+    r00, r11, r22, r33, r01, r23, r02, r13, r03, r12 = rho
+    t00, t01 = (r00 - r11 - r22 + r33).real, 2.0 * (r01 - r23).real
+    t10, t11 = 2.0 * (r02 - r13).real, 2.0 * (r03 + r12).real
+    block = (t00, t01, t10, t11)
+    # Comparisons with NaN are false, so a NaN entry fails.
+    bounded = all(abs(t) <= 1.0 + NORM_TOL for t in block)
+    if not (abs((r00 + r11 + r22 + r33).real - 1.0) <= NORM_TOL and bounded):
+        raise InvariantViolation(f"correlation block {block} is not a two-spin state's")
+    return block
 
 
 def quantum_correlation(alpha, beta, state=None):
     """Expectation of the +-1 outcome product at settings (alpha, beta).
 
-    Computed from Born probabilities of the state (default: the singlet,
-    where the closed form is -cos(alpha - beta)); accepts a density operator
-    as well.  Two scalar settings take one :func:`qcore.born_distribution`
-    in two :func:`qcore.direction_basis` bases and give a float.  Otherwise
+    Computed for the state (default: the singlet, where the closed form is
+    -cos(alpha - beta)); accepts a density operator as well.  Two scalar
+    settings take one :func:`qcore.born_distribution` in two
+    :func:`qcore.direction_basis` bases and give a float.  Otherwise
     ``alpha`` and ``beta`` broadcast like a ufunc's arguments, and every pair
-    is n(alpha)^T T n(beta) on the state's correlation block T, which four
-    such Born-rule calls give once per state.  A non-finite setting raises
-    ValueError "not unitary", as direction_basis does.  The state must hold
-    two spin systems: ValueError "dimension mismatch" otherwise, and "basis
-    mismatch" for a coin system.
+    is n(alpha)^T T n(beta) on the state's correlation block T, read once
+    per call.  A non-finite setting raises ValueError "not unitary", as
+    direction_basis does.  The state must hold two spin systems: ValueError
+    "dimension mismatch" otherwise, and "basis mismatch" for a coin system.
     """
     obj = _SINGLET if state is None else state
     if not isinstance(obj, (StateVector, DensityOperator)):
@@ -126,88 +182,78 @@ def quantum_correlation(alpha, beta, state=None):
         raise ValueError("basis mismatch: correlations are defined on two spin systems")
     if _is_scalar(alpha) and _is_scalar(beta):
         return _born_correlation(obj, alpha, beta)
-    import numpy as np
-
-    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("not unitary")
-    # Reduced mod 2*pi, as direction_basis reduces a scalar setting.
-    a, b = np.mod(a, _TWO_PI), np.mod(b, _TWO_PI)
-    t00, t01, t10, t11 = _correlation_block(obj)
-    cb, sb = np.cos(b), np.sin(b)
-    return _scalar_or_array(np.cos(a) * (t00 * cb + t01 * sb) + np.sin(a) * (t10 * cb + t11 * sb))
+    return _bilinear(_correlation_block(obj), alpha, beta)
 
 
 class LHVModel(Frozen):
-    """A finite local hidden-variable model: a prior over pair configurations
-    and per-side response probabilities depending only on the local component.
+    """A finite local hidden-variable model: a prior over hidden
+    configurations, and for each configuration a Bloch vector per side, (z, x)
+    components of length at most 1.  A side whose vector is r answers x = +-1
+    at setting a with probability (1 + x r.n(a))/2.
 
     The joint it induces is a convex combination of products, so it is local
-    and causal by construction.
+    and causal by construction.  Its correlations are bilinear in the
+    settings by construction too, on the block T = sum p r s^T (Alice's r,
+    Bob's s), computed once when the model is built.  A prior of another
+    length than ``vectors`` raises ValueError "dimension mismatch"; a
+    non-finite or longer vector, or a prior that is not a distribution,
+    ValueError.
     """
 
-    __slots__ = ("lambda_space", "prior", "response")
-    lambda_space: tuple[tuple[str, str], ...]
+    __slots__ = ("vectors", "prior", "_block")
+    #: (Alice's, Bob's) Bloch vector of each configuration.
+    vectors: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
     prior: tuple[float, ...]
-    #: response(side, angle, component) -> {+1: P(+1), -1: P(-1)}; it must
-    #: broadcast over an array ``angle``, returning arrays of its shape.
-    response: Callable[[int, float, str], dict[int, float]]
 
-    def __init__(
-        self,
-        lambda_space: tuple[tuple[str, str], ...],
-        prior: tuple[float, ...],
-        response: Callable[[int, float, str], dict[int, float]],
-    ) -> None:
-        if len(prior) != len(lambda_space):
+    def __init__(self, vectors: tuple, prior: tuple[float, ...]) -> None:
+        if len(prior) != len(vectors):
             raise ValueError("dimension mismatch")
         # Negated comparisons, so that a NaN weight or a non-finite sum fails.
         if any(not p >= 0 for p in prior) or not abs(sum(prior) - 1.0) <= 1e-12:
             raise ValueError("prior must be a probability distribution")
-        Frozen.__init__(self, lambda_space, prior, response)
+        # hypot is inf for an infinite component and NaN for a NaN one.
+        if any(not math.hypot(z, x) <= 1.0 + NORM_TOL for pair in vectors for z, x in pair):
+            raise ValueError("Bloch vectors must be finite, of length at most 1")
+        Frozen.__init__(self, vectors, prior)
+        terms = tuple(zip(prior, vectors))
+        block = tuple(sum(p * r[i] * s[j] for p, (r, s) in terms) for i in (0, 1) for j in (0, 1))
+        object.__setattr__(self, "_block", block)
+
+
+_Z_UP, _Z_DOWN = (1.0, 0.0), (-1.0, 0.0)
+# Immutable, so built and checked once.
+_FACTS_MODEL = LHVModel(
+    ((_Z_UP, _Z_DOWN), (_Z_DOWN, _Z_UP), (_Z_UP, _Z_UP), (_Z_DOWN, _Z_DOWN)),
+    (0.5, 0.5, 0.0, 0.0),
+)
 
 
 def observer_independent_facts_model() -> LHVModel:
     """The model induced by treating both friends' z records as facts:
-    perfectly anticorrelated z values, cos^2(angle/2) readout on each side."""
-
-    def response(side: int, angle: float, component: str) -> dict[int, float]:
-        if _is_scalar(angle):
-            trig = math
-        else:
-            import numpy as trig
-        half = angle / 2.0
-        p_plus = trig.cos(half) ** 2 if component == "up" else trig.sin(half) ** 2
-        return {1: p_plus, -1: 1.0 - p_plus}
-
-    return LHVModel(
-        lambda_space=(("up", "down"), ("down", "up"), ("up", "up"), ("down", "down")),
-        prior=(0.5, 0.5, 0.0, 0.0),
-        response=response,
-    )
+    perfectly anticorrelated z values, each read out along n(a) with
+    probability cos^2 of half the angle to it.  Its block is exactly
+    (-1, 0, 0, 0), so E = -cos(alpha) cos(beta)."""
+    return _FACTS_MODEL
 
 
-def lhv_joint(model: LHVModel, alpha, beta) -> dict[tuple[int, int], float]:
-    """P(x, y | alpha, beta) = sum_lambda P1(x|lambda) P2(y|lambda) P(lambda),
-    broadcast over array settings as the responses broadcast."""
+def lhv_joint(model: LHVModel, alpha: float, beta: float) -> dict[tuple[int, int], float]:
+    """P(x, y | alpha, beta) = sum_lambda p (1 + x r.n(alpha))/2
+    (1 + y s.n(beta))/2 at scalar settings: the model's definition.  A
+    non-finite setting raises ValueError "not unitary"."""
+    (ca, sa), (cb, sb) = _direction(alpha), _direction(beta)
     joint = {(x, y): 0.0 for x in (1, -1) for y in (1, -1)}
-    for lam, weight in zip(model.lambda_space, model.prior):
-        if weight == 0.0:
-            continue
-        r1 = model.response(0, alpha, lam[0])
-        r2 = model.response(1, beta, lam[1])
-        for x, p1 in r1.items():
-            for y, p2 in r2.items():
-                joint[(x, y)] += weight * p1 * p2
+    for ((rz, rx), (sz, sx)), weight in zip(model.vectors, model.prior):
+        u, v = rz * ca + rx * sa, sz * cb + sx * sb
+        for x, y in joint:
+            joint[(x, y)] += weight * (1.0 + x * u) / 2.0 * (1.0 + y * v) / 2.0
     return joint
 
 
 def lhv_correlation(model: LHVModel, alpha, beta):
-    """Expectation of the outcome product under the hidden-variable model;
-    broadcasts like :func:`quantum_correlation`."""
-    return _scalar_or_array(
-        sum(x * y * p for (x, y), p in lhv_joint(model, alpha, beta).items())
-    )
+    """Expectation of the outcome product under the hidden-variable model,
+    n(alpha)^T T n(beta) on its block; broadcasts like
+    :func:`quantum_correlation`, and scalar settings import no numpy."""
+    return _bilinear(model._block, alpha, beta)
 
 
 class AngleQuad(FrozenValue):
@@ -268,24 +314,37 @@ def _on_grid(correlation_fn: CorrelationFn, angles: np.ndarray) -> np.ndarray:
     return np.asarray(correlation_fn(angles[:, None], angles[None, :]), dtype=float)
 
 
+def _block_svd(block) -> tuple[float, float, float, float]:
+    """(phi, theta, s1, s2) with T = R(phi) diag(s1, s2) R(theta), R a
+    rotation, for a block T = (t00, t01, t10, t11): with e, f =
+    (t00 +- t11)/2 and g, h = (t10 +- t01)/2, phi and theta =
+    (atan2(h, e) +- atan2(g, f))/2, s1 = hypot(e, h) + hypot(f, g) and
+    s2 = hypot(e, h) - hypot(f, g).  s1 >= |s2| are T's singular values, and
+    s2 has the sign of det T."""
+    t00, t01, t10, t11 = block
+    e, f = (t00 + t11) / 2.0, (t00 - t11) / 2.0
+    g, h = (t10 + t01) / 2.0, (t10 - t01) / 2.0
+    plus, minus = math.atan2(h, e), math.atan2(g, f)
+    r, q = math.hypot(e, h), math.hypot(f, g)
+    return (plus + minus) / 2.0, (plus - minus) / 2.0, r + q, r - q
+
+
 def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     """Maximize S over coplanar settings in closed form.
 
     With n(a) = (cos a, sin a), a correlation on one great circle is
     E(a, b) = n(a)^T T n(b), and T is read off E at a, b in {0, pi/2}.  The
-    2x2 block is solved in plain Python as T = R(phi) diag(s1, s2) R(theta),
-    R a rotation: with e, f = (t00 +- t11)/2 and g, h = (t10 +- t01)/2,
-    phi and theta = (atan2(h, e) +- atan2(g, f))/2, s1 = hypot(e, h) +
-    hypot(f, g) and s2 = hypot(e, h) - hypot(f, g).  Then S_max =
-    2*hypot(s1, s2) (Horodecki criterion restricted to one plane), reached at
-    a = phi, a' = phi + pi/2 and b, b' = -theta +- sign(s2)*t with
-    t = atan2(|s2|, s1).  Bilinearity is checked, not assumed: E must match
-    the bilinear form to BILINEAR_TOL on a grid_n x grid_n angle grid, or
-    ValueError is raised.  The correlation is called twice, on the 2x2 ends
-    and on the whole grid, so it must broadcast; on a state or density
-    operator it builds no state or density of its own.  A grid_n that is not
-    an integer (a bool included) raises TypeError, and one below 1
-    ValueError, before the correlation is called.
+    2x2 block is solved in plain Python as T = R(phi) diag(s1, s2) R(theta)
+    (:func:`_block_svd`).  Then S_max = 2*hypot(s1, s2) (Horodecki criterion
+    restricted to one plane), reached at a = phi, a' = phi + pi/2 and
+    b, b' = -theta +- sign(s2)*t with t = atan2(|s2|, s1).  Bilinearity is
+    checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
+    grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
+    called twice, on the 2x2 ends and on the whole grid, so it must
+    broadcast; on a state or density operator in (PAIR_Z, PAIR_Z) it builds
+    no state or density of its own.  A grid_n that is not an integer (a bool
+    included) raises TypeError, and one below 1 ValueError, before the
+    correlation is called.
     """
     grid_n = _grid_size("grid_n", grid_n)
     import numpy as np
@@ -297,13 +356,7 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     residual = float(np.max(np.abs(e - n @ t @ n.T)))
     if not residual <= BILINEAR_TOL:
         raise ValueError(f"correlation is not bilinear in the settings: residual {residual:.3g}")
-    (t00, t01), (t10, t11) = t.tolist()
-    e, f = (t00 + t11) / 2.0, (t00 - t11) / 2.0
-    g, h = (t10 + t01) / 2.0, (t10 - t01) / 2.0
-    plus, minus = math.atan2(h, e), math.atan2(g, f)
-    phi, theta = (plus + minus) / 2.0, (plus - minus) / 2.0
-    s1 = math.hypot(e, h) + math.hypot(f, g)
-    s2 = math.hypot(e, h) - math.hypot(f, g)
+    phi, theta, s1, s2 = _block_svd(t.ravel().tolist())
     # s1 >= |s2|; a negative s2 turns Bob's offset the other way.
     offset = math.copysign(math.atan2(abs(s2), s1), s2)
     quad = AngleQuad(phi, phi + math.pi / 2.0, -theta + offset, -theta - offset)
@@ -312,8 +365,9 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
 
 def born_rule_residual(scan: ScanResult, state=None) -> float:
     """|S - scan.max_s|, with S from the Born rule at the scan's argmax: four
-    scalar correlations of the state (default: the singlet), which never read
-    the correlation block that the scan solved on.  A residual above
+    scalar correlations of the state (default: the singlet), each a Born
+    distribution in two direction bases, so that none of the closed-form
+    block's arithmetic that the scan solved on is reused.  A residual above
     BILINEAR_TOL raises InvariantViolation."""
     s_born = chsh(lambda a, b: quantum_correlation(a, b, state), scan.argmax)
     residual = abs(s_born - scan.max_s)
@@ -353,30 +407,26 @@ class ErasedKeptReport(FrozenValue):
         }
 
 
-def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptReport:
+def erased_vs_kept_chsh(grid_n: int = 20) -> ErasedKeptReport:
     """Erased records leave the singlet coherent (S = 2*sqrt2); kept records
     dephase it in z, and the dephased correlations equal the
-    observer-independent-facts model's -cos(alpha)cos(beta) exactly, to the
-    largest gap over a match_grid x match_grid angle grid.
+    observer-independent-facts model's -cos(alpha)cos(beta) exactly: the
+    reported gap is the largest singular value of the difference of their
+    blocks, the supremum of |E_kept - E_model| over all settings.
 
     The kept-records maximum is the closed-form scan checked on a grid_n x
     grid_n grid, and then against the Born rule at its argmax: a residual
-    above BILINEAR_TOL raises InvariantViolation.  A grid size that is not an
+    above BILINEAR_TOL raises InvariantViolation.  A grid_n that is not an
     integer (a bool included) raises TypeError, and one below 1 ValueError,
     before anything is computed."""
     grid_n = _grid_size("grid_n", grid_n)
-    match_grid = _grid_size("match_grid", match_grid)
-    import numpy as np
-
     from .memory import Friend, record_and_erase, record_and_keep
 
-    pair = singlet()
-    run = record_and_erase(pair, Friend.FBAR, PAIR_Z)
-    run = record_and_erase(run.final_state, Friend.F, PAIR_Z)
-    coherent = run.final_state
+    run = record_and_erase(_SINGLET, Friend.FBAR, PAIR_Z)
+    coherent = record_and_erase(run.final_state, Friend.F, PAIR_Z).final_state
     s_erased = chsh(lambda a, b: quantum_correlation(a, b, coherent), OPTIMAL_QUAD)
 
-    kept: DensityOperator = record_and_keep(pair, (Friend.F, Friend.FBAR)).final_state
+    kept: DensityOperator = record_and_keep(_SINGLET, (Friend.F, Friend.FBAR)).final_state
 
     def kept_corr(a, b):
         return quantum_correlation(a, b, kept)
@@ -385,15 +435,6 @@ def erased_vs_kept_chsh(grid_n: int = 20, match_grid: int = 10) -> ErasedKeptRep
     scan = chsh_scan(kept_corr, grid_n=grid_n)
     born_rule_residual(scan, kept)
 
-    model = observer_independent_facts_model()
-    angles = np.linspace(0.0, _TWO_PI, match_grid, endpoint=False)
-    a, b = angles[:, None], angles[None, :]
-    gap = float(np.max(np.abs(kept_corr(a, b) - lhv_correlation(model, a, b))))
-    return ErasedKeptReport(
-        OPTIMAL_QUAD,
-        s_erased,
-        s_kept_at_quad,
-        scan.max_s,
-        kept_corr(0.0, 0.0),
-        gap,
-    )
+    gap = _block_svd([k - m for k, m in zip(_correlation_block(kept), _FACTS_MODEL._block)])[2]
+    aligned = kept_corr(0.0, 0.0)
+    return ErasedKeptReport(OPTIMAL_QUAD, s_erased, s_kept_at_quad, scan.max_s, aligned, gap)

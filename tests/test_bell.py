@@ -25,7 +25,9 @@ from wignerfriend.memory import Friend, record_and_erase, record_and_keep
 from wignerfriend.qcore import (
     SPIN_W,
     DensityOperator,
+    Frozen,
     InvariantViolation,
+    StateVector,
     born_distribution,
     direction_basis,
     make_state,
@@ -62,14 +64,14 @@ def test_quantum_correlation_matches_closed_form_on_grid():
             assert quantum_correlation(a, b) == pytest.approx(-math.cos(a - b), abs=1e-12)
 
 
-def test_lhv_prior_and_responses_are_normalized():
+def test_lhv_prior_is_normalized_and_its_vectors_are_bloch_vectors():
     assert sum(MODEL.prior) == pytest.approx(1.0, abs=1e-15)
-    for side in (0, 1):
-        for angle in GRID:
-            for component in ("up", "down"):
-                row = MODEL.response(side, angle, component)
-                assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
-                assert all(p >= 0 for p in row.values())
+    assert len(MODEL.vectors) == len(MODEL.prior)
+    for pair in MODEL.vectors:
+        assert len(pair) == 2
+        assert all(len(v) == 2 and math.hypot(*v) <= 1.0 for v in pair)
+    # Anticorrelated z facts: T = sum p r s^T = diag(-1, 0), exactly.
+    assert MODEL._block == (-1.0, 0.0, 0.0, 0.0)
 
 
 def test_lhv_correlation_examples():
@@ -86,23 +88,82 @@ def test_lhv_correlation_matches_closed_form_on_grid():
             )
 
 
-def test_lhv_joint_is_a_convex_combination_of_products():
-    for a, b in ((0.3, 1.1), (2.0, 5.5)):
-        joint = lhv_joint(MODEL, a, b)
+# A model with tilted and shortened Bloch vectors, so that every block entry
+# and both marginals are nonzero.
+TILTED = LHVModel(
+    (((0.6, 0.8), (-0.3, 0.4)), ((0.0, -1.0), (0.8, -0.6)), ((-0.5, 0.0), (0.0, 0.0))),
+    (0.2, 0.5, 0.3),
+)
+
+
+@pytest.mark.parametrize("model", [MODEL, TILTED], ids=["facts", "tilted"])
+def test_lhv_joint_is_a_convex_combination_of_products(model):
+    for a, b in ((0.3, 1.1), (2.0, 5.5), (-1.0, 7.0)):
+        n_a, n_b = np.array([math.cos(a), math.sin(a)]), np.array([math.cos(b), math.sin(b)])
+        joint = lhv_joint(model, a, b)
         rebuilt = {(x, y): 0.0 for x in (1, -1) for y in (1, -1)}
-        for lam, w in zip(MODEL.lambda_space, MODEL.prior):
-            r1, r2 = MODEL.response(0, a, lam[0]), MODEL.response(1, b, lam[1])
+        for (r, s), w in zip(model.vectors, model.prior):
             for x in (1, -1):
                 for y in (1, -1):
-                    rebuilt[(x, y)] += w * r1[x] * r2[y]
+                    p1 = (1.0 + x * np.dot(r, n_a)) / 2.0
+                    p2 = (1.0 + y * np.dot(s, n_b)) / 2.0
+                    rebuilt[(x, y)] += w * p1 * p2
         assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(p >= 0.0 for p in joint.values())
         for key in joint:
             assert joint[key] == pytest.approx(rebuilt[key], abs=1e-15)
+        # The block is the joint's correlation, at any setting.
+        from_joint = sum(x * y * p for (x, y), p in joint.items())
+        assert lhv_correlation(model, a, b) == pytest.approx(from_joint, abs=1e-15)
+        assert lhv_correlation(model, np.array([a]), b)[0] == pytest.approx(from_joint, abs=1e-15)
+
+
+def test_lhv_block_is_the_prior_weighted_sum_of_outer_products():
+    want = sum(w * np.outer(r, s) for (r, s), w in zip(TILTED.vectors, TILTED.prior))
+    assert np.max(np.abs(np.array(TILTED._block) - want.ravel())) <= 1e-15
 
 
 def test_lhv_model_validates_prior():
     with pytest.raises(ValueError):
-        LHVModel((("up", "down"),), (0.7,), MODEL.response)
+        LHVModel(MODEL.vectors[:1], (0.7,))
+
+
+def test_lhv_model_rejects_a_prior_of_another_length():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        LHVModel(MODEL.vectors, (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 1e-3), (0.8, -0.8)],
+    ids=["nan", "inf", "-inf", "just-over-1", "diagonal-over-1"],
+)
+@pytest.mark.parametrize("side", [0, 1])
+def test_lhv_model_rejects_vectors_that_are_not_bloch_vectors(vector, side):
+    pair = (vector, (1.0, 0.0)) if side == 0 else ((1.0, 0.0), vector)
+    with pytest.raises(ValueError, match="Bloch vectors must be finite, of length at most 1"):
+        LHVModel((pair, ((-1.0, 0.0), (1.0, 0.0))), (0.5, 0.5))
+
+
+def test_lhv_model_accepts_unit_vectors_from_trigonometry():
+    angles = np.linspace(0.0, 2.0 * math.pi, 97)
+    unit = tuple(((math.cos(t), math.sin(t)), (math.sin(t), math.cos(t))) for t in angles)
+    model = LHVModel(unit, (1.0 / len(unit),) * len(unit))
+    assert chsh_scan(lambda a, b: lhv_correlation(model, a, b), 8).max_s <= 2.0 + 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_lhv_non_finite_settings_fail_as_the_quantum_ones_do(bad):
+    for call in (
+        lambda: lhv_correlation(MODEL, bad, 0.2),
+        lambda: lhv_correlation(MODEL, 0.2, bad),
+        lambda: lhv_correlation(MODEL, np.array([0.1, bad]), 0.2),
+        lambda: lhv_joint(MODEL, bad, 0.2),
+        lambda: lhv_joint(MODEL, 0.2, bad),
+        lambda: quantum_correlation(bad, 0.2),
+    ):
+        with pytest.raises(ValueError, match="^not unitary$"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -118,7 +179,7 @@ def test_lhv_model_validates_prior():
 )
 def test_lhv_model_rejects_priors_that_are_not_distributions(prior):
     with pytest.raises(ValueError, match="probability distribution"):
-        LHVModel(MODEL.lambda_space, prior, MODEL.response)
+        LHVModel(MODEL.vectors, prior)
 
 
 def test_chsh_at_the_optimal_quad():
@@ -210,27 +271,37 @@ def test_erased_vs_kept_report():
     assert report.kept_vs_lhv_max_gap <= 1e-12
 
 
-@pytest.mark.parametrize("match_grid", [0, -3])
-def test_erased_vs_kept_rejects_an_empty_match_grid_before_computing(monkeypatch, match_grid):
+def _kept_vs_lhv_grid_max(model) -> float:
+    """max |E_kept - E_model| over a 50x50 grid of settings."""
+    kept = record_and_keep(singlet(), (Friend.F, Friend.FBAR)).final_state
+    grid = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
+    a, b = grid[:, None], grid[None, :]
+    return float(np.max(np.abs(quantum_correlation(a, b, kept) - lhv_correlation(model, a, b))))
+
+
+def _spectral_norm_of_the_difference(model) -> float:
+    """sup over the settings of |n(a)^T D n(b)|, D the difference of the
+    kept records' block and the model's, from LAPACK."""
     from wignerfriend import bell
 
-    calls = []
+    kept = record_and_keep(singlet(), (Friend.F, Friend.FBAR)).final_state
+    difference = np.array(bell._correlation_block(kept)) - np.array(model._block)
+    return float(np.linalg.norm(difference.reshape(2, 2), 2))
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
 
-        return wrapper
+def test_the_kept_vs_lhv_gap_is_the_supremum_over_all_settings(monkeypatch):
+    from wignerfriend import bell
 
-    for name in ("singlet", "quantum_correlation", "lhv_correlation", "chsh_scan"):
-        monkeypatch.setattr(bell, name, counted(getattr(bell, name)))
-    with pytest.raises(ValueError, match="match_grid"):
-        bell.erased_vs_kept_chsh(grid_n=4, match_grid=match_grid)
-    assert calls == []
-    report = bell.erased_vs_kept_chsh(grid_n=4, match_grid=1)
-    assert "quantum_correlation" in calls and "lhv_correlation" in calls
-    assert report.kept_vs_lhv_max_gap <= 1e-12
+    gap = erased_vs_kept_chsh(4).kept_vs_lhv_max_gap
+    assert 0.0 <= gap <= 1e-12
+    assert _kept_vs_lhv_grid_max(MODEL) <= gap
+    assert gap == pytest.approx(_spectral_norm_of_the_difference(MODEL), abs=1e-30)
+    # Against a model whose difference from the kept records has rank two,
+    # where the supremum is neither the largest entry nor the Frobenius norm.
+    monkeypatch.setattr(bell, "_FACTS_MODEL", TILTED)
+    gap = erased_vs_kept_chsh(4).kept_vs_lhv_max_gap
+    assert gap == pytest.approx(_spectral_norm_of_the_difference(TILTED), abs=1e-12)
+    assert gap - 1e-2 <= _kept_vs_lhv_grid_max(TILTED) <= gap + 1e-12
 
 
 @pytest.mark.parametrize("grid_n", [0, -2])
@@ -255,17 +326,18 @@ def _refuse_record_and_keep(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", NOT_A_SIZE)
-@pytest.mark.parametrize("name", ["grid_n", "match_grid"])
-def test_erased_vs_kept_rejects_a_non_integer_grid_before_computing(monkeypatch, name, bad):
+def test_erased_vs_kept_rejects_a_non_integer_grid_before_computing(monkeypatch, bad):
     from wignerfriend import bell
 
     _refuse_record_and_keep(monkeypatch)
-    with pytest.raises(TypeError, match=f"{name} must be an integer"):
-        bell.erased_vs_kept_chsh(**{name: bad})
+    with pytest.raises(TypeError, match="grid_n must be an integer"):
+        bell.erased_vs_kept_chsh(grid_n=bad)
 
 
 def test_erased_vs_kept_takes_any_index_as_its_grid_sizes():
-    assert erased_vs_kept_chsh(np.int64(7), match_grid=np.int64(5)) == erased_vs_kept_chsh(7, 5)
+    assert erased_vs_kept_chsh(np.int64(7)) == erased_vs_kept_chsh(7)
+    with pytest.raises(TypeError):
+        erased_vs_kept_chsh(7, 5)
 
 
 # A correlation block that is not the state's: a scan solves on it without
@@ -384,9 +456,17 @@ def test_a_negative_determinant_turns_bobs_offset_the_other_way():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
 def test_closed_form_chsh_maximum_matches_the_svd_on_any_block(entries):
+    from wignerfriend import bell
+
     block = np.array(entries).reshape(2, 2)
     fn = _bilinear(block)
     _assert_matches_the_svd(fn, block, chsh_scan(fn, 4))
+    # The shared helper: s1 >= |s2| are the singular values, s1*s2 = det T.
+    _, _, s1, s2 = bell._block_svd(entries)
+    sigma = np.linalg.svd(block, compute_uv=False)
+    assert s1 == pytest.approx(sigma[0], abs=1e-12)
+    assert abs(s2) == pytest.approx(sigma[1], abs=1e-12)
+    assert s1 * s2 == pytest.approx(np.linalg.det(block), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -514,23 +594,108 @@ def test_a_non_finite_array_setting_fails_as_the_scalar_one_does(bad, side):
     assert messages[0] == messages[1] == "not unitary"
 
 
-def test_one_state_yields_one_cached_block_and_the_cache_is_bounded():
+# Bases a pair can be stored in: the z bases, and rotated spin bases.
+STORED_BASES = {
+    "z": (PAIR_Z, PAIR_Z),
+    "w-direction": (SPIN_W, direction_basis(0.7)),
+    "directions": (direction_basis(2.1), direction_basis(-0.4)),
+}
+FRIEND_SETS = [(), (Friend.FBAR,), (Friend.F,), (Friend.FBAR, Friend.F)]
+
+
+@st.composite
+def stored_pairs(draw):
+    """(state or record-kept density, its oracle density in the reference
+    frame): random complex amplitudes stored in one of STORED_BASES, with
+    the records of one of FRIEND_SETS kept."""
+    parts = draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+            lambda xs: sum(x * x for x in xs) > 1e-2
+        )
+    )
+    bases = STORED_BASES[draw(st.sampled_from(sorted(STORED_BASES)))]
+    friends = draw(st.sampled_from(FRIEND_SETS))
+    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    amps /= np.linalg.norm(amps)
+    state = make_state(amps, bases)
+    stored = np.outer(amps, amps.conj())
+    if friends:
+        state = record_and_keep(state, friends).final_state
+        for friend in friends:
+            stored = oracles.dephase_matrix(stored, friend.system)
+    change = np.kron(np.array(bases[0].vectors).T, np.array(bases[1].vectors).T)
+    return state, change @ stored @ change.conj().T
+
+
+@settings(max_examples=300, deadline=None)
+@given(stored_pairs())
+def test_the_closed_form_block_matches_the_oracle_and_the_born_rule(pair):
     from wignerfriend import bell
 
-    block = bell._correlation_block
-    assert block.cache_info().maxsize == bell.CORRELATION_CACHE
-    state, _ = _case_state("pure-2")
-    before = block.cache_info()
-    quantum_correlation(GRID_12[:, None], GRID_12[None, :], state)
-    chsh_scan(lambda a, b: quantum_correlation(a, b, state), 12)
-    after = block.cache_info()
-    assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 2
-    assert block(state) is block(state)
-    # Scalar settings run on the Born rule and never read the block.
-    quantum_correlation(0.3, 1.1, make_state(_random_amps(9), (PAIR_Z, PAIR_Z)))
-    assert block.cache_info().misses == after.misses
-    for seed in range(bell.CORRELATION_CACHE + 5):
-        fresh = make_state(_random_amps(100 + seed), (PAIR_Z, PAIR_Z))
-        quantum_correlation(GRID_12, 0.5, fresh)
-    assert block.cache_info().currsize == bell.CORRELATION_CACHE
+    state, rho = pair
+    block = np.array(bell._correlation_block(state))
+    assert np.max(np.abs(block - oracles.correlation_block(rho).ravel())) <= 1e-12
+    quarter = math.pi / 2.0
+    born = [_reference_correlation(state, a, b) for a in (0.0, quarter) for b in (0.0, quarter)]
+    assert np.max(np.abs(block - born)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs(), st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+def test_array_settings_match_scalar_ones(pair, a, b):
+    state, _ = pair
+    scalar = quantum_correlation(a, b, state)
+    assert quantum_correlation(np.array([a]), b, state)[0] == pytest.approx(scalar, abs=1e-12)
+    assert quantum_correlation(a, np.array([[b]]), state)[0, 0] == pytest.approx(scalar, abs=1e-12)
+
+
+def _unchecked_density(rows):
+    """A density operator in (PAIR_Z, PAIR_Z) that skipped its checks."""
+    fake = DensityOperator.__new__(DensityOperator)
+    Frozen.__init__(fake, (PAIR_Z, PAIR_Z), [[complex(z) for z in row] for row in rows])
+    return fake
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # Not positive: t11 = 2 Re(rho03 + rho12) = 1.2.
+        [[0.5, 0, 0, 0.6], [0, 0, 0, 0], [0, 0, 0, 0], [0.6, 0, 0, 0.5]],
+        # t00 = -1 - 1e-9.
+        [[0, 0, 0, 0], [0, 0.5 + 5e-10, 0, 0], [0, 0, 0.5 + 5e-10, 0], [0, 0, 0, -1e-9]],
+        [[0.5, math.nan, 0, 0], [math.nan, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        # Every entry in bounds, but a trace of 1.1.
+        [[0.6, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    ],
+    ids=["entry-above-1", "entry-below-minus-1", "nan-entry", "trace-1.1"],
+)
+def test_a_block_that_is_not_a_states_raises(rows):
+    from wignerfriend import bell
+
+    fake = _unchecked_density(rows)
+    with pytest.raises(InvariantViolation, match="is not a two-spin state's"):
+        bell._correlation_block(fake)
+    with pytest.raises(InvariantViolation, match="is not a two-spin state's"):
+        quantum_correlation(GRID_12, 0.0, fake)
+
+
+def test_blocks_are_read_on_every_call_and_build_nothing_in_the_z_bases(monkeypatch):
+    from wignerfriend import bell
+
+    assert not hasattr(bell, "CORRELATION_CACHE")
+    assert not hasattr(bell._correlation_block, "cache_info")
+    pure, _ = _case_state("pure-2")
+    kept, _ = _case_state("kept-5")
+    built = []
+    for cls in (StateVector, DensityOperator):
+        original = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, *a, _o=original: built.append(self) or _o(self, *a)
+        )
+    for state in (pure, kept):
+        first = bell._correlation_block(state)
+        assert bell._correlation_block(state) == first
+        chsh_scan(lambda a, b: quantum_correlation(a, b, state), 12)
+    erased_vs_kept_chsh(4)
+    # erased_vs_kept_chsh builds only the kept density.
+    assert [type(x) for x in built] == [DensityOperator]

@@ -49,7 +49,7 @@ def _instances() -> dict:
         bell.observer_independent_facts_model(),
         bell.OPTIMAL_QUAD,
         bell.chsh_scan(bell.quantum_correlation, 4),
-        bell.erased_vs_kept_chsh(4, 4),
+        bell.erased_vs_kept_chsh(4),
     ]
     return {type(v): v for v in values}
 
@@ -57,7 +57,7 @@ def _instances() -> dict:
 INSTANCES = _instances()
 # The classes that keep a __dict__, for their cached numpy views.
 _WITH_DICT = {qcore.StateVector, qcore.DensityOperator}
-# Equal only to themselves: states, maps, a model holding a function, and a
+# Equal only to themselves: states, maps, a hidden-variable model, and a
 # protocol run holding a state.
 _IDENTITY = {
     qcore.StateVector,
