@@ -1,6 +1,6 @@
-"""Singlet-pair statistics: quantum correlations from the Born rule, the
-observer-independent-facts hidden-variable model, and the CHSH comparison
-(local models at most 2, the singlet at 2*sqrt2).
+"""Singlet-pair statistics: quantum correlations from the state's correlation
+block, the observer-independent-facts hidden-variable model, and the CHSH
+comparison (local models at most 2, the singlet at 2*sqrt2).
 
 Measurement directions are restricted to one Bloch great circle (real
 amplitudes), so a setting is a single angle n(a) = (cos a, sin a) in the
@@ -18,18 +18,19 @@ the two blocks: the supremum of |E_kept - E_model| over all settings.
 
 Correlations broadcast like numpy ufuncs: settings may be arrays of angles,
 and a correlation returns one value per broadcast pair of settings (a Python
-float for scalar settings).  Scalar quantum settings take one Born
-distribution on the exact kernel of :mod:`qcore`; scalar hidden-variable
-settings read the model's block with :mod:`math`.  Neither imports numpy.
-Array settings read the block on numpy, and so do ``chsh_scan`` and
-``erased_vs_kept_chsh``.  A ``CorrelationFn`` given to ``chsh_scan`` must
-broadcast the same way, because it is called on whole grids of settings.
+float for scalar settings).  Quantum and hidden-variable correlations take
+the same path, the bilinear form on a block: scalar settings read it with
+:mod:`math` and import no numpy, array settings read it on numpy, and so do
+``chsh_scan`` and ``erased_vs_kept_chsh``.  A ``CorrelationFn`` given to
+``chsh_scan`` must broadcast the same way, because it is called on whole
+grids of settings.
 
-``born_rule_residual`` checks a scan's maximum against four scalar Born-rule
-correlations at its argmax, in direction bases: arithmetic independent of the
-block's.  ``erased_vs_kept_chsh`` runs it on its kept-records maximum, as
-``chsh --scan`` does on the singlet's.  Grid sizes must be integers of at
-least 1, checked before anything is computed.
+The Born rule is kept for one check: ``born_rule_residual`` compares a
+scan's maximum with four Born-rule correlations at its argmax, each one Born
+distribution in two direction bases: arithmetic independent of the block's.
+``erased_vs_kept_chsh`` runs it on its kept-records maximum, as ``chsh
+--scan`` does on the singlet's.  Grid sizes must be integers of at least 1,
+checked before anything is computed.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def _is_scalar(setting) -> bool:
 
 
 def _born_correlation(obj, alpha: float, beta: float) -> float:
-    """E(alpha, beta) from one Born distribution in two direction bases."""
+    """E(alpha, beta) from one Born distribution in two direction bases: the
+    independent arithmetic of :func:`born_rule_residual`."""
     dist = born_distribution(obj, (direction_basis(alpha), direction_basis(beta)))
     return sum(x * p for x, p in zip(_OUTCOME_PRODUCT, dist.probs.values()))
 
@@ -160,19 +162,11 @@ def _correlation_block(obj) -> tuple[float, float, float, float]:
     return block
 
 
-def quantum_correlation(alpha, beta, state=None):
-    """Expectation of the +-1 outcome product at settings (alpha, beta).
-
-    Computed for the state (default: the singlet, where the closed form is
-    -cos(alpha - beta)); accepts a density operator as well.  Two scalar
-    settings take one :func:`qcore.born_distribution` in two
-    :func:`qcore.direction_basis` bases and give a float.  Otherwise
-    ``alpha`` and ``beta`` broadcast like a ufunc's arguments, and every pair
-    is n(alpha)^T T n(beta) on the state's correlation block T, read once
-    per call.  A non-finite setting raises ValueError "not unitary", as
-    direction_basis does.  The state must hold two spin systems: ValueError
-    "dimension mismatch" otherwise, and "basis mismatch" for a coin system.
-    """
+def _checked_pair(state):
+    """The state (default: the singlet), checked to be a state or density of
+    two spin systems: TypeError for anything else, ValueError "dimension
+    mismatch" for another number of systems and "basis mismatch" for a coin
+    system."""
     obj = _SINGLET if state is None else state
     if not isinstance(obj, (StateVector, DensityOperator)):
         raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
@@ -180,9 +174,22 @@ def quantum_correlation(alpha, beta, state=None):
         raise ValueError("dimension mismatch")
     if any(b.system is not System.SPIN for b in obj.bases):
         raise ValueError("basis mismatch: correlations are defined on two spin systems")
-    if _is_scalar(alpha) and _is_scalar(beta):
-        return _born_correlation(obj, alpha, beta)
-    return _bilinear(_correlation_block(obj), alpha, beta)
+    return obj
+
+
+def quantum_correlation(alpha, beta, state=None):
+    """Expectation of the +-1 outcome product at settings (alpha, beta).
+
+    Computed for the state (default: the singlet, where the closed form is
+    -cos(alpha - beta)); accepts a density operator as well.  Every pair of
+    settings is n(alpha)^T T n(beta) on the state's correlation block T,
+    read once per call; ``alpha`` and ``beta`` broadcast like a ufunc's
+    arguments, and two scalar settings give a float without importing numpy.
+    A non-finite setting raises ValueError "not unitary", as direction_basis
+    does.  The state must hold two spin systems: ValueError "dimension
+    mismatch" otherwise, and "basis mismatch" for a coin system.
+    """
+    return _bilinear(_correlation_block(_checked_pair(state)), alpha, beta)
 
 
 class LHVModel(Frozen):
@@ -368,8 +375,10 @@ def born_rule_residual(scan: ScanResult, state=None) -> float:
     scalar correlations of the state (default: the singlet), each a Born
     distribution in two direction bases, so that none of the closed-form
     block's arithmetic that the scan solved on is reused.  A residual above
-    BILINEAR_TOL raises InvariantViolation."""
-    s_born = chsh(lambda a, b: quantum_correlation(a, b, state), scan.argmax)
+    BILINEAR_TOL raises InvariantViolation.  The state is checked as
+    :func:`quantum_correlation` checks it."""
+    obj = _checked_pair(state)
+    s_born = chsh(lambda a, b: _born_correlation(obj, a, b), scan.argmax)
     residual = abs(s_born - scan.max_s)
     if not residual <= BILINEAR_TOL:
         raise InvariantViolation(

@@ -109,7 +109,8 @@ class TransportCoupling(FrozenValue):
     def joint(
         self, input_dist: dict[str, float], output_dist: dict[str, float]
     ) -> dict[tuple[str, str], float]:
-        if abs(sum(input_dist.values()) - 1.0) > 1e-9 or abs(sum(output_dist.values()) - 1.0) > 1e-9:
+        # Negated comparisons, so that a NaN mass fails too.
+        if not all(abs(sum(d.values()) - 1.0) <= 1e-9 for d in (input_dist, output_dist)):
             raise InvariantViolation("coupling marginals must each sum to 1")
         if self.kind is CouplingKind.INDEPENDENT:
             joint = {
@@ -157,11 +158,11 @@ class TransportCoupling(FrozenValue):
     def _check_marginals(joint, input_dist, output_dist) -> None:
         for lab, p in input_dist.items():
             got = sum(v for (i, _), v in joint.items() if i == lab)
-            if abs(got - p) > WEIGHT_TOL:
+            if not abs(got - p) <= WEIGHT_TOL:
                 raise InvariantViolation(f"input marginal broken at {lab}: {got} != {p}")
         for lab, p in output_dist.items():
             got = sum(v for (_, o), v in joint.items() if o == lab)
-            if abs(got - p) > WEIGHT_TOL:
+            if not abs(got - p) <= WEIGHT_TOL:
                 raise InvariantViolation(f"output marginal broken at {lab}: {got} != {p}")
 
 
@@ -545,18 +546,25 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     return _binomial_btrs(rng, n, p)
 
 
-def _split(group: list[TrajectoryPath], depth: int):
-    """The split tree of ``group``, paths that agree before ``depth``: the
-    signature of a single path, or else a list of ``(p, child)``, one per
-    distinct initial configuration (depth 0) or transition at ``depth``, in
-    order of first appearance, where p is the branch's mass over the mass of
-    that branch and every later one."""
-    if len(group) == 1:
-        return group[0].signature
+def branches(group: list[TrajectoryPath], depth: int) -> dict[object, list[TrajectoryPath]]:
+    """The paths of ``group``, which agree before ``depth``, bucketed by their
+    initial configuration (depth 0) or their transition at ``depth``, in
+    order of first appearance."""
     buckets: dict[object, list[TrajectoryPath]] = {}
     for p in group:
         key = p.initial if depth == 0 else p.events[depth - 1]
         buckets.setdefault(key, []).append(p)
+    return buckets
+
+
+def _split(group: list[TrajectoryPath], depth: int):
+    """The split tree of ``group``, paths that agree before ``depth``: the
+    signature of a single path, or else a list of ``(p, child)``, one per
+    bucket of :func:`branches`, where p is the branch's mass over the mass of
+    that branch and every later one."""
+    if len(group) == 1:
+        return group[0].signature
+    buckets = branches(group, depth)
     masses = [sum(q.weight for q in bucket) for bucket in buckets.values()]
     # Path weights are positive, so mass_i <= the sum and p <= 1.
     return [

@@ -22,9 +22,6 @@ if TYPE_CHECKING:
 
 RATIONAL_TOL = 1e-12
 _MAX_DENOMINATOR = 144
-# The CHSH maximum checks bilinearity on grid**2 settings, evaluated in one
-# broadcast call: 50 caps a check at 2,500 settings.
-MAX_GRID = 50
 # The documented range of --samples, int64 as in version 0.1.0; the sampler's
 # cost does not grow with the count.
 MAX_SAMPLES = 2**63 - 1
@@ -108,14 +105,12 @@ def _config_str(config: bohm.HiddenConfig) -> str:
 
 
 def _tree_lines(ts: bohm.TrajectorySet) -> list[str]:
+    from . import bohm
+
     lines: list[str] = []
 
     def walk(paths: list[bohm.TrajectoryPath], depth: int, indent: str) -> None:
-        buckets: dict = {}
-        for p in paths:
-            key = p.initial if depth == 0 else p.events[depth - 1]
-            buckets.setdefault(key, []).append(p)
-        for key, group in buckets.items():
+        for key, group in bohm.branches(paths, depth).items():
             weight = sum(p.weight for p in group)
             if depth == 0:
                 head = f"initial {_config_str(key)}"
@@ -283,22 +278,22 @@ def cmd_chsh(args) -> tuple[str, dict]:
         "S_lhv": _json_prob(s_lhv),
     }
     if args.scan:
-        scan_q = bell.chsh_scan(bell.quantum_correlation, grid_n=args.grid)
+        scan_q = bell.chsh_scan(bell.quantum_correlation)
         # The scan solves on the singlet's correlation block; S from the Born
         # rule at its argmax checks that block.
         bell.born_rule_residual(scan_q)
-        scan_l = bell.chsh_scan(lambda a, b: bell.lhv_correlation(model, a, b), grid_n=args.grid)
+        scan_l = bell.chsh_scan(lambda a, b: bell.lhv_correlation(model, a, b))
         lines.append(
-            f"scan (closed form, checked on a {args.grid}x{args.grid} grid): "
+            f"scan (closed form, checked on a {scan_q.grid_n}x{scan_q.grid_n} grid): "
             f"quantum max {scan_q.max_s:.15g}, "
             f"hidden-variable max {scan_l.max_s:.15g}"
         )
         payload["S_quantum_max"] = _json_prob(scan_q.max_s)
         payload["S_lhv_max"] = _json_prob(scan_l.max_s)
         payload["argmax_quad"] = list(scan_q.argmax.as_tuple())
-        payload["grid_resolution"] = args.grid
+        payload["grid_resolution"] = scan_q.grid_n
     if args.erased_vs_kept:
-        report = bell.erased_vs_kept_chsh(grid_n=args.grid)
+        report = bell.erased_vs_kept_chsh()
         lines.append(
             f"records erased: S = {report.s_erased:.15g}; records kept: "
             f"S = {report.s_kept_at_quad:.15g} at the quad, max {report.s_kept_max:.15g}"
@@ -332,7 +327,6 @@ _CONFIG_KEYS = {
     "quad": (list, "--quad"),
     "scan": (bool, "--scan"),
     "erased_vs_kept": (bool, "--erased-vs-kept"),
-    "grid": (int, "--grid"),
 }
 
 
@@ -376,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=float, nargs=4, metavar=("A", "APRIME", "B", "BPRIME"))
     p.add_argument("--scan", action="store_true")
     p.add_argument("--erased-vs-kept", action="store_true", dest="erased_vs_kept")
-    p.add_argument("--grid", type=int, default=20, help=f"bilinearity check grid, 1 to {MAX_GRID}")
     p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
@@ -455,8 +448,6 @@ def main(argv=None) -> int:
     if args.command == "memory" and len(set(args.keep)) != len(args.keep):
         parser.error(f"--keep lists an agent more than once: {', '.join(args.keep)}")
     if args.command == "chsh":
-        if not 1 <= args.grid <= MAX_GRID:
-            parser.error(f"--grid must be an integer from 1 to {MAX_GRID}")
         if args.quad is not None and not all(math.isfinite(x) for x in args.quad):
             parser.error("--quad angles must be finite")
         grids = [flag for flag, on in (("--scan", args.scan), ("--erased-vs-kept", args.erased_vs_kept)) if on]

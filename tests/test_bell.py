@@ -354,6 +354,44 @@ def test_born_rule_residual_is_below_tolerance_on_true_blocks():
     assert bell.born_rule_residual(scan, kept) <= bell.BILINEAR_TOL
 
 
+def test_only_the_born_rule_check_takes_the_born_path(monkeypatch):
+    from wignerfriend import bell
+
+    calls = []
+    original = bell._born_correlation
+    monkeypatch.setattr(
+        bell, "_born_correlation", lambda *args: calls.append(args) or original(*args)
+    )
+    kept = record_and_keep(singlet(), (Friend.F, Friend.FBAR)).final_state
+    for state in (None, kept):
+        quantum_correlation(0.3, 1.1, state)
+        quantum_correlation(GRID[:, None], GRID[None, :], state)
+        chsh(lambda a, b: quantum_correlation(a, b, state), OPTIMAL_QUAD)
+    scan = chsh_scan(quantum_correlation, 5)
+    assert calls == []
+    bell.born_rule_residual(scan)
+    # One Born correlation per setting pair of the argmax quad.
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("case", ["not-a-state", "coin-system", "one-system", "three-systems"])
+def test_born_rule_residual_checks_the_state_as_quantum_correlation_does(case):
+    from wignerfriend import bell
+
+    state = {
+        "not-a-state": "singlet",
+        "coin-system": hardy_state(),
+        "one-system": make_state([1.0, 0.0], (PAIR_Z,)),
+        "three-systems": make_state(np.eye(8)[0], (PAIR_Z, PAIR_Z, PAIR_Z)),
+    }[case]
+    scan = chsh_scan(quantum_correlation, 5)
+    with pytest.raises((TypeError, ValueError)) as want:
+        quantum_correlation(0.0, 0.0, state)
+    with pytest.raises(want.type) as got:
+        bell.born_rule_residual(scan, state)
+    assert str(got.value) == str(want.value)
+
+
 def test_erased_vs_kept_checks_the_kept_maximum_against_the_born_rule(monkeypatch):
     from wignerfriend import bell
 
@@ -487,7 +525,7 @@ GRID_12 = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
 
 
 def _reference_correlation(obj, a: float, b: float) -> float:
-    """The scalar path: a checked Born distribution in two direction bases."""
+    """The Born rule: a checked Born distribution in two direction bases."""
     dist = born_distribution(obj, (direction_basis(a), direction_basis(b)))
     return sum(_SIGN[k1] * _SIGN[k2] * p for (k1, k2), p in dist.items())
 
@@ -501,9 +539,8 @@ def test_broadcast_correlations_match_the_reference_path(case):
     assert grid.shape == (12, 12)
     want = np.array([[_reference_correlation(state, a, b) for b in GRID_12] for a in GRID_12])
     assert np.max(np.abs(grid - want)) <= 1e-12
-    # Scalar settings take the reference path itself.
     for a, b in ((0.3, 1.1), (float(GRID_12[5]), 2), (np.float64(4.0), -0.5)):
-        assert quantum_correlation(a, b, state) == _reference_correlation(state, a, b)
+        assert abs(quantum_correlation(a, b, state) - _reference_correlation(state, a, b)) <= 1e-12
 
 
 def test_scalar_settings_give_floats_and_arrays_broadcast():
@@ -541,8 +578,7 @@ def test_errors_come_through_the_broadcast_path():
     one = make_state([1.0, 0.0], (PAIR_Z,))
     with pytest.raises(ValueError, match="dimension mismatch"):
         quantum_correlation(0.0, 0.0, one)
-    # Scalar settings run on the kernel, arrays on the correlation block:
-    # same errors.
+    # Scalar and array settings: same errors.
     for angle, state, message in (
         (math.nan, None, "not unitary"),
         (0.0, hardy_state(), "basis mismatch"),
@@ -699,3 +735,16 @@ def test_blocks_are_read_on_every_call_and_build_nothing_in_the_z_bases(monkeypa
     erased_vs_kept_chsh(4)
     # erased_vs_kept_chsh builds only the kept density.
     assert [type(x) for x in built] == [DensityOperator]
+
+
+@pytest.mark.parametrize("case", ["singlet", "kept-5"])
+def test_scalar_correlations_at_fresh_angles_build_no_born_plan(case):
+    from wignerfriend import qcore
+
+    state, _ = _case_state(case)
+    quantum_correlation(0.3, 1.1, state)
+    misses = qcore._born_plan.cache_info().misses
+    rng = np.random.default_rng(11)
+    for a, b in rng.uniform(-10.0, 10.0, size=(300, 2)).tolist():
+        quantum_correlation(a, b, state)
+    assert qcore._born_plan.cache_info().misses == misses

@@ -239,6 +239,30 @@ def test_coupling_reproduces_both_marginals(p_in, p_out):
             )
 
 
+# (input, output) marginals with a NaN mass on one side.
+NAN_MARGINALS = {
+    "input": ({"h": math.nan, "t": 1.0}, {"okbar": 0.5, "failbar": 0.5}),
+    "output": ({"h": 0.5, "t": 0.5}, {"okbar": math.nan, "failbar": 1.0}),
+}
+
+
+@pytest.mark.parametrize("coupling", ALL_COUPLINGS, ids=["monotone", "independent"])
+@pytest.mark.parametrize("side", sorted(NAN_MARGINALS))
+def test_coupling_rejects_a_nan_marginal(coupling, side):
+    from wignerfriend.qcore import InvariantViolation
+
+    with pytest.raises(InvariantViolation):
+        coupling.joint(*NAN_MARGINALS[side])
+
+
+def test_coupling_marginal_check_rejects_a_nan_joint():
+    from wignerfriend.bohm import TransportCoupling
+    from wignerfriend.qcore import InvariantViolation
+
+    with pytest.raises(InvariantViolation, match="input marginal broken"):
+        TransportCoupling._check_marginals({("h", "ok"): math.nan}, {"h": 1.0}, {"ok": 1.0})
+
+
 @given(masses, masses)
 def test_monotone_coupling_never_crosses(p_in, p_out):
     input_dist = {"up": p_in, "down": 1.0 - p_in}
@@ -291,6 +315,29 @@ def test_sampler_walks_the_same_splits_as_regrouping_every_call(foliation, coupl
         expected = oracles.sample_paths_per_call(paths, samples, random.Random(seed), binomial)
         got = sample_paths(foliation, coupling, samples=samples, seed=seed)
         assert list(got.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("coupling", ALL_COUPLINGS, ids=["monotone", "independent"])
+@pytest.mark.parametrize("foliation", ALL_FOLIATIONS, ids=["F", "Fprime"])
+def test_branches_bucket_paths_by_their_step_at_each_depth(foliation, coupling):
+    from wignerfriend import bohm
+
+    def step(p, depth):
+        return p.initial if depth == 0 else p.events[depth - 1]
+
+    groups = [(list(evolve(foliation, coupling).paths), 0)]
+    seen = 0
+    while groups:
+        group, depth = groups.pop()
+        buckets = bohm.branches(group, depth)
+        # Keys in order of first appearance; each bucket keeps the group's order.
+        assert list(buckets) == list(dict.fromkeys(step(p, depth) for p in group))
+        for key, bucket in buckets.items():
+            assert bucket == [p for p in group if step(p, depth) == key]
+            if len(bucket) > 1:
+                groups.append((bucket, depth + 1))
+        seen += 1
+    assert seen > 1
 
 
 def test_sampler_builds_each_split_tree_once_in_a_bounded_cache():

@@ -167,7 +167,7 @@ def test_chsh_default_prints_tsirelson(capsys):
 
 
 def test_chsh_scan_json_has_the_report_fields(capsys):
-    payload = run_json(capsys, "chsh", "--scan", "--grid", "8")
+    payload = run_json(capsys, "chsh", "--scan")
     for key in ("quad", "S_quantum", "S_lhv_max", "argmax_quad", "grid_resolution"):
         assert key in payload
     assert float(payload["S_lhv_max"]) <= 2.0 + 1e-9
@@ -178,21 +178,21 @@ def test_chsh_scan_json_has_the_report_fields(capsys):
 SINGLET_ARGMAX = [0.7853981633974483, 2.356194490192345, 4.71238898038469, 3.141592653589793]
 
 
-@pytest.mark.parametrize("grid", ["1", "7", "20", "50"])
-def test_chsh_scan_json_pins_the_singlet_argmax(capsys, grid):
+def test_chsh_scan_json_pins_the_singlet_argmax(capsys):
     from wignerfriend import bell
 
-    payload = run_json(capsys, "chsh", "--scan", "--grid", grid)
+    payload = run_json(capsys, "chsh", "--scan")
     assert payload["argmax_quad"] == SINGLET_ARGMAX
     assert payload["S_quantum_max"] == "2.8284271247461907"
+    assert payload["grid_resolution"] == 20
     scan = bell.ScanResult(
-        float(payload["S_quantum_max"]), bell.AngleQuad(*SINGLET_ARGMAX), int(grid)
+        float(payload["S_quantum_max"]), bell.AngleQuad(*SINGLET_ARGMAX), payload["grid_resolution"]
     )
     assert bell.born_rule_residual(scan) <= bell.BILINEAR_TOL
 
 
 def test_chsh_erased_vs_kept(capsys):
-    code, out, _ = run_cli(capsys, "chsh", "--erased-vs-kept", "--grid", "8")
+    code, out, _ = run_cli(capsys, "chsh", "--erased-vs-kept")
     assert code == 0
     assert "records erased: S = 2.82842712474619" in out
 
@@ -216,18 +216,14 @@ def _usage_error_without_traceback(capsys, argv) -> str:
     return err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["chsh", "--scan", "--grid", "0"],
-        ["chsh", "--scan", "--grid", "-3"],
-        ["chsh", "--scan", "--grid", str(cli.MAX_GRID + 1)],
-        ["chsh", "--erased-vs-kept", "--grid", "0"],
-    ],
-    ids=["zero", "negative", "above-cap", "erased-vs-kept-zero"],
-)
-def test_chsh_grid_out_of_range_is_usage_error(capsys, argv):
-    _usage_error_without_traceback(capsys, argv)
+def test_chsh_grid_is_not_an_option_or_a_config_key(tmp_path, capsys):
+    # The scan checks itself on the library's 20x20 grid; no input sizes it.
+    err = _usage_error_without_traceback(capsys, ["chsh", "--scan", "--grid", "7"])
+    assert "unrecognized arguments: --grid 7" in err
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"scenario": "chsh", "grid": 7}))
+    err = _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+    assert "unknown config key: 'grid'" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -284,9 +280,6 @@ def test_chsh_erased_vs_kept_is_cross_checked_against_the_born_rule(monkeypatch,
 @pytest.mark.parametrize(
     "raw",
     [
-        {"scenario": "chsh", "scan": True, "grid": 0},
-        {"scenario": "chsh", "scan": True, "grid": -3},
-        {"scenario": "chsh", "scan": True, "grid": True},
         {"scenario": "chsh", "quad": [float("nan"), 0, 0, 0]},
         {"scenario": "bohm", "samples": "10", "seed": 1},
         {"scenario": "bohm", "samples": 10, "seed": 1.5},
@@ -301,9 +294,6 @@ def test_chsh_erased_vs_kept_is_cross_checked_against_the_born_rule(monkeypatch,
         [],
     ],
     ids=[
-        "grid-zero",
-        "grid-negative",
-        "grid-bool",
         "quad-nan",
         "samples-string",
         "seed-float",
@@ -322,12 +312,6 @@ def test_config_bad_chsh_input_is_usage_error(tmp_path, capsys, raw):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(raw))
     _usage_error_without_traceback(capsys, ["--config", str(cfg)])
-
-
-def test_chsh_grid_bounds_are_accepted(capsys):
-    code, out, _ = run_cli(capsys, "chsh", "--scan", "--grid", "1")
-    assert code == 0
-    assert "scan (closed form, checked on a 1x1 grid)" in out
 
 
 def test_largest_sample_count_is_split_exactly(capsys):
@@ -436,11 +420,11 @@ def test_config_takes_no_other_option(tmp_path, capsys, options, before):
     [
         {"scenario": "contexts", "foliation": "F"},
         {"scenario": "agents", "quad": [0, 1, 2, 3]},
-        {"scenario": "memory", "grid": 7},
+        {"scenario": "memory", "scan": True},
         {"scenario": "bohm", "kept": ["F"]},
         {"scenario": "chsh", "forbid_counterfactual": True},
     ],
-    ids=["contexts-foliation", "agents-quad", "memory-grid", "bohm-kept", "chsh-flag"],
+    ids=["contexts-foliation", "agents-quad", "memory-scan", "bohm-kept", "chsh-flag"],
 )
 def test_config_key_the_scenario_does_not_take_is_usage_error(tmp_path, capsys, raw):
     cfg = tmp_path / "scenario.json"
@@ -478,14 +462,11 @@ _TWINS = [
     (["chsh"], {"scenario": "chsh"}),
     (["chsh", "--quad", "0", "1", "2", "3"], {"scenario": "chsh", "quad": [0, 1, 2, 3]}),
     (["chsh", "--quad", "0", "-1e-3", "0", "0"], {"scenario": "chsh", "quad": [0, -1e-3, 0, 0]}),
-    (
-        ["chsh", "--scan", "--erased-vs-kept", "--grid", "7"],
-        {"scenario": "chsh", "scan": True, "erased_vs_kept": True, "grid": 7},
-    ),
+    (["chsh", "--scan", "--erased-vs-kept"], {"scenario": "chsh", "scan": True, "erased_vs_kept": True}),
 ]
 # Twins that exit 2, on a bound, a choice and a repeat checked by the parser.
 _BAD_TWINS = [
-    (["chsh", "--scan", "--grid", "0"], {"scenario": "chsh", "scan": True, "grid": 0}),
+    (["bohm", "--samples", "0", "--seed", "1"], {"scenario": "bohm", "samples": 0, "seed": 1}),
     (["bohm", "--coupling", "G"], {"scenario": "bohm", "coupling": "G"}),
     (["memory", "--keep", "F", "--keep", "F"], {"scenario": "memory", "kept": ["F", "F"]}),
 ]
@@ -702,7 +683,7 @@ def test_table_command_lines_load_no_json():
     assert ["json" in e for e in entered] == [False] * len(_NUMPY_FREE) + [True]
 
 
-_SETTINGS_GRIDS = [["chsh", "--scan"], ["chsh", "--erased-vs-kept", "--grid", "8"]]
+_SETTINGS_GRIDS = [["chsh", "--scan"], ["chsh", "--erased-vs-kept"]]
 _SETTINGS_GRID_CONFIGS = [
     {"scenario": "chsh", "scan": True},
     {"scenario": "chsh", "erased_vs_kept": True},
@@ -752,7 +733,6 @@ _OPTION_VALUES = {
     "--foliation": st.tuples(_mostly(st.sampled_from(["F", "Fprime", "both"]), _WORDS)),
     "--coupling": st.tuples(_mostly(st.sampled_from(["monotone", "independent"]), _WORDS)),
     "--keep": st.tuples(_mostly(st.sampled_from(["F", "Fbar"]), _WORDS)),
-    "--grid": st.tuples(_COUNT_TEXT),
     "--quad": st.lists(_mostly(st.floats(-10, 10).map(repr), _NUMBER_TEXT), min_size=3, max_size=5),
     "--scan": st.just(()),
     "--erased-vs-kept": st.just(()),
@@ -766,7 +746,7 @@ _SUBCOMMAND_OPTIONS = {
     "bohm": ["--foliation", "--coupling"],
     "agents": ["--forbid-counterfactual"],
     "memory": ["--keep"],
-    "chsh": ["--quad", "--scan", "--erased-vs-kept", "--grid"],
+    "chsh": ["--quad", "--scan", "--erased-vs-kept"],
 }
 
 
@@ -820,7 +800,6 @@ _TYPED_VALUES = {
     "forbid_counterfactual": st.booleans(),
     "seed": _INTS,
     "samples": _INTS,
-    "grid": _INTS,
 }
 
 
