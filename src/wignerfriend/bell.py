@@ -16,14 +16,16 @@ T = sum p r s^T is bilinear by construction.  The kept-versus-model gap of
 ``erased_vs_kept_chsh`` is the largest singular value of the difference of
 the two blocks: the supremum of |E_kept - E_model| over all settings.
 
-Correlations broadcast like numpy ufuncs: settings may be arrays of angles,
-and a correlation returns one value per broadcast pair of settings (a Python
-float for scalar settings).  Quantum and hidden-variable correlations take
-the same path, the bilinear form on a block: scalar settings read it with
-:mod:`math` and import no numpy, array settings read it on numpy, and so do
-``chsh_scan`` and ``erased_vs_kept_chsh``.  A ``CorrelationFn`` given to
-``chsh_scan`` must broadcast the same way, because it is called on whole
-grids of settings.
+Correlations broadcast like numpy ufuncs: settings may be arrays of real
+angles, and a correlation returns one value per broadcast pair of settings
+(a Python float for scalar settings).  Quantum and hidden-variable
+correlations take the same path, the bilinear form on a block: scalar
+settings read it with :mod:`math` and import no numpy, array settings read
+it on numpy, and so do ``chsh_scan`` and ``erased_vs_kept_chsh``.  A
+``CorrelationFn`` given to ``chsh_scan`` must broadcast the same way: the
+scan calls it once, on a column and a row of settings that hold the block's
+ends 0 and pi/2 and then the check grid.  Those settings are planned once
+per grid size and are read-only, so a correlation cannot write into them.
 
 The Born rule is kept for one check: ``born_rule_residual`` compares a
 scan's maximum with four Born-rule correlations at its argmax, each one Born
@@ -35,6 +37,7 @@ checked before anything is computed.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import TYPE_CHECKING, Callable
@@ -110,18 +113,32 @@ def _direction(angle) -> tuple[float, float]:
     return math.cos(angle), math.sin(angle)
 
 
+def _real_array(setting) -> np.ndarray:
+    """An array setting as floats; TypeError unless it holds real numbers
+    (bool, integer or float), so that a string is not read as an angle and a
+    complex one does not lose its imaginary part."""
+    import numpy as np
+
+    array = np.asarray(setting)
+    if array.dtype.kind not in "biuf":
+        raise TypeError(f"settings must be real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def _bilinear(block, alpha, beta):
     """n(alpha)^T T n(beta) on a block T = (t00, t01, t10, t11).  Scalar
     settings use :mod:`math` and give a float; otherwise the settings
-    broadcast like a ufunc's arguments, on numpy.  Either way they are
-    reduced mod 2*pi, and a non-finite one raises ValueError "not unitary"."""
+    broadcast like a ufunc's arguments, on numpy, and one that is not real
+    (a string, bytes, a complex number) raises TypeError.  Either way they
+    are reduced mod 2*pi, and a non-finite one raises ValueError "not
+    unitary"."""
     t00, t01, t10, t11 = block
     if _is_scalar(alpha) and _is_scalar(beta):
         (ca, sa), (cb, sb) = _direction(alpha), _direction(beta)
     else:
         import numpy as np
 
-        a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+        a, b = _real_array(alpha), _real_array(beta)
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("not unitary")
         a, b = np.mod(a, _TWO_PI), np.mod(b, _TWO_PI)
@@ -243,19 +260,6 @@ def observer_independent_facts_model() -> LHVModel:
     return _FACTS_MODEL
 
 
-def lhv_joint(model: LHVModel, alpha: float, beta: float) -> dict[tuple[int, int], float]:
-    """P(x, y | alpha, beta) = sum_lambda p (1 + x r.n(alpha))/2
-    (1 + y s.n(beta))/2 at scalar settings: the model's definition.  A
-    non-finite setting raises ValueError "not unitary"."""
-    (ca, sa), (cb, sb) = _direction(alpha), _direction(beta)
-    joint = {(x, y): 0.0 for x in (1, -1) for y in (1, -1)}
-    for ((rz, rx), (sz, sx)), weight in zip(model.vectors, model.prior):
-        u, v = rz * ca + rx * sa, sz * cb + sx * sb
-        for x, y in joint:
-            joint[(x, y)] += weight * (1.0 + x * u) / 2.0 * (1.0 + y * v) / 2.0
-    return joint
-
-
 def lhv_correlation(model: LHVModel, alpha, beta):
     """Expectation of the outcome product under the hidden-variable model,
     n(alpha)^T T n(beta) on its block; broadcasts like
@@ -281,7 +285,8 @@ class AngleQuad(FrozenValue):
 
 OPTIMAL_QUAD = AngleQuad(0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0)
 
-# E(alpha, beta); it must broadcast over arrays of settings like a ufunc.
+# E(alpha, beta); it must broadcast over arrays of settings like a ufunc, and
+# chsh_scan calls it once on a read-only column and row of settings.
 CorrelationFn = Callable[[float, float], float]
 
 
@@ -314,11 +319,21 @@ def _grid_size(name: str, value) -> int:
     return size
 
 
-def _on_grid(correlation_fn: CorrelationFn, angles: np.ndarray) -> np.ndarray:
-    """E(a, b) for every pair of ``angles``, in one broadcast call."""
+@functools.lru_cache(maxsize=8)
+def _scan_settings(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta, n, n.T) for a scan on grid_n: the settings (0, pi/2,
+    *grid) as a column and a row, grid = grid_n angles evenly spaced from 0,
+    and the grid's directions n = (cos, sin) as rows.  Built on the first
+    scan of each size and read-only, so that no correlation can change the
+    settings of the next scan."""
     import numpy as np
 
-    return np.asarray(correlation_fn(angles[:, None], angles[None, :]), dtype=float)
+    grid = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
+    angles = np.concatenate(([0.0, math.pi / 2.0], grid))
+    n = np.column_stack((np.cos(grid), np.sin(grid)))
+    angles.setflags(write=False)
+    n.setflags(write=False)
+    return angles[:, None], angles[None, :], n, n.T
 
 
 def _block_svd(block) -> tuple[float, float, float, float]:
@@ -347,20 +362,24 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     b, b' = -theta +- sign(s2)*t with t = atan2(|s2|, s1).  Bilinearity is
     checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
     grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
-    called twice, on the 2x2 ends and on the whole grid, so it must
-    broadcast; on a state or density operator in (PAIR_Z, PAIR_Z) it builds
-    no state or density of its own.  A grid_n that is not an integer (a bool
-    included) raises TypeError, and one below 1 ValueError, before the
-    correlation is called.
+    called once, on the 2x2 ends and the grid together: a column and a row
+    of the settings (0, pi/2, *grid), read-only and planned once per grid
+    size.  So it must broadcast, and a result of another shape than
+    (grid_n + 2, grid_n + 2) raises ValueError; on a state or density
+    operator in (PAIR_Z, PAIR_Z) it builds no state or density of its own.
+    A grid_n that is not an integer (a bool included) raises TypeError, and
+    one below 1 ValueError, before the correlation is called.
     """
     grid_n = _grid_size("grid_n", grid_n)
     import numpy as np
 
-    t = _on_grid(correlation_fn, np.array([0.0, math.pi / 2.0]))
-    grid = np.linspace(0.0, _TWO_PI, grid_n, endpoint=False)
-    e = _on_grid(correlation_fn, grid)
-    n = np.column_stack((np.cos(grid), np.sin(grid)))
-    residual = float(np.max(np.abs(e - n @ t @ n.T)))
+    alpha, beta, n, n_t = _scan_settings(grid_n)
+    e = np.asarray(correlation_fn(alpha, beta), dtype=float)
+    size = (grid_n + 2, grid_n + 2)
+    if e.shape != size:
+        raise ValueError(f"correlation gave shape {e.shape} on settings that broadcast to {size}")
+    t = e[:2, :2]
+    residual = float(np.max(np.abs(e[2:, 2:] - n @ t @ n_t)))
     if not residual <= BILINEAR_TOL:
         raise ValueError(f"correlation is not bilinear in the settings: residual {residual:.3g}")
     phi, theta, s1, s2 = _block_svd(t.ravel().tolist())
@@ -421,7 +440,9 @@ def erased_vs_kept_chsh(grid_n: int = 20) -> ErasedKeptReport:
     dephase it in z, and the dephased correlations equal the
     observer-independent-facts model's -cos(alpha)cos(beta) exactly: the
     reported gap is the largest singular value of the difference of their
-    blocks, the supremum of |E_kept - E_model| over all settings.
+    blocks, the supremum of |E_kept - E_model| over all settings.  Each
+    state's block is read once, and every correlation reported is the
+    bilinear form on it.
 
     The kept-records maximum is the closed-form scan checked on a grid_n x
     grid_n grid, and then against the Born rule at its argmax: a residual
@@ -433,17 +454,19 @@ def erased_vs_kept_chsh(grid_n: int = 20) -> ErasedKeptReport:
 
     run = record_and_erase(_SINGLET, Friend.FBAR, PAIR_Z)
     coherent = record_and_erase(run.final_state, Friend.F, PAIR_Z).final_state
-    s_erased = chsh(lambda a, b: quantum_correlation(a, b, coherent), OPTIMAL_QUAD)
+    coherent_block = _correlation_block(_checked_pair(coherent))
+    s_erased = chsh(lambda a, b: _bilinear(coherent_block, a, b), OPTIMAL_QUAD)
 
     kept: DensityOperator = record_and_keep(_SINGLET, (Friend.F, Friend.FBAR)).final_state
+    kept_block = _correlation_block(_checked_pair(kept))
 
     def kept_corr(a, b):
-        return quantum_correlation(a, b, kept)
+        return _bilinear(kept_block, a, b)
 
     s_kept_at_quad = chsh(kept_corr, OPTIMAL_QUAD)
     scan = chsh_scan(kept_corr, grid_n=grid_n)
     born_rule_residual(scan, kept)
 
-    gap = _block_svd([k - m for k, m in zip(_correlation_block(kept), _FACTS_MODEL._block)])[2]
+    gap = _block_svd([k - m for k, m in zip(kept_block, _FACTS_MODEL._block)])[2]
     aligned = kept_corr(0.0, 0.0)
     return ErasedKeptReport(OPTIMAL_QUAD, s_erased, s_kept_at_quad, scan.max_s, aligned, gap)

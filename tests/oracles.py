@@ -338,3 +338,17 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         + k * math.log(p) + (n - k) * math.log1p(-p)
     )
     return math.exp(log_pmf)
+
+
+def lhv_joint(model, a: float, b: float) -> dict[tuple[int, int], float]:
+    """P(x, y | a, b) = sum_lambda p (1 + x r.n(a))/2 (1 + y s.n(b))/2, the
+    definition of a local hidden-variable model with prior ``model.prior``
+    over configurations whose (Alice's r, Bob's s) Bloch vectors are
+    ``model.vectors``, with n(a) = (cos a, sin a) in the (z, x) plane."""
+    joint = {(x, y): 0.0 for x in (1, -1) for y in (1, -1)}
+    for ((rz, rx), (sz, sx)), weight in zip(model.vectors, model.prior):
+        u = rz * math.cos(a) + rx * math.sin(a)
+        v = sz * math.cos(b) + sx * math.sin(b)
+        for x, y in joint:
+            joint[(x, y)] += weight * (1.0 + x * u) / 2.0 * (1.0 + y * v) / 2.0
+    return joint

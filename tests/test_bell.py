@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from wignerfriend.bell import (
     PAIR_Z,
     AngleQuad,
     LHVModel,
+    ScanResult,
     chsh,
     chsh_scan,
     erased_vs_kept_chsh,
     lhv_correlation,
-    lhv_joint,
     observer_independent_facts_model,
     quantum_correlation,
     singlet,
@@ -100,7 +101,7 @@ TILTED = LHVModel(
 def test_lhv_joint_is_a_convex_combination_of_products(model):
     for a, b in ((0.3, 1.1), (2.0, 5.5), (-1.0, 7.0)):
         n_a, n_b = np.array([math.cos(a), math.sin(a)]), np.array([math.cos(b), math.sin(b)])
-        joint = lhv_joint(model, a, b)
+        joint = oracles.lhv_joint(model, a, b)
         rebuilt = {(x, y): 0.0 for x in (1, -1) for y in (1, -1)}
         for (r, s), w in zip(model.vectors, model.prior):
             for x in (1, -1):
@@ -158,8 +159,6 @@ def test_lhv_non_finite_settings_fail_as_the_quantum_ones_do(bad):
         lambda: lhv_correlation(MODEL, bad, 0.2),
         lambda: lhv_correlation(MODEL, 0.2, bad),
         lambda: lhv_correlation(MODEL, np.array([0.1, bad]), 0.2),
-        lambda: lhv_joint(MODEL, bad, 0.2),
-        lambda: lhv_joint(MODEL, 0.2, bad),
         lambda: quantum_correlation(bad, 0.2),
     ):
         with pytest.raises(ValueError, match="^not unitary$"):
@@ -392,6 +391,22 @@ def test_born_rule_residual_checks_the_state_as_quantum_correlation_does(case):
     assert str(got.value) == str(want.value)
 
 
+def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monkeypatch):
+    from wignerfriend import bell
+
+    counts = {"_correlation_block": 0, "born_distribution": 0}
+    for name in counts:
+        original = getattr(bell, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bell, name, counted)
+    erased_vs_kept_chsh(7)
+    assert counts == {"_correlation_block": 2, "born_distribution": 4}
+
+
 def test_erased_vs_kept_checks_the_kept_maximum_against_the_born_rule(monkeypatch):
     from wignerfriend import bell
 
@@ -520,6 +535,96 @@ def test_closed_form_rejects_a_non_bilinear_correlation(fn):
         chsh_scan(fn)
 
 
+@pytest.mark.parametrize("grid_n", [1, 7, 20])
+def test_chsh_scan_calls_its_correlation_once_on_read_only_settings(grid_n):
+    from wignerfriend import bell
+
+    calls = []
+
+    def fn(a, b):
+        calls.append((a, b))
+        return quantum_correlation(a, b)
+
+    chsh_scan(fn, grid_n)
+    assert len(calls) == 1
+    alpha, beta = calls[0]
+    grid = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    want = np.concatenate(([0.0, math.pi / 2.0], grid))
+    assert alpha.shape == (grid_n + 2, 1) and beta.shape == (1, grid_n + 2)
+    assert np.array_equal(alpha.ravel(), want) and np.array_equal(beta.ravel(), want)
+    assert not alpha.flags.writeable and not beta.flags.writeable
+    # The only settings cache: planned per grid size, and bounded.
+    assert 0 < bell._scan_settings.cache_info().maxsize <= 8
+
+
+def _two_call_scan(fn, grid_n: int) -> ScanResult:
+    """The scan as two correlation calls, on the 2x2 ends and then on the
+    grid, each on settings of its own: the reference for the one-call scan."""
+    from wignerfriend import bell
+
+    ends = np.array([0.0, math.pi / 2.0])
+    t = np.asarray(fn(ends[:, None], ends[None, :]), dtype=float)
+    grid = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    e = np.asarray(fn(grid[:, None], grid[None, :]), dtype=float)
+    n = np.column_stack((np.cos(grid), np.sin(grid)))
+    assert np.max(np.abs(e - n @ t @ n.T)) <= bell.BILINEAR_TOL
+    phi, theta, s1, s2 = bell._block_svd(t.ravel().tolist())
+    offset = math.copysign(math.atan2(abs(s2), s1), s2)
+    quad = AngleQuad(phi, phi + math.pi / 2.0, -theta + offset, -theta - offset)
+    return ScanResult(2.0 * math.hypot(s1, s2), quad, grid_n)
+
+
+@pytest.mark.parametrize("grid_n", [1, 2, 4, 7, 20])
+@pytest.mark.parametrize(
+    "case", ["singlet", "pure-1", "pure-2", "pure-3", "kept-4", "kept-5", "kept-6", "lhv"]
+)
+def test_the_one_call_scan_equals_the_two_call_scan(case, grid_n):
+    fn = _chsh_case(case)[0]
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return fn(a, b)
+
+    result = chsh_scan(counted, grid_n)
+    assert len(calls) == 1
+    assert result == _two_call_scan(fn, grid_n)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda a, b: 0.5,
+        lambda a, b: np.full((3, 3), 0.5),
+        lambda a, b: quantum_correlation(a, 0.0),
+        lambda a, b: quantum_correlation(a.ravel(), b.ravel()),
+    ],
+    ids=["constant", "fixed-shape", "column", "flat"],
+)
+def test_a_correlation_that_does_not_broadcast_is_rejected(fn):
+    message = r"^correlation gave shape .* on settings that broadcast to \(6, 6\)$"
+    with pytest.raises(ValueError, match=message):
+        chsh_scan(fn, 4)
+
+
+def _add_to_alpha(a, b):
+    a += 1.0
+    return quantum_correlation(a, b)
+
+
+def _zero_beta(a, b):
+    b[...] = 0.0
+    return quantum_correlation(a, b)
+
+
+@pytest.mark.parametrize("writer", [_add_to_alpha, _zero_beta], ids=["alpha", "beta"])
+def test_a_correlation_cannot_write_into_the_scan_settings(writer):
+    before = chsh_scan(quantum_correlation, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        chsh_scan(writer, 5)
+    assert chsh_scan(quantum_correlation, 5) == before
+
+
 _SIGN = {"plus_a": 1, "minus_a": -1}
 GRID_12 = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
 
@@ -628,6 +733,40 @@ def test_a_non_finite_array_setting_fails_as_the_scalar_one_does(bad, side):
             quantum_correlation(*args, kept)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == "not unitary"
+
+
+# Settings that are not real numbers: read as 1 rad, or with the imaginary
+# part dropped, they would give a wrong correlation silently.
+NOT_REAL = {
+    "str": "1",
+    "bytes": b"1",
+    "str-array": np.array(["1", "2"]),
+    "complex": 1 + 0j,
+    "complex128": np.complex128(1.0),
+    "complex-array": np.array([1 + 1j]),
+    "object-array": np.array([1.0, None], dtype=object),
+}
+
+
+@pytest.mark.parametrize("setting", list(NOT_REAL.values()), ids=list(NOT_REAL))
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+@pytest.mark.parametrize("correlation", ["quantum", "lhv"])
+def test_a_setting_that_is_not_a_real_number_raises_type_error(setting, side, correlation):
+    args = (setting, 0.2) if side == "alpha" else (0.2, setting)
+    if correlation == "lhv":
+        args = (MODEL, *args)
+    fn = quantum_correlation if correlation == "quantum" else lhv_correlation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="^settings must be real numbers, got dtype "):
+            fn(*args)
+
+
+def test_real_settings_of_every_real_dtype_are_read_as_floats():
+    want = quantum_correlation(1.0, 0.0)
+    for setting in (np.array([True]), np.array([1], np.uint8), np.array([1]), np.float32(1.0)):
+        assert quantum_correlation(setting, 0.0) == pytest.approx(want, abs=1e-15)
+        assert lhv_correlation(MODEL, 0.0, setting) == pytest.approx(-math.cos(1.0), abs=1e-15)
 
 
 # Bases a pair can be stored in: the z bases, and rotated spin bases.
