@@ -113,15 +113,16 @@ def _direction(angle) -> tuple[float, float]:
     return math.cos(angle), math.sin(angle)
 
 
-def _real_array(setting) -> np.ndarray:
-    """An array setting as floats; TypeError unless it holds real numbers
-    (bool, integer or float), so that a string is not read as an angle and a
-    complex one does not lose its imaginary part."""
+def _real_array(values, what: str = "settings") -> np.ndarray:
+    """Settings, or a correlation's results, as a float array; TypeError
+    unless they hold real numbers (bool, integer or float), so that a string
+    is not read as an angle and a complex number does not lose its imaginary
+    part."""
     import numpy as np
 
-    array = np.asarray(setting)
+    array = np.asarray(values)
     if array.dtype.kind not in "biuf":
-        raise TypeError(f"settings must be real numbers, got dtype {array.dtype}")
+        raise TypeError(f"{what} must be real numbers, got dtype {array.dtype}")
     return array.astype(float, copy=False)
 
 
@@ -365,7 +366,8 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     called once, on the 2x2 ends and the grid together: a column and a row
     of the settings (0, pi/2, *grid), read-only and planned once per grid
     size.  So it must broadcast, and a result of another shape than
-    (grid_n + 2, grid_n + 2) raises ValueError; on a state or density
+    (grid_n + 2, grid_n + 2) raises ValueError, and one that is not real
+    numbers (complex, string or object) TypeError; on a state or density
     operator in (PAIR_Z, PAIR_Z) it builds no state or density of its own.
     A grid_n that is not an integer (a bool included) raises TypeError, and
     one below 1 ValueError, before the correlation is called.
@@ -374,7 +376,7 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     import numpy as np
 
     alpha, beta, n, n_t = _scan_settings(grid_n)
-    e = np.asarray(correlation_fn(alpha, beta), dtype=float)
+    e = _real_array(correlation_fn(alpha, beta), "correlations")
     size = (grid_n + 2, grid_n + 2)
     if e.shape != size:
         raise ValueError(f"correlation gave shape {e.shape} on settings that broadcast to {size}")

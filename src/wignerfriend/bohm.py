@@ -23,15 +23,7 @@ import random
 from enum import Enum
 from functools import lru_cache
 
-from .hardy import (
-    CTX_WBAR_W,
-    CTX_WBAR_Z,
-    CTX_ZBAR_W,
-    CTX_ZBAR_Z,
-    MeasurementContext,
-    context_table,
-    hardy_state,
-)
+from .hardy import CTX_WBAR_W, CTX_ZBAR_Z, context_table, hardy_state
 from .qcore import (
     COIN_WBAR,
     SPIN_W,
@@ -216,14 +208,14 @@ class TrajectorySet(FrozenValue):
     """All weighted hidden-variable paths of one experiment."""
 
     __slots__ = ("foliation", "context", "coupling", "paths")
-    foliation: Foliation | None  # None when only one beam splitter fires
+    foliation: Foliation
     context: tuple[str, str]  # (coin basis name, spin basis name)
     coupling: TransportCoupling
     paths: tuple[TrajectoryPath, ...]
 
     def __init__(
         self,
-        foliation: Foliation | None,
+        foliation: Foliation,
         context: tuple[str, str],
         coupling: TransportCoupling,
         paths: tuple[TrajectoryPath, ...],
@@ -246,7 +238,7 @@ class TrajectorySet(FrozenValue):
 
     def to_json_dict(self) -> dict:
         return {
-            "foliation": self.foliation.name if self.foliation else None,
+            "foliation": self.foliation.name,
             "context": list(self.context),
             "coupling": self.coupling.kind.value,
             "paths": [
@@ -341,20 +333,6 @@ def _walk(
         )
 
 
-def _evolve_events(
-    events: tuple[MeasurementEvent, ...],
-    coupling: TransportCoupling,
-    foliation: Foliation | None,
-    context: tuple[str, str],
-) -> TrajectorySet:
-    paths: list[TrajectoryPath] = []
-    for config, w in initial_distribution().items():
-        if w <= WEIGHT_TOL:
-            continue
-        _walk(hardy_state(), config, config, w, events, (), coupling, paths)
-    return TrajectorySet(foliation, context, coupling, tuple(paths))
-
-
 # Two foliations times two couplings, each reachable positionally, by keyword
 # or by default, which lru_cache keys apart.
 @lru_cache(maxsize=16)
@@ -364,20 +342,12 @@ def evolve(foliation: Foliation, coupling: TransportCoupling = MONOTONE) -> Traj
     The input is always the Hardy state, so the result depends on the
     arguments alone and is memoized; the returned set is frozen and shared.
     """
-    return _evolve_events(foliation.ordering, coupling, foliation, ("Wbar", "W"))
-
-
-def legacy_contexts() -> dict[MeasurementContext, TrajectorySet]:
-    """Trajectory sets for the two single-beam-splitter contexts.
-
-    With one event there is nothing to order, so these sets are foliation
-    independent; and every split is either fed by a single branch or forced
-    onto a single port, so they do not depend on the coupling either.
-    """
-    return {
-        CTX_ZBAR_W: _evolve_events((MeasurementEvent.SPIN_BS,), MONOTONE, None, ("Zbar", "W")),
-        CTX_WBAR_Z: _evolve_events((MeasurementEvent.COIN_BS,), MONOTONE, None, ("Wbar", "Z")),
-    }
+    paths: list[TrajectoryPath] = []
+    for config, w in initial_distribution().items():
+        if w <= WEIGHT_TOL:
+            continue
+        _walk(hardy_state(), config, config, w, foliation.ordering, (), coupling, paths)
+    return TrajectorySet(foliation, ("Wbar", "W"), coupling, tuple(paths))
 
 
 def origin_of(

@@ -129,8 +129,8 @@ def check_inference(rule: InferenceRule) -> bool:
 class ContradictionCertificate(FrozenValue):
     """The outcome a chained prediction forbids, with its measured probability.
 
-    Valid exactly when the chain predicts probability zero while the actual
-    table assigns the outcome positive probability.
+    The chain is contradicted when it predicts probability zero while the
+    actual table assigns the outcome a probability above INFERENCE_TOL.
     """
 
     __slots__ = ("chain", "context", "outcome", "composed_prediction", "actual")
@@ -139,10 +139,6 @@ class ContradictionCertificate(FrozenValue):
     outcome: tuple[str, str]
     composed_prediction: float
     actual: float
-
-    @property
-    def valid(self) -> bool:
-        return self.composed_prediction == 0.0 and self.actual > INFERENCE_TOL
 
 
 def okbar_to_fail_chain() -> tuple[InferenceRule, ...]:

@@ -52,17 +52,6 @@ class ProtocolRun(Frozen):
                 return {}
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "agents": [a.value for a in self.agents],
-            "erased": self.erased,
-            "status": "coherent" if self.erased else "decohered",
-            "tables": {
-                name: {",".join(k): f"{p:.17g}" for k, p in table.items()}
-                for name, table in self.tables().items()
-            },
-        }
-
 
 def _check_recording_basis(state: StateVector, agent: Friend, basis: Basis) -> None:
     current = state.bases[agent.system]
@@ -88,8 +77,7 @@ def record_and_keep(state: StateVector, agents) -> ProtocolRun:
 
     Each agent records in its system's current basis, so the density is
     |psi><psi| with the coherences of every recorded system zeroed, built in
-    one pass and checked once: the rows that :func:`qcore.density_from_state`
-    followed by one :func:`qcore.dephase` per agent would give."""
+    one pass and checked once."""
     agents = tuple(sorted(set(agents), key=lambda a: a.system))
     if not agents:
         raise ValueError("no agents")

@@ -1,6 +1,5 @@
 """Exact quantum kernel over labeled two-level systems: labeled bases, states,
-local maps, the Born rule, projective collapse, density operators, and
-dephasing.
+local maps, the Born rule, projective collapse and density operators.
 
 Every value is immutable and every operation is a pure function, so the module
 is safe for concurrent use without synchronization.
@@ -380,16 +379,6 @@ class StateVector(Frozen):
     def num_systems(self) -> int:
         return len(self.bases)
 
-    def to_json_dict(self) -> dict:
-        """Amplitudes with explicit basis labels and real/imaginary parts."""
-        return {
-            "systems": [
-                {"system": b.system.value, "basis": b.name, "labels": list(b.label_names)}
-                for b in self.bases
-            ],
-            "amplitudes": [{"re": a.real, "im": a.imag} for a in self.vec],
-        }
-
 
 def make_state(amplitudes, bases: tuple[Basis, ...]) -> StateVector:
     """Build a StateVector, renormalizing exactly on construction.
@@ -696,13 +685,6 @@ class DensityOperator(Frozen):
         return len(self.bases)
 
 
-def density_from_state(state: StateVector) -> DensityOperator:
-    """The pure density operator |psi><psi|."""
-    v = state.vec
-    vc = [y.conjugate() for y in v]
-    return DensityOperator(state.bases, [[x * y for y in vc] for x in v])
-
-
 def _expressed_rows(rows: _Rows, changes, diagonal: bool = False):
     """``rows`` re-expressed by a plan's ``changes``, U rho U^H per changed
     system; ``rows`` itself when there are none.  With ``diagonal``, only the
@@ -721,23 +703,6 @@ def express_density(rho: DensityOperator, bases: tuple[Basis, ...]) -> DensityOp
     bases = tuple(bases)
     changes = _born_plan(tuple(rho.bases), bases)[0]
     return DensityOperator(bases, _expressed_rows(rho.rows, changes)) if changes else rho
-
-
-def dephase(rho: DensityOperator, system: int, basis: Basis) -> DensityOperator:
-    """Zero all coherences between ``basis`` sectors of ``system``.
-
-    The trace is preserved; dephasing twice in the same basis is the same as
-    dephasing once.
-    """
-    if not 0 <= system < rho.num_systems:
-        raise ValueError("system index out of range")
-    target = tuple(basis if k == system else b for k, b in enumerate(rho.bases))
-    rows = express_density(rho, target).rows
-    bit = 1 << (rho.num_systems - system - 1)
-    return DensityOperator(
-        target,
-        [[z if (r ^ c) & bit == 0 else 0j for c, z in enumerate(row)] for r, row in enumerate(rows)],
-    )
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -13,6 +13,7 @@ from wignerfriend.hardy import (
     CTX_WBAR_Z,
     CTX_ZBAR_W,
     CTX_ZBAR_Z,
+    INFERENCE_TOL,
     chain_prediction,
     context_table,
     hardy_state,
@@ -48,7 +49,7 @@ def test_criterion_03_contradiction_certificate():
     ok = (
         cert.composed_prediction == 0.0
         and abs(cert.actual - 1 / 12) <= 1e-12
-        and cert.valid
+        and cert.actual > INFERENCE_TOL
     )
     check(3, "chained prediction 0 vs actual 1/12", ok, f"actual {cert.actual!r}")
 

@@ -762,6 +762,24 @@ def test_a_setting_that_is_not_a_real_number_raises_type_error(setting, side, co
             fn(*args)
 
 
+# Correlation results that are not real numbers: read as floats, a complex
+# one would lose its imaginary part and an object one pass unchecked.
+NOT_REAL_RESULTS = {
+    "complex": lambda a, b: -np.cos(a - b) + 0.5j * np.sin(a + b),
+    "complex-zero-imaginary": lambda a, b: -np.cos(a - b) + 0j,
+    "object": lambda a, b: (-np.cos(a - b)).astype(object),
+    "str": lambda a, b: (-np.cos(a - b)).astype(str),
+}
+
+
+@pytest.mark.parametrize("correlation", list(NOT_REAL_RESULTS.values()), ids=list(NOT_REAL_RESULTS))
+def test_a_correlation_result_that_is_not_a_real_number_raises_type_error(correlation):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="^correlations must be real numbers, got dtype "):
+            chsh_scan(correlation, 4)
+
+
 def test_real_settings_of_every_real_dtype_are_read_as_floats():
     want = quantum_correlation(1.0, 0.0)
     for setting in (np.array([True]), np.array([1], np.uint8), np.array([1]), np.float32(1.0)):
@@ -822,6 +840,74 @@ def test_array_settings_match_scalar_ones(pair, a, b):
     scalar = quantum_correlation(a, b, state)
     assert quantum_correlation(np.array([a]), b, state)[0] == pytest.approx(scalar, abs=1e-12)
     assert quantum_correlation(a, np.array([[b]]), state)[0, 0] == pytest.approx(scalar, abs=1e-12)
+
+
+# Laws on random inputs.
+
+
+@st.composite
+def zz_pairs(draw):
+    """A random complex two-spin state in (PAIR_Z, PAIR_Z), then its
+    record-kept density for each non-empty set of FRIEND_SETS."""
+    parts = draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+            lambda xs: sum(x * x for x in xs) > 1e-2
+        )
+    )
+    state = make_state(np.array(parts[:4]) + 1j * np.array(parts[4:]), (PAIR_Z, PAIR_Z))
+    return [state] + [record_and_keep(state, friends).final_state for friends in FRIEND_SETS[1:]]
+
+
+def _marginals(obj, alpha, beta):
+    """(Alice's, Bob's) outcome marginals of ``obj`` measured along alpha
+    and beta."""
+    table = born_distribution(obj, (direction_basis(alpha), direction_basis(beta)))
+    labels = ("plus_a", "minus_a")
+    alice = [sum(table[(x, y)] for y in labels) for x in labels]
+    bob = [sum(table[(x, y)] for x in labels) for y in labels]
+    return alice, bob
+
+
+angles = st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(zz_pairs(), angles, angles, angles)
+def test_no_signalling_each_marginal_ignores_the_other_setting(objs, alpha, beta, other):
+    for obj in objs:
+        alice, bob = _marginals(obj, alpha, beta)
+        alice_other, _ = _marginals(obj, alpha, other)
+        _, bob_other = _marginals(obj, other, beta)
+        assert np.max(np.abs(np.subtract(alice, alice_other))) <= 1e-12
+        assert np.max(np.abs(np.subtract(bob, bob_other))) <= 1e-12
+
+
+@st.composite
+def lhv_models(draw):
+    """A model of 1 to 4 configurations: random Bloch vectors of length at
+    most 1 on both sides, under a random prior."""
+    n = draw(st.integers(1, 4))
+    bloch = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)).map(
+        lambda rt: (rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1]))
+    )
+    vectors = draw(st.lists(st.tuples(bloch, bloch), min_size=n, max_size=n))
+    weights = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda w: sum(w) > 1e-3)
+    )
+    return LHVModel(tuple(vectors), tuple(w / sum(weights) for w in weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lhv_models())
+def test_a_local_model_never_exceeds_the_local_bound(model):
+    assert chsh_scan(lambda a, b: lhv_correlation(model, a, b)).max_s <= 2.0 + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs())
+def test_a_state_or_kept_density_never_exceeds_tsirelsons_bound(pair):
+    state, _ = pair
+    assert chsh_scan(lambda a, b: quantum_correlation(a, b, state)).max_s <= TSIRELSON + 1e-12
 
 
 def _unchecked_density(rows):

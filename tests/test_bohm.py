@@ -21,19 +21,11 @@ from wignerfriend.bohm import (
     conditional_wave,
     evolve,
     initial_distribution,
-    legacy_contexts,
     origin_of,
     sample_paths,
 )
 from wignerfriend.cli import MAX_SAMPLES
-from wignerfriend.hardy import (
-    CTX_WBAR_W,
-    CTX_WBAR_Z,
-    CTX_ZBAR_W,
-    CTX_ZBAR_Z,
-    context_table,
-    hardy_state,
-)
+from wignerfriend.hardy import CTX_WBAR_W, CTX_ZBAR_Z, context_table, hardy_state
 INV = 2.0 ** -0.5
 
 ALL_COUPLINGS = (MONOTONE, INDEPENDENT)
@@ -120,35 +112,11 @@ def test_equivariance_of_two_event_experiment(foliation, coupling):
         assert marginal.get(key, 0.0) == pytest.approx(p, abs=1e-12)
 
 
-def test_equivariance_covers_all_four_contexts():
+def test_initial_distribution_is_the_zbar_z_table():
     # (Zbar, Z): no beam splitter at all, the initial distribution is the table
     init = {(c.coin, c.spin): p for c, p in initial_distribution().items()}
     for key, p in context_table(CTX_ZBAR_Z).items():
         assert init[key] == pytest.approx(p, abs=1e-12)
-    # single-splitter contexts
-    legacy = legacy_contexts()
-    for ctx in (CTX_ZBAR_W, CTX_WBAR_Z):
-        marginal = legacy[ctx].final_marginal()
-        for key, p in context_table(ctx).items():
-            assert marginal.get(key, 0.0) == pytest.approx(p, abs=1e-12)
-
-
-def test_legacy_zbar_w_paths():
-    ts = legacy_contexts()[CTX_ZBAR_W]
-    weights = {((p.initial.coin, p.initial.spin), p.final): p.weight for p in ts.paths}
-    assert weights[(("t", "down"), ("t", "fail"))] == pytest.approx(1 / 3, abs=1e-12)
-    assert weights[(("t", "up"), ("t", "fail"))] == pytest.approx(1 / 3, abs=1e-12)
-    assert weights[(("h", "down"), ("h", "ok"))] == pytest.approx(1 / 6, abs=1e-12)
-    assert weights[(("h", "down"), ("h", "fail"))] == pytest.approx(1 / 6, abs=1e-12)
-
-
-def test_legacy_wbar_z_paths():
-    ts = legacy_contexts()[CTX_WBAR_Z]
-    weights = {((p.initial.coin, p.initial.spin), p.final): p.weight for p in ts.paths}
-    assert weights[(("t", "up"), ("okbar", "up"))] == pytest.approx(1 / 6, abs=1e-12)
-    assert weights[(("t", "up"), ("failbar", "up"))] == pytest.approx(1 / 6, abs=1e-12)
-    assert weights[(("h", "down"), ("failbar", "down"))] == pytest.approx(1 / 3, abs=1e-12)
-    assert weights[(("t", "down"), ("failbar", "down"))] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_origin_of_f_monotone():
@@ -161,7 +129,7 @@ def test_origin_of_f_monotone():
 
 
 def test_origin_of_unreached_outcome():
-    ts = legacy_contexts()[CTX_ZBAR_W]
+    ts = evolve(FOLIATION_F)
     with pytest.raises(ValueError, match="unreached outcome"):
         origin_of(ts, ("t", "ok"))
 
@@ -185,7 +153,6 @@ def test_compare_foliations_report(coupling):
 
 def test_total_weight_one_everywhere():
     sets = [evolve(f, c) for f in ALL_FOLIATIONS for c in ALL_COUPLINGS]
-    sets += list(legacy_contexts().values())
     for ts in sets:
         assert sum(p.weight for p in ts.paths) == pytest.approx(1.0, abs=1e-12)
 
@@ -206,7 +173,7 @@ def test_trajectory_set_rejects_broken_weights():
         0.5,
     )
     with pytest.raises(InvariantViolation):
-        TrajectorySet(None, ("Zbar", "W"), MONOTONE, (path,))
+        TrajectorySet(FOLIATION_F, ("Wbar", "W"), MONOTONE, (path,))
 
 
 def test_trajectory_set_rejects_a_nan_weight():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from wignerfriend.memory import Friend, record_and_keep
 from wignerfriend.qcore import (
     COIN_WBAR,
     COIN_ZBAR,
@@ -25,8 +26,6 @@ from wignerfriend.qcore import (
     apply_local,
     basis_change,
     born_distribution,
-    dephase,
-    density_from_state,
     direction_basis,
     express,
     express_density,
@@ -158,16 +157,6 @@ def test_born_consistency_with_hand_applied_beam_splitters():
             assert table[(c, s)] == pytest.approx(float(abs(out.amps[flat]) ** 2), abs=1e-12)
 
 
-def test_state_json_serialization_round_trips():
-    state = express(hardy(), (COIN_WBAR, SPIN_W))
-    payload = state.to_json_dict()
-    assert payload["systems"][0] == {"system": "coin", "basis": "Wbar", "labels": ["okbar", "failbar"]}
-    rebuilt = make_state(
-        [complex(a["re"], a["im"]) for a in payload["amplitudes"]], state.bases
-    )
-    assert fidelity(state, rebuilt) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_project_on_tail():
     collapsed, prob = project(hardy(), 0, "t")
     assert prob == pytest.approx(2 / 3, abs=1e-12)
@@ -203,8 +192,8 @@ def _reconstruction_holds(state, system):
         except ValueError:
             continue
         total += prob * np.outer(collapsed.amps, collapsed.amps.conj())
-    expected = dephase(density_from_state(state), system, basis)
-    assert np.allclose(total, expected.matrix, atol=1e-12)
+    expected = oracles.dephase_matrix(np.outer(state.amps, state.amps.conj()), system)
+    assert np.allclose(total, expected, atol=1e-12)
 
 
 def test_project_then_marginalize_reconstructs_dephased_density():
@@ -225,26 +214,12 @@ def test_project_then_marginalize_holds_for_arbitrary_states(parts, system):
 
 
 def test_dephase_both_gives_uniform_third_mixture():
-    rho = density_from_state(hardy())
-    rho = dephase(dephase(rho, 0, COIN_ZBAR), 1, SPIN_Z)
+    rho = record_and_keep(hardy(), (Friend.FBAR, Friend.F)).final_state
     assert np.allclose(rho.matrix, np.diag([1 / 3, 0, 1 / 3, 1 / 3]), atol=1e-12)
 
 
-def test_dephase_fixed_point_when_already_diagonal():
-    rho = DensityOperator(HARDY_BASES, np.diag([0.5, 0.1, 0.2, 0.2]))
-    again = dephase(rho, 0, COIN_ZBAR)
-    assert np.allclose(again.matrix, rho.matrix, atol=1e-15)
-
-
-def test_dephase_idempotent():
-    rho = density_from_state(hardy())
-    once = dephase(rho, 1, SPIN_W)
-    twice = dephase(once, 1, SPIN_W)
-    assert np.allclose(once.matrix, twice.matrix, atol=1e-15)
-
-
 def test_dephased_tables_go_uniform_in_port_bases():
-    rho = dephase(dephase(density_from_state(hardy()), 0, COIN_ZBAR), 1, SPIN_Z)
+    rho = record_and_keep(hardy(), (Friend.FBAR, Friend.F)).final_state
     table = born_distribution(rho, (COIN_WBAR, SPIN_W))
     for key, p in table.items():
         assert p == pytest.approx(1 / 4, abs=1e-12)
@@ -513,7 +488,8 @@ def test_born_plan_is_memoized_in_a_bounded_cache():
     # The same context again, from a state, a list of bases and a density.
     born_distribution(hardy(), [COIN_WBAR, SPIN_W])
     express(state, (COIN_WBAR, SPIN_W))
-    born_distribution(density_from_state(state), (COIN_WBAR, SPIN_W))
+    rho = DensityOperator(state.bases, np.outer(state.amps, state.amps.conj()))
+    born_distribution(rho, (COIN_WBAR, SPIN_W))
     after = qcore._born_plan.cache_info()
     assert (after.hits, after.misses) == (before.hits + 3, before.misses)
 
@@ -634,7 +610,7 @@ def test_stacked_density_check_rejects_a_nan_entry(entry):
 
 def test_numpy_views_are_read_only_and_built_once():
     state = hardy()
-    rho = density_from_state(state)
+    rho = DensityOperator(state.bases, np.outer(state.amps, state.amps.conj()))
     for obj, view, raw in ((state, "amps", state.vec), (rho, "matrix", rho.rows)):
         a = getattr(obj, view)
         assert getattr(obj, view) is a
@@ -644,7 +620,7 @@ def test_numpy_views_are_read_only_and_built_once():
 
 def test_kernel_storage_is_tuples_of_complex():
     state = make_state(np.array([1, 0, 1, 1]), HARDY_BASES)
-    rho = density_from_state(state)
+    rho = DensityOperator(state.bases, np.outer(state.amps, state.amps.conj()))
     assert type(state.vec) is tuple and all(type(z) is complex for z in state.vec)
     assert type(rho.rows) is tuple and all(type(row) is tuple for row in rho.rows)
     assert all(type(z) is complex for row in rho.rows for z in row)

@@ -27,7 +27,7 @@ def _instances() -> dict:
         state,
         qcore.basis_change(0, qcore.COIN_ZBAR, qcore.COIN_WBAR),
         hardy.context_table(hardy.CTX_WBAR_W),
-        qcore.density_from_state(state),
+        memory.record_and_keep(state, [memory.Friend.F]).final_state,
         hardy.CTX_ZBAR_Z,
         hardy.okbar_to_fail_chain()[0],
         hardy.chain_prediction(hardy.okbar_to_fail_chain()),
