@@ -5,8 +5,8 @@ comparison (local models at most 2, the singlet at 2*sqrt2).
 Measurement directions are restricted to one Bloch great circle (real
 amplitudes), so a setting is a single angle n(a) = (cos a, sin a) in the
 (z, x) plane.  Outcome +1 means the "plus" port.  Every correlation here is
-the bilinear form E(a, b) = n(a)^T T n(b) of a 2x2 block T, so ``chsh_scan``
-solves in closed form.
+the bilinear form E(a, b) = n(a)^T T n(b) of a 2x2 block T, so ``chsh_max``
+and ``chsh_scan`` solve in closed form.
 
 A quantum block, T_ij = Tr(rho sigma_i (x) sigma_j) for i, j in (z, x), is
 read in closed form from the state's or density's numbers in the pair's z
@@ -20,19 +20,19 @@ Correlations broadcast like numpy ufuncs: settings may be arrays of real
 angles, and a correlation returns one value per broadcast pair of settings
 (a Python float for scalar settings).  Quantum and hidden-variable
 correlations take the same path, the bilinear form on a block: scalar
-settings read it with :mod:`math` and import no numpy, array settings read
-it on numpy, and so do ``chsh_scan`` and ``erased_vs_kept_chsh``.  A
+settings read it with :mod:`math` and import no numpy, as ``chsh_max`` does;
+array settings read it on numpy, as ``chsh_scan`` does.  A
 ``CorrelationFn`` given to ``chsh_scan`` must broadcast the same way: the
 scan calls it once, on a column and a row of settings that hold the block's
 ends 0 and pi/2 and then the check grid.  Those settings are planned once
 per grid size and are read-only, so a correlation cannot write into them.
 
 The Born rule is kept for one check: ``born_rule_residual`` compares a
-scan's maximum with four Born-rule correlations at its argmax, each one Born
+maximum with four Born-rule correlations at its argmax, each one Born
 distribution in two direction bases: arithmetic independent of the block's.
-``erased_vs_kept_chsh`` runs it on its kept-records maximum, as ``chsh
---scan`` does on the singlet's.  Grid sizes must be integers of at least 1,
-checked before anything is computed.
+``chsh_max`` runs it on a state's maximum, and ``erased_vs_kept_chsh`` on
+its kept-records one.  Grid sizes must be integers of at least 1, checked
+before anything is computed.
 """
 
 from __future__ import annotations
@@ -303,10 +303,9 @@ def chsh(correlation_fn: CorrelationFn, quad: AngleQuad) -> float:
 
 
 class ScanResult(FrozenValue):
-    __slots__ = ("max_s", "argmax", "grid_n")
+    __slots__ = ("max_s", "argmax")
     max_s: float
     argmax: AngleQuad
-    grid_n: int
 
 
 def _grid_size(name: str, value) -> int:
@@ -352,16 +351,42 @@ def _block_svd(block) -> tuple[float, float, float, float]:
     return (plus + minus) / 2.0, (plus - minus) / 2.0, r + q, r - q
 
 
+def _closed_form(t) -> ScanResult:
+    """The maximum on a block t = T = R(phi) diag(s1, s2) R(theta)
+    (:func:`_block_svd`): S_max = 2*hypot(s1, s2) (Horodecki criterion
+    restricted to one plane), reached at a = phi, a' = phi + pi/2 and
+    b, b' = -theta +- sign(s2)*atan2(|s2|, s1)."""
+    phi, theta, s1, s2 = _block_svd(t)
+    # s1 >= |s2|; a negative s2 turns Bob's offset the other way.
+    offset = math.copysign(math.atan2(abs(s2), s1), s2)
+    quad = AngleQuad(phi, phi + math.pi / 2.0, -theta + offset, -theta - offset)
+    return ScanResult(2.0 * math.hypot(s1, s2), quad)
+
+
+def _block_max(block) -> ScanResult:
+    """The maximum on T read at a, b in {0, pi/2}, as chsh_scan reads it."""
+    ends = (0.0, math.pi / 2.0)
+    return _closed_form([_bilinear(block, a, b) for a in ends for b in ends])
+
+
+def chsh_max(source) -> ScanResult:
+    """The largest S over coplanar settings, and its argmax, of a two-spin
+    state or density, or an LHVModel, solved on its block without numpy; a
+    state's maximum is then checked by :func:`born_rule_residual`."""
+    if isinstance(source, LHVModel):
+        return _block_max(source._block)
+    result = _block_max(_correlation_block(_checked_pair(source)))
+    born_rule_residual(result, source)
+    return result
+
+
 def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     """Maximize S over coplanar settings in closed form.
 
     With n(a) = (cos a, sin a), a correlation on one great circle is
-    E(a, b) = n(a)^T T n(b), and T is read off E at a, b in {0, pi/2}.  The
-    2x2 block is solved in plain Python as T = R(phi) diag(s1, s2) R(theta)
-    (:func:`_block_svd`).  Then S_max = 2*hypot(s1, s2) (Horodecki criterion
-    restricted to one plane), reached at a = phi, a' = phi + pi/2 and
-    b, b' = -theta +- sign(s2)*t with t = atan2(|s2|, s1).  Bilinearity is
-    checked, not assumed: E must match the bilinear form to BILINEAR_TOL on a
+    E(a, b) = n(a)^T T n(b); T is read off E at a, b in {0, pi/2} and solved
+    in plain Python, as :func:`chsh_max` solves it.  Bilinearity is checked,
+    not assumed: E must match the bilinear form to BILINEAR_TOL on a
     grid_n x grid_n angle grid, or ValueError is raised.  The correlation is
     called once, on the 2x2 ends and the grid together: a column and a row
     of the settings (0, pi/2, *grid), read-only and planned once per grid
@@ -384,11 +409,7 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     residual = float(np.max(np.abs(e[2:, 2:] - n @ t @ n_t)))
     if not residual <= BILINEAR_TOL:
         raise ValueError(f"correlation is not bilinear in the settings: residual {residual:.3g}")
-    phi, theta, s1, s2 = _block_svd(t.ravel().tolist())
-    # s1 >= |s2|; a negative s2 turns Bob's offset the other way.
-    offset = math.copysign(math.atan2(abs(s2), s1), s2)
-    quad = AngleQuad(phi, phi + math.pi / 2.0, -theta + offset, -theta - offset)
-    return ScanResult(2.0 * math.hypot(s1, s2), quad, grid_n)
+    return _closed_form(t.ravel().tolist())
 
 
 def born_rule_residual(scan: ScanResult, state=None) -> float:
@@ -437,7 +458,7 @@ class ErasedKeptReport(FrozenValue):
         }
 
 
-def erased_vs_kept_chsh(grid_n: int = 20) -> ErasedKeptReport:
+def erased_vs_kept_chsh(grid_n: int | None = None) -> ErasedKeptReport:
     """Erased records leave the singlet coherent (S = 2*sqrt2); kept records
     dephase it in z, and the dephased correlations equal the
     observer-independent-facts model's -cos(alpha)cos(beta) exactly: the
@@ -446,12 +467,12 @@ def erased_vs_kept_chsh(grid_n: int = 20) -> ErasedKeptReport:
     state's block is read once, and every correlation reported is the
     bilinear form on it.
 
-    The kept-records maximum is the closed-form scan checked on a grid_n x
-    grid_n grid, and then against the Born rule at its argmax: a residual
-    above BILINEAR_TOL raises InvariantViolation.  A grid_n that is not an
-    integer (a bool included) raises TypeError, and one below 1 ValueError,
-    before anything is computed."""
-    grid_n = _grid_size("grid_n", grid_n)
+    The kept-records maximum is solved as :func:`chsh_max` solves it, or by
+    :func:`chsh_scan` on a given grid_n, and checked against the Born rule at
+    its argmax: a residual above BILINEAR_TOL raises InvariantViolation.  A
+    grid_n that is not None or an integer (a bool included) raises
+    TypeError, and one below 1 ValueError, before anything is computed."""
+    grid_n = None if grid_n is None else _grid_size("grid_n", grid_n)
     from .memory import Friend, record_and_erase, record_and_keep
 
     run = record_and_erase(_SINGLET, Friend.FBAR, PAIR_Z)
@@ -466,7 +487,7 @@ def erased_vs_kept_chsh(grid_n: int = 20) -> ErasedKeptReport:
         return _bilinear(kept_block, a, b)
 
     s_kept_at_quad = chsh(kept_corr, OPTIMAL_QUAD)
-    scan = chsh_scan(kept_corr, grid_n=grid_n)
+    scan = _block_max(kept_block) if grid_n is None else chsh_scan(kept_corr, grid_n=grid_n)
     born_rule_residual(scan, kept)
 
     gap = _block_svd([k - m for k, m in zip(kept_block, _FACTS_MODEL._block)])[2]

@@ -47,9 +47,11 @@ class MeasurementEvent(str, Enum):
 
 _EVENT_SYSTEM = {MeasurementEvent.SPIN_BS: 1, MeasurementEvent.COIN_BS: 0}
 _EVENT_TARGET: dict[MeasurementEvent, Basis] = {
-    MeasurementEvent.SPIN_BS: SPIN_W,
     MeasurementEvent.COIN_BS: COIN_WBAR,
+    MeasurementEvent.SPIN_BS: SPIN_W,
 }
+# The context every path ends in, both events having fired: (coin, spin) names.
+FINAL_CONTEXT = tuple(basis.name for basis in _EVENT_TARGET.values())
 
 
 class Foliation(FrozenValue):
@@ -207,16 +209,14 @@ class TrajectoryPath(FrozenValue):
 class TrajectorySet(FrozenValue):
     """All weighted hidden-variable paths of one experiment."""
 
-    __slots__ = ("foliation", "context", "coupling", "paths")
+    __slots__ = ("foliation", "coupling", "paths")
     foliation: Foliation
-    context: tuple[str, str]  # (coin basis name, spin basis name)
     coupling: TransportCoupling
     paths: tuple[TrajectoryPath, ...]
 
     def __init__(
         self,
         foliation: Foliation,
-        context: tuple[str, str],
         coupling: TransportCoupling,
         paths: tuple[TrajectoryPath, ...],
     ) -> None:
@@ -228,7 +228,7 @@ class TrajectorySet(FrozenValue):
             total += p.weight
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolation(f"path weights sum to {total}")
-        FrozenValue.__init__(self, foliation, context, coupling, paths)
+        FrozenValue.__init__(self, foliation, coupling, paths)
 
     def final_marginal(self) -> dict[tuple[str, str], float]:
         out: dict[tuple[str, str], float] = {}
@@ -239,7 +239,7 @@ class TrajectorySet(FrozenValue):
     def to_json_dict(self) -> dict:
         return {
             "foliation": self.foliation.name,
-            "context": list(self.context),
+            "context": list(FINAL_CONTEXT),
             "coupling": self.coupling.kind.value,
             "paths": [
                 {
@@ -347,7 +347,7 @@ def evolve(foliation: Foliation, coupling: TransportCoupling = MONOTONE) -> Traj
         if w <= WEIGHT_TOL:
             continue
         _walk(hardy_state(), config, config, w, foliation.ordering, (), coupling, paths)
-    return TrajectorySet(foliation, ("Wbar", "W"), coupling, tuple(paths))
+    return TrajectorySet(foliation, coupling, tuple(paths))
 
 
 def origin_of(

@@ -16,7 +16,7 @@ from .qcore import InvariantViolation, born_distribution, fidelity
 
 # Each handler imports the modules only it needs (bohm, epistemic, memory or
 # bell), so that a fresh process pays for no other subcommand's imports.
-# numpy is loaded only by chsh --scan and --erased-vs-kept.
+# No subcommand loads numpy.
 if TYPE_CHECKING:
     from . import bohm
 
@@ -143,12 +143,13 @@ def cmd_bohm(args) -> tuple[str, dict]:
     from . import bohm
 
     coupling = {"monotone": bohm.MONOTONE, "independent": bohm.INDEPENDENT}[args.coupling]
+    context = ", ".join(bohm.FINAL_CONTEXT)
     lines: list[str] = []
     payload: dict = {"coupling": args.coupling}
 
     if args.foliation == "both":
         report = bohm.compare_foliations(coupling)
-        lines.append(f"coupling {args.coupling}: foliation comparison for context (Wbar, W)")
+        lines.append(f"coupling {args.coupling}: foliation comparison for context ({context})")
         for outcome, differs in report.origin_differs.items():
             of = {_config_str(c): fmt_prob(p) for c, p in report.origins_f[outcome].items()}
             ofp = {_config_str(c): fmt_prob(p) for c, p in report.origins_fprime[outcome].items()}
@@ -169,7 +170,7 @@ def cmd_bohm(args) -> tuple[str, dict]:
 
     foliation = {"F": bohm.FOLIATION_F, "Fprime": bohm.FOLIATION_FPRIME}[args.foliation]
     ts = bohm.evolve(foliation, coupling)
-    lines.append(f"foliation {args.foliation}, coupling {args.coupling}, context (Wbar, W)")
+    lines.append(f"foliation {args.foliation}, coupling {args.coupling}, context ({context})")
     lines += _tree_lines(ts)
     lines.append("")
     lines.append("origins by final outcome:")
@@ -278,20 +279,15 @@ def cmd_chsh(args) -> tuple[str, dict]:
         "S_lhv": _json_prob(s_lhv),
     }
     if args.scan:
-        scan_q = bell.chsh_scan(bell.quantum_correlation)
-        # The scan solves on the singlet's correlation block; S from the Born
-        # rule at its argmax checks that block.
-        bell.born_rule_residual(scan_q)
-        scan_l = bell.chsh_scan(lambda a, b: bell.lhv_correlation(model, a, b))
+        scan_q = bell.chsh_max(bell.singlet())
+        scan_l = bell.chsh_max(model)
         lines.append(
-            f"scan (closed form, checked on a {scan_q.grid_n}x{scan_q.grid_n} grid): "
-            f"quantum max {scan_q.max_s:.15g}, "
-            f"hidden-variable max {scan_l.max_s:.15g}"
+            "scan (closed form, checked by the Born rule): "
+            f"quantum max {scan_q.max_s:.15g}, hidden-variable max {scan_l.max_s:.15g}"
         )
         payload["S_quantum_max"] = _json_prob(scan_q.max_s)
         payload["S_lhv_max"] = _json_prob(scan_l.max_s)
         payload["argmax_quad"] = list(scan_q.argmax.as_tuple())
-        payload["grid_resolution"] = scan_q.grid_n
     if args.erased_vs_kept:
         report = bell.erased_vs_kept_chsh()
         lines.append(
@@ -408,14 +404,6 @@ def _argv_from_config(raw, parser: argparse.ArgumentParser) -> list[str]:
     return argv
 
 
-def _numpy_missing() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return True
-    return False
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -447,18 +435,8 @@ def main(argv=None) -> int:
         parser.error(f"--samples must be from 1 to {MAX_SAMPLES}")
     if args.command == "memory" and len(set(args.keep)) != len(args.keep):
         parser.error(f"--keep lists an agent more than once: {', '.join(args.keep)}")
-    if args.command == "chsh":
-        if args.quad is not None and not all(math.isfinite(x) for x in args.quad):
-            parser.error("--quad angles must be finite")
-        grids = [flag for flag, on in (("--scan", args.scan), ("--erased-vs-kept", args.erased_vs_kept)) if on]
-        # The settings grids need numpy, which the rest of the package runs
-        # without: say so in one line and exit 2, as for a usage error.
-        if grids and _numpy_missing():
-            print(
-                f"{parser.prog}: error: numpy is not installed; it is required by chsh {' and '.join(grids)}",
-                file=sys.stderr,
-            )
-            return 2
+    if args.command == "chsh" and not all(map(math.isfinite, args.quad or ())):
+        parser.error("--quad angles must be finite")
 
     try:
         text, payload = _HANDLERS[args.command](args)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,6 +14,7 @@ from wignerfriend.bell import (
     LHVModel,
     ScanResult,
     chsh,
+    chsh_max,
     chsh_scan,
     erased_vs_kept_chsh,
     lhv_correlation,
@@ -234,9 +235,7 @@ def test_chsh_scan_rejects_a_non_integer_grid_before_calling_the_correlation(gri
 
 
 def test_chsh_scan_takes_any_index_as_its_grid():
-    result = chsh_scan(quantum_correlation, np.int64(7))
-    assert type(result.grid_n) is int and result.grid_n == 7
-    assert result == chsh_scan(quantum_correlation, 7)
+    assert chsh_scan(quantum_correlation, np.int64(7)) == chsh_scan(quantum_correlation, 7)
 
 
 def test_lhv_scan_respects_the_local_bound():
@@ -324,7 +323,8 @@ def _refuse_record_and_keep(monkeypatch):
     monkeypatch.setattr(memory, "record_and_keep", refused)
 
 
-@pytest.mark.parametrize("bad", NOT_A_SIZE)
+# None is no grid: the kept maximum is solved as chsh_max solves it.
+@pytest.mark.parametrize("bad", [x for x in NOT_A_SIZE if x is not None])
 def test_erased_vs_kept_rejects_a_non_integer_grid_before_computing(monkeypatch, bad):
     from wignerfriend import bell
 
@@ -386,12 +386,14 @@ def test_born_rule_residual_checks_the_state_as_quantum_correlation_does(case):
     scan = chsh_scan(quantum_correlation, 5)
     with pytest.raises((TypeError, ValueError)) as want:
         quantum_correlation(0.0, 0.0, state)
-    with pytest.raises(want.type) as got:
-        bell.born_rule_residual(scan, state)
-    assert str(got.value) == str(want.value)
+    for check in (lambda: bell.born_rule_residual(scan, state), lambda: chsh_max(state)):
+        with pytest.raises(want.type) as got:
+            check()
+        assert str(got.value) == str(want.value)
 
 
-def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monkeypatch):
+@pytest.mark.parametrize("grid_n", [None, 7])
+def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monkeypatch, grid_n):
     from wignerfriend import bell
 
     counts = {"_correlation_block": 0, "born_distribution": 0}
@@ -403,17 +405,20 @@ def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monke
             return _original(*args)
 
         monkeypatch.setattr(bell, name, counted)
-    erased_vs_kept_chsh(7)
+    erased_vs_kept_chsh(grid_n)
     assert counts == {"_correlation_block": 2, "born_distribution": 4}
 
 
-def test_erased_vs_kept_checks_the_kept_maximum_against_the_born_rule(monkeypatch):
+@pytest.mark.parametrize("grid_n", [None, 7])
+def test_erased_vs_kept_and_chsh_max_check_the_maximum_against_the_born_rule(monkeypatch, grid_n):
     from wignerfriend import bell
 
     monkeypatch.setattr(bell, "_correlation_block", lambda obj: WRONG_BLOCK)
     message = "^scan maximum .* is not the Born-rule S .* at its argmax$"
     with pytest.raises(InvariantViolation, match=message):
-        erased_vs_kept_chsh()
+        erased_vs_kept_chsh(grid_n)
+    with pytest.raises(InvariantViolation, match=message):
+        chsh_max(singlet())
 
 
 def _random_amps(seed: int) -> np.ndarray:
@@ -508,6 +513,8 @@ def test_a_negative_determinant_turns_bobs_offset_the_other_way():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+# A subnormal pivot: LAPACK's LU divides by zero on the way to det = 0.
+@example([0.0, 0.0, 5e-324, 1.0])
 def test_closed_form_chsh_maximum_matches_the_svd_on_any_block(entries):
     from wignerfriend import bell
 
@@ -519,7 +526,9 @@ def test_closed_form_chsh_maximum_matches_the_svd_on_any_block(entries):
     sigma = np.linalg.svd(block, compute_uv=False)
     assert s1 == pytest.approx(sigma[0], abs=1e-12)
     assert abs(s2) == pytest.approx(sigma[1], abs=1e-12)
-    assert s1 * s2 == pytest.approx(np.linalg.det(block), abs=1e-12)
+    with np.errstate(divide="ignore"):
+        det = np.linalg.det(block)
+    assert s1 * s2 == pytest.approx(det, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -571,7 +580,7 @@ def _two_call_scan(fn, grid_n: int) -> ScanResult:
     phi, theta, s1, s2 = bell._block_svd(t.ravel().tolist())
     offset = math.copysign(math.atan2(abs(s2), s1), s2)
     quad = AngleQuad(phi, phi + math.pi / 2.0, -theta + offset, -theta - offset)
-    return ScanResult(2.0 * math.hypot(s1, s2), quad, grid_n)
+    return ScanResult(2.0 * math.hypot(s1, s2), quad)
 
 
 @pytest.mark.parametrize("grid_n", [1, 2, 4, 7, 20])
@@ -908,6 +917,20 @@ def test_a_local_model_never_exceeds_the_local_bound(model):
 def test_a_state_or_kept_density_never_exceeds_tsirelsons_bound(pair):
     state, _ = pair
     assert chsh_scan(lambda a, b: quantum_correlation(a, b, state)).max_s <= TSIRELSON + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs(), lhv_models())
+def test_chsh_max_is_the_grid_checked_scans_maximum(pair, model):
+    from wignerfriend import bell
+
+    state, _ = pair
+    for source, correlation in [
+        (state, lambda a, b: quantum_correlation(a, b, state)),
+        (model, lambda a, b: lhv_correlation(model, a, b)),
+    ]:
+        assert abs(chsh_max(source).max_s - chsh_scan(correlation, 20).max_s) <= 1e-12
+    assert bell.born_rule_residual(chsh_max(state), state) <= bell.BILINEAR_TOL
 
 
 def _unchecked_density(rows):

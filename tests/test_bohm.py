@@ -173,7 +173,7 @@ def test_trajectory_set_rejects_broken_weights():
         0.5,
     )
     with pytest.raises(InvariantViolation):
-        TrajectorySet(FOLIATION_F, ("Wbar", "W"), MONOTONE, (path,))
+        TrajectorySet(FOLIATION_F, MONOTONE, (path,))
 
 
 def test_trajectory_set_rejects_a_nan_weight():
@@ -184,7 +184,7 @@ def test_trajectory_set_rejects_a_nan_weight():
     p = ts.paths[0]
     path = TrajectoryPath(p.initial, p.events, p.final, math.nan)
     with pytest.raises(InvariantViolation):
-        TrajectorySet(ts.foliation, ts.context, ts.coupling, (path,))
+        TrajectorySet(ts.foliation, ts.coupling, (path,))
 
 
 masses = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)

@@ -168,7 +168,7 @@ def test_chsh_default_prints_tsirelson(capsys):
 
 def test_chsh_scan_json_has_the_report_fields(capsys):
     payload = run_json(capsys, "chsh", "--scan")
-    for key in ("quad", "S_quantum", "S_lhv_max", "argmax_quad", "grid_resolution"):
+    for key in ("quad", "S_quantum", "S_lhv_max", "argmax_quad"):
         assert key in payload
     assert float(payload["S_lhv_max"]) <= 2.0 + 1e-9
 
@@ -184,10 +184,7 @@ def test_chsh_scan_json_pins_the_singlet_argmax(capsys):
     payload = run_json(capsys, "chsh", "--scan")
     assert payload["argmax_quad"] == SINGLET_ARGMAX
     assert payload["S_quantum_max"] == "2.8284271247461907"
-    assert payload["grid_resolution"] == 20
-    scan = bell.ScanResult(
-        float(payload["S_quantum_max"]), bell.AngleQuad(*SINGLET_ARGMAX), payload["grid_resolution"]
-    )
+    scan = bell.ScanResult(float(payload["S_quantum_max"]), bell.AngleQuad(*SINGLET_ARGMAX))
     assert bell.born_rule_residual(scan) <= bell.BILINEAR_TOL
 
 
@@ -217,7 +214,7 @@ def _usage_error_without_traceback(capsys, argv) -> str:
 
 
 def test_chsh_grid_is_not_an_option_or_a_config_key(tmp_path, capsys):
-    # The scan checks itself on the library's 20x20 grid; no input sizes it.
+    # The scan is solved in closed form on the block; no input sizes a grid.
     err = _usage_error_without_traceback(capsys, ["chsh", "--scan", "--grid", "7"])
     assert "unrecognized arguments: --grid 7" in err
     cfg = tmp_path / "scenario.json"
@@ -643,6 +640,8 @@ _NUMPY_FREE = [
     ["memory", "--keep", "F"],
     ["chsh"],
     ["chsh", "--quad", "0", "1.5707963", "0.7853982", "-0.7853982"],
+    ["chsh", "--scan"],
+    ["chsh", "--erased-vs-kept"],
     ["bohm", "--samples", "1000", "--seed", "1"],
 ]
 _NUMPY_FREE_CONFIGS = [
@@ -652,6 +651,8 @@ _NUMPY_FREE_CONFIGS = [
     {"scenario": "memory", "kept": ["Fbar"]},
     {"scenario": "chsh"},
     {"scenario": "chsh", "quad": [0, 1, 2, 3]},
+    {"scenario": "chsh", "scan": True},
+    {"scenario": "chsh", "erased_vs_kept": True},
     {"scenario": "bohm", "foliation": "Fprime", "samples": 1000, "seed": 1},
 ]
 
@@ -683,27 +684,9 @@ def test_table_command_lines_load_no_json():
     assert ["json" in e for e in entered] == [False] * len(_NUMPY_FREE) + [True]
 
 
-_SETTINGS_GRIDS = [["chsh", "--scan"], ["chsh", "--erased-vs-kept"]]
-_SETTINGS_GRID_CONFIGS = [
-    {"scenario": "chsh", "scan": True},
-    {"scenario": "chsh", "erased_vs_kept": True},
-]
-
-
-@pytest.mark.parametrize("argv", _SETTINGS_GRIDS, ids=["scan", "erased-vs-kept"])
-def test_settings_grids_load_numpy(argv):
-    assert _cold_run([argv]) == [[0, True]]
-
-
-def test_without_numpy_only_the_settings_grids_fail(tmp_path):
-    free = _both_formats(tmp_path / "free", _NUMPY_FREE, _NUMPY_FREE_CONFIGS)
-    grids = _both_formats(tmp_path / "grids", _SETTINGS_GRIDS, _SETTINGS_GRID_CONFIGS)
-    report = _cold_run(free + grids, _NO_NUMPY_CHECK)
-    assert report[: len(free)] == [[0, ""]] * len(free)
-    for argv, (code, err) in zip(grids, report[len(free) :]):
-        assert code == 2, argv
-        assert err.count("\n") == 1 and "numpy is not installed" in err, (argv, err)
-        assert "Traceback" not in err
+def test_every_subcommand_runs_without_numpy(tmp_path):
+    runs = _both_formats(tmp_path / "free", _NUMPY_FREE, _NUMPY_FREE_CONFIGS)
+    assert _cold_run(runs, _NO_NUMPY_CHECK) == [[0, ""]] * len(runs)
 
 
 # Random command lines and config files: the CLI contract is exit 0 on success

@@ -1,9 +1,8 @@
-"""Golden outputs of the subcommands that run without numpy: the exit code and
-stdout, byte for byte, in both formats, as recorded in golden_cli.json.
+"""Golden outputs of the subcommands: the exit code and stdout, byte for
+byte, in both formats, as recorded in golden_cli.json.
 
 The file imports nothing beyond pytest, json and the CLI, so it also runs on
-an install without numpy.  ``chsh --scan`` and ``--erased-vs-kept`` stay out:
-their last digits come from numpy's trigonometry on the settings grid.
+an install without numpy, which no subcommand loads.
 """
 
 import json

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -211,6 +211,30 @@ def test_project_then_marginalize_holds_for_arbitrary_states(parts, system):
     if np.linalg.norm(amps) < 1e-3:
         return
     _reconstruction_holds(make_state(amps, HARDY_BASES), system)
+
+
+# Base pairs a state may be stored in; fidelity re-expresses its second state
+# in the first one's.
+FRAMES = [HARDY_BASES, (COIN_WBAR, SPIN_W), (COIN_ZBAR, SPIN_W)]
+complex_amps = (
+    st.lists(st.tuples(amp_parts, amp_parts), min_size=4, max_size=4)
+    .map(lambda parts: np.array([complex(re, im) for re, im in parts]))
+    .filter(lambda amps: np.linalg.norm(amps) > 1e-3)
+)
+
+
+def _in_reference_frame(state: StateVector) -> np.ndarray:
+    """The state's amplitudes in (Zbar, Z), by numpy."""
+    coin, spin = state.bases
+    return np.kron(np.array(coin.vectors).T, np.array(spin.vectors).T) @ state.amps
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_amps, complex_amps, st.sampled_from(FRAMES), st.sampled_from(FRAMES))
+def test_fidelity_is_the_squared_overlap_of_complex_states(u, w, frame_a, frame_b):
+    a, b = make_state(u, frame_a), make_state(w, frame_b)
+    want = abs(np.vdot(_in_reference_frame(a), _in_reference_frame(b))) ** 2
+    assert abs(fidelity(a, b) - want) <= 1e-12
 
 
 def test_dephase_both_gives_uniform_third_mixture():

@@ -1,13 +1,13 @@
 """Every public function, method and property in the package is run by some
 command-line call.
 
-The calls are the golden CLI cases, ``chsh --scan`` and ``--erased-vs-kept``
-(alone and together), a seeded ``bohm --samples`` run and a ``--config``
-run.  They run in one fresh interpreter, traced with ``sys.settrace`` from
-before ``wignerfriend.cli`` is imported, so that calls made at import count.
-The public names are read from the source with ``ast``.  A public name that
-no call reaches is code that only tests read: delete it, or give it a
-command that runs it.
+The calls are the golden CLI cases, which include ``chsh --scan`` and
+``--erased-vs-kept`` alone and together, a seeded ``bohm --samples`` run and
+a ``--config`` run.  They run in one fresh interpreter, traced with
+``sys.settrace`` from before ``wignerfriend.cli`` is imported, so that calls
+made at import count.  The public names are read from the source with
+``ast``.  A public name that no call reaches is code that only tests read:
+delete it, or give it a command that runs it.
 """
 
 import ast
@@ -24,11 +24,12 @@ import wignerfriend
 PACKAGE = Path(wignerfriend.__file__).resolve().parent
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
 
-# Public names that no command runs, kept on purpose: the read-only numpy
-# views.  bench/layertrace.py's _state_dim reads both, and so do many tests;
-# they go with the change to bench/ that stops reading them (ROADMAP items 1
-# and 2).
-ALLOWED = {"qcore.StateVector.amps", "qcore.DensityOperator.matrix"}
+# Public names that no command runs, kept on purpose.  The read-only numpy
+# views: bench/layertrace.py's _state_dim reads both, and so do many tests.
+# bell.chsh_scan, the maximum of a correlation callable checked on a grid:
+# bench/workloads.py's chsh_max workload calls it.  They go with the change to
+# bench/ that stops using them (ROADMAP items 1 and 2B).
+ALLOWED = {"qcore.StateVector.amps", "qcore.DensityOperator.matrix", "bell.chsh_scan"}
 
 # Run in a fresh interpreter: argv[1] is the package directory, argv[2] the
 # command lines as JSON.  Prints the exit codes and the (file, name, first
@@ -88,9 +89,6 @@ def unreached(tmp_path_factory):
     config = tmp_path_factory.mktemp("reach") / "config.json"
     config.write_text(json.dumps({"scenario": "memory", "kept": ["F"], "format": "json"}))
     runs = [case["argv"] for case in GOLDEN] + [
-        ["chsh", "--scan"],
-        ["chsh", "--erased-vs-kept"],
-        ["chsh", "--scan", "--erased-vs-kept", "--format", "json"],
         ["bohm", "--samples", "10", "--seed", "1"],
         ["--config", str(config)],
     ]
@@ -105,7 +103,7 @@ def unreached(tmp_path_factory):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["codes"] == [case["exit"] for case in GOLDEN] + [0] * 5
+    assert result["codes"] == [case["exit"] for case in GOLDEN] + [0] * 2
     reached = {tuple(entry) for entry in result["reached"]}
     return {
         dotted
