@@ -181,18 +181,17 @@ def _correlation_block(obj) -> tuple[float, float, float, float]:
 
 
 def _checked_pair(state):
-    """The state (default: the singlet), checked to be a state or density of
-    two spin systems: TypeError for anything else, ValueError "dimension
+    """The state, checked to be a state or density of two spin systems:
+    TypeError for anything else, None included, ValueError "dimension
     mismatch" for another number of systems and "basis mismatch" for a coin
     system."""
-    obj = _SINGLET if state is None else state
-    if not isinstance(obj, (StateVector, DensityOperator)):
-        raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
-    if obj.num_systems != 2:
+    if not isinstance(state, (StateVector, DensityOperator)):
+        raise TypeError(f"cannot take Born distribution of {type(state).__name__}")
+    if state.num_systems != 2:
         raise ValueError("dimension mismatch")
-    if any(b.system is not System.SPIN for b in obj.bases):
+    if any(b.system is not System.SPIN for b in state.bases):
         raise ValueError("basis mismatch: correlations are defined on two spin systems")
-    return obj
+    return state
 
 
 def quantum_correlation(alpha, beta, state=None):
@@ -207,7 +206,8 @@ def quantum_correlation(alpha, beta, state=None):
     does.  The state must hold two spin systems: ValueError "dimension
     mismatch" otherwise, and "basis mismatch" for a coin system.
     """
-    return _bilinear(_correlation_block(_checked_pair(state)), alpha, beta)
+    obj = _checked_pair(_SINGLET if state is None else state)
+    return _bilinear(_correlation_block(obj), alpha, beta)
 
 
 class LHVModel(Frozen):
@@ -419,7 +419,7 @@ def born_rule_residual(scan: ScanResult, state=None) -> float:
     block's arithmetic that the scan solved on is reused.  A residual above
     BILINEAR_TOL raises InvariantViolation.  The state is checked as
     :func:`quantum_correlation` checks it."""
-    obj = _checked_pair(state)
+    obj = _checked_pair(_SINGLET if state is None else state)
     s_born = chsh(lambda a, b: _born_correlation(obj, a, b), scan.argmax)
     residual = abs(s_born - scan.max_s)
     if not residual <= BILINEAR_TOL:

@@ -219,7 +219,7 @@ def cmd_agents(args) -> tuple[str, dict]:
         w = report.witness
         lines.append(
             f"contradiction: chained prediction {w.composed:g} vs actual "
-            f"{fmt_prob(w.actual)} for ({w.outcome[0]}, {w.outcome[1]}) in ({w.context})"
+            f"{fmt_prob(w.actual)} for ({w.outcome[0]}, {w.outcome[1]}) in ({w.context.name})"
         )
         lines.append(f"minimal counterfactual set: {', '.join(report.minimal_counterfactual)}")
     else:

@@ -2,17 +2,18 @@
 
 Each statement an agent makes carries the context its reasoning assumed and
 the context actually realized; a statement is context-valid exactly when the
-two coincide, and counterfactual otherwise.  Classification is structural,
-not probabilistic: the zero-probability table entries each statement leans on
-are attached as evidence, not as the verdict.
+two coincide, and counterfactual otherwise.  That verdict is structural, not
+probabilistic: each statement is backed by the rules of
+``hardy.okbar_to_fail_chain`` it leans on, and the table entry each rule
+excludes is attached as evidence, not as the verdict.
 
 The trace engine replays the statements under a choice of axioms: (Q) the
 shared quantum state is a valid basis for predictions, (C) agents may adopt
 one another's certainties, (S) an agent's certainties must be consistent with
 that agent's own outcomes.  Admitting any counterfactual statement into the
 trace yields a prediction ("fail is certain") that the measured table refutes
-with positive probability; refusing counterfactual composition leaves nothing
-to contradict.
+with positive probability, witnessed by the chain's own certificate; refusing
+counterfactual composition leaves nothing to contradict.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .hardy import (
     CTX_WBAR_Z,
     CTX_ZBAR_W,
     CTX_ZBAR_Z,
+    ContradictionCertificate,
+    InferenceRule,
     MeasurementContext,
     chain_prediction,
     context_table,
@@ -68,19 +71,6 @@ class CertainThat(FrozenValue):
 Proposition = OutcomeClaim | CertainThat
 
 
-class Classification(str, Enum):
-    CONTEXT_VALID = "ContextValid"
-    COUNTERFACTUAL = "Counterfactual"
-
-
-class ZeroBacking(FrozenValue):
-    """A table entry that must vanish for the statement's reasoning to work."""
-
-    __slots__ = ("context", "outcome")
-    context: MeasurementContext
-    outcome: tuple[str, str]
-
-
 class EpistemicStatement(FrozenValue):
     __slots__ = (
         "id",
@@ -100,7 +90,7 @@ class EpistemicStatement(FrozenValue):
     actual_context: MeasurementContext
     derived_from: tuple[str, ...]
     axioms_used: frozenset[str]
-    backing: tuple[ZeroBacking, ...]
+    backing: tuple[InferenceRule, ...]
     note: str
 
     def __init__(
@@ -112,7 +102,7 @@ class EpistemicStatement(FrozenValue):
         actual_context: MeasurementContext,
         derived_from: tuple[str, ...] = (),
         axioms_used: frozenset[str] = frozenset({"Q"}),
-        backing: tuple[ZeroBacking, ...] = (),
+        backing: tuple[InferenceRule, ...] = (),
         note: str = "",
     ) -> None:
         FrozenValue.__init__(
@@ -121,34 +111,26 @@ class EpistemicStatement(FrozenValue):
         )
 
     @property
-    def classification(self) -> Classification:
-        return classify(self)
+    def counterfactual(self) -> bool:
+        """True iff the reasoning assumed a context other than the realized one."""
+        return self.assumed_context != self.actual_context
 
     @property
     def verdict(self) -> str:
-        if self.classification is Classification.CONTEXT_VALID:
+        if not self.counterfactual:
             return "ContextValid"
         return "Counterfactual-derived" if self.derived_from else "Counterfactual"
 
 
-def classify(statement: EpistemicStatement) -> Classification:
-    """Context-valid iff the assumed and actual contexts coincide."""
-    if statement.assumed_context == statement.actual_context:
-        return Classification.CONTEXT_VALID
-    return Classification.COUNTERFACTUAL
-
-
 def backing_probabilities(statement: EpistemicStatement) -> dict[tuple[str, str, str], float]:
-    """The measured probability of every table entry the statement relies on."""
+    """The measured probability of the outcome each backing rule excludes."""
     return {
-        (b.context.name, *b.outcome): context_table(b.context)[b.outcome]
-        for b in statement.backing
+        (rule.context.name, *rule.forbidden): context_table(rule.context)[rule.forbidden]
+        for rule in statement.backing
     }
 
 
-_Z_TOK = ZeroBacking(CTX_ZBAR_W, ("t", "ok"))
-_Z_HUP = ZeroBacking(CTX_ZBAR_Z, ("h", "up"))
-_Z_OKBARDOWN = ZeroBacking(CTX_WBAR_Z, ("okbar", "down"))
+_OKBAR_UP, _UP_T, _T_FAIL = okbar_to_fail_chain()
 _FAIL_AT_31 = OutcomeClaim("w", "fail", "n:31")
 
 # The statements are frozen and hold only tuples and frozensets, so they are
@@ -161,7 +143,7 @@ _STATEMENTS = (
         CTX_ZBAR_W,
         CTX_WBAR_W,
         axioms_used=frozenset({"Q"}),
-        backing=(_Z_TOK,),
+        backing=(_T_FAIL,),
         note="from the recorded coin value t",
     ),
     EpistemicStatement(
@@ -171,7 +153,7 @@ _STATEMENTS = (
         CTX_ZBAR_Z,
         CTX_ZBAR_Z,
         axioms_used=frozenset({"Q", "C"}),
-        backing=(_Z_HUP,),
+        backing=(_UP_T,),
         note="deduction about a fellow agent within the unchanged context",
     ),
     EpistemicStatement(
@@ -182,7 +164,7 @@ _STATEMENTS = (
         CTX_WBAR_W,
         derived_from=("Fbar_n02", "F_n12"),
         axioms_used=frozenset({"Q", "C"}),
-        backing=(_Z_HUP, _Z_TOK),
+        backing=(_UP_T, _T_FAIL),
     ),
     EpistemicStatement(
         "F_n14",
@@ -192,7 +174,7 @@ _STATEMENTS = (
         CTX_WBAR_W,
         derived_from=("F_n13",),
         axioms_used=frozenset({"Q", "C"}),
-        backing=(_Z_HUP, _Z_TOK),
+        backing=(_UP_T, _T_FAIL),
     ),
     EpistemicStatement(
         "Wbar_n22",
@@ -201,7 +183,7 @@ _STATEMENTS = (
         CTX_WBAR_Z,
         CTX_WBAR_W,
         axioms_used=frozenset({"Q"}),
-        backing=(_Z_OKBARDOWN,),
+        backing=(_OKBAR_UP,),
         note="from the observed okbar, applied outside the realized context",
     ),
     EpistemicStatement(
@@ -212,7 +194,7 @@ _STATEMENTS = (
         CTX_WBAR_W,
         derived_from=("Wbar_n22", "F_n14"),
         axioms_used=frozenset({"Q", "C"}),
-        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+        backing=(_OKBAR_UP, _UP_T, _T_FAIL),
     ),
     EpistemicStatement(
         "Wbar_n24",
@@ -222,7 +204,7 @@ _STATEMENTS = (
         CTX_WBAR_W,
         derived_from=("Wbar_n23",),
         axioms_used=frozenset({"Q", "C"}),
-        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+        backing=(_OKBAR_UP, _UP_T, _T_FAIL),
         note="the okbar->up->t->fail chain in one statement",
     ),
     EpistemicStatement(
@@ -243,7 +225,7 @@ _STATEMENTS = (
         CTX_WBAR_W,
         derived_from=("W_n26", "Wbar_n24"),
         axioms_used=frozenset({"Q", "C"}),
-        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+        backing=(_OKBAR_UP, _UP_T, _T_FAIL),
     ),
     EpistemicStatement(
         "W_n28",
@@ -253,7 +235,7 @@ _STATEMENTS = (
         CTX_WBAR_W,
         derived_from=("W_n27",),
         axioms_used=frozenset({"Q", "C", "S"}),
-        backing=(_Z_OKBARDOWN, _Z_HUP, _Z_TOK),
+        backing=(_OKBAR_UP, _UP_T, _T_FAIL),
         note="equivalent to Wbar_n24",
     ),
 )
@@ -278,16 +260,6 @@ class AxiomSet(FrozenValue):
         return frozenset(name for name, on in (("Q", self.Q), ("C", self.C), ("S", self.S)) if on)
 
 
-class Witness(FrozenValue):
-    """The chained prediction against the measured value it contradicts."""
-
-    __slots__ = ("context", "outcome", "composed", "actual")
-    context: str
-    outcome: tuple[str, str]
-    composed: float
-    actual: float
-
-
 class TraceReport(FrozenValue):
     __slots__ = (
         "axioms",
@@ -307,7 +279,7 @@ class TraceReport(FrozenValue):
     active: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     contradiction: bool
-    witness: Witness | None
+    witness: ContradictionCertificate | None
     minimal_counterfactual: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
@@ -335,7 +307,7 @@ class TraceReport(FrozenValue):
             "witness": None
             if self.witness is None
             else {
-                "context": self.witness.context,
+                "context": self.witness.context.name,
                 "outcome": list(self.witness.outcome),
                 "composed": self.witness.composed,
                 "actual": f"{self.witness.actual:.17g}",
@@ -392,23 +364,15 @@ def run_trace(
         for s in statements
         if s.id in admitted_ids
         and s.axioms_used <= axioms.enabled
-        and (allow_counterfactual or s.classification is Classification.CONTEXT_VALID)
+        and (allow_counterfactual or not s.counterfactual)
     )
-    active_counterfactual = [
-        sid for sid in active if by_id[sid].classification is Classification.COUNTERFACTUAL
-    ]
+    active_counterfactual = [sid for sid in active if by_id[sid].counterfactual]
     contradiction = bool(active_counterfactual)
 
     witness = None
     minimal: tuple[str, ...] = ()
     if contradiction:
-        certificate = chain_prediction(okbar_to_fail_chain())
-        witness = Witness(
-            certificate.context.name,
-            certificate.outcome,
-            certificate.composed_prediction,
-            certificate.actual,
-        )
+        witness = chain_prediction(okbar_to_fail_chain())
         active_cf = set(active_counterfactual)
         minimal = tuple(
             sid

@@ -3,9 +3,12 @@ exact outcome tables, single-context inference rules, and the certificate
 showing what goes wrong when rules from incompatible contexts are chained.
 
 An inference rule is valid purely as a zero-probability statement inside one
-context.  Chaining rules across contexts is a distinct, explicitly labeled
-operation (:func:`chain_prediction`); the resulting certificate records the
-gap between the chained prediction and the actually measured table.
+context: it excludes one outcome, and holds when that entry vanishes.  The
+rules of :func:`okbar_to_fail_chain` state the story's three zeros, and
+``epistemic``'s statements are backed by them.  Chaining rules across
+contexts is a distinct, explicitly labeled operation (:func:`chain_prediction`);
+the resulting certificate records the gap between the chained prediction and
+the actually measured table.
 
 Outcome pairs are always keyed (coin label, spin label).
 """
@@ -90,40 +93,43 @@ def _locate(context: MeasurementContext, label: str) -> int:
     raise ValueError(f"outcome not in context: {label!r}")
 
 
-def _other_label(basis: Basis, label: str) -> str:
-    names = basis.label_names
-    return names[1] if names[0] == label else names[0]
-
-
 class InferenceRule(FrozenValue):
     """'If the premise outcome occurs, the conclusion outcome is certain',
     asserted within a single context.
 
     Premise and conclusion must label different systems of the context.
+    Each system has two labels, so the rule excludes exactly one outcome,
+    :attr:`forbidden`.
     """
 
-    __slots__ = ("context", "premise", "conclusion")
+    __slots__ = ("context", "premise", "conclusion", "_forbidden")
     context: MeasurementContext
     premise: str
     conclusion: str
 
     def __init__(self, context: MeasurementContext, premise: str, conclusion: str) -> None:
-        if _locate(context, premise) == _locate(context, conclusion):
+        premise_sys = _locate(context, premise)
+        conclusion_sys = _locate(context, conclusion)
+        if premise_sys == conclusion_sys:
             raise ValueError("outcome not in context: premise and conclusion share a system")
         FrozenValue.__init__(self, context, premise, conclusion)
+        a, b = context.bases[conclusion_sys].label_names
+        negated = b if a == conclusion else a
+        forbidden = (premise, negated) if premise_sys == 0 else (negated, premise)
+        # Not a field: copy and pickle rebuild it from the three fields.
+        object.__setattr__(self, "_forbidden", forbidden)
+
+    @property
+    def forbidden(self) -> tuple[str, str]:
+        """The (coin, spin) outcome the rule excludes: the premise paired
+        with the conclusion's other label."""
+        return self._forbidden
 
 
 def check_inference(rule: InferenceRule) -> bool:
-    """True iff P(premise and not-conclusion) vanishes in the rule's context."""
-    table = context_table(rule.context)
-    p_sys = _locate(rule.context, rule.premise)
-    c_sys = 1 - p_sys
-    mass = sum(
-        p
-        for key, p in table.items()
-        if key[p_sys] == rule.premise and key[c_sys] != rule.conclusion
-    )
-    return mass < INFERENCE_TOL
+    """True iff the rule's forbidden outcome has probability below
+    INFERENCE_TOL in the rule's context."""
+    return context_table(rule.context)[rule.forbidden] < INFERENCE_TOL
 
 
 class ContradictionCertificate(FrozenValue):
@@ -133,11 +139,11 @@ class ContradictionCertificate(FrozenValue):
     actual table assigns the outcome a probability above INFERENCE_TOL.
     """
 
-    __slots__ = ("chain", "context", "outcome", "composed_prediction", "actual")
+    __slots__ = ("chain", "context", "outcome", "composed", "actual")
     chain: tuple[InferenceRule, ...]
     context: MeasurementContext
     outcome: tuple[str, str]
-    composed_prediction: float
+    composed: float
     actual: float
 
 
@@ -160,9 +166,10 @@ def chain_prediction(chain) -> ContradictionCertificate:
     The chain must be nonempty, every link valid in its own context, each
     link's conclusion the next link's premise, and the first premise and the
     negated final conclusion must land on different systems; otherwise
-    ValueError("broken chain").  The certificate compares the chained
-    prediction (zero, by construction) against the actual probability of
-    (first premise, not final conclusion) in the context that measures both.
+    ValueError("broken chain").  The chain then reads as one rule, first
+    premise => final conclusion, in the context that measures both; the
+    certificate compares its prediction (zero, by construction) against the
+    actual probability of that rule's forbidden outcome.
     """
     chain = tuple(chain)
     if not chain:
@@ -179,15 +186,7 @@ def chain_prediction(chain) -> ContradictionCertificate:
     tail_sys = _locate(tail.context, tail.conclusion)
     if head_sys == tail_sys:
         raise ValueError("broken chain")
-    head_basis = head.context.bases[head_sys]
-    tail_basis = tail.context.bases[tail_sys]
-    negated = _other_label(tail_basis, tail.conclusion)
-
-    if head_sys == 0:
-        context = MeasurementContext(head_basis, tail_basis)
-        outcome = (head.premise, negated)
-    else:
-        context = MeasurementContext(tail_basis, head_basis)
-        outcome = (negated, head.premise)
-    actual = context_table(context)[outcome]
-    return ContradictionCertificate(chain, context, outcome, 0.0, actual)
+    bases = {head_sys: head.context.bases[head_sys], tail_sys: tail.context.bases[tail_sys]}
+    joint = InferenceRule(MeasurementContext(bases[0], bases[1]), head.premise, tail.conclusion)
+    actual = context_table(joint.context)[joint.forbidden]
+    return ContradictionCertificate(chain, joint.context, joint.forbidden, 0.0, actual)

@@ -352,3 +352,28 @@ def lhv_joint(model, a: float, b: float) -> dict[tuple[int, int], float]:
         for x, y in joint:
             joint[(x, y)] += weight * (1.0 + x * u) / 2.0 * (1.0 + y * v) / 2.0
     return joint
+
+
+def change_between(source_vectors, target_vectors) -> np.ndarray:
+    """<target_j|source_i> for one system whose label vectors, complex ones
+    included, are given in its reference frame, one vector per label."""
+    src = np.array(source_vectors, dtype=complex).T
+    tgt = np.array(target_vectors, dtype=complex).T
+    return tgt.conj().T @ src
+
+
+def re_expressed_density(rho: np.ndarray, source_vectors, target_vectors) -> np.ndarray:
+    """U rho U^H, with U the kron product of each system's change_between,
+    first system major."""
+    u = np.eye(1)
+    for src, tgt in zip(source_vectors, target_vectors):
+        u = np.kron(u, change_between(src, tgt))
+    return u @ rho @ u.conj().T
+
+
+def conditional_slice(amps: np.ndarray, fixed_system: int, index: int) -> np.ndarray:
+    """The other system's normalised amplitudes of a two-system state, given
+    label ``index`` on ``fixed_system``."""
+    m = np.asarray(amps, dtype=complex).reshape(2, 2)
+    v = m[index, :] if fixed_system == 0 else m[:, index]
+    return v / np.linalg.norm(v)

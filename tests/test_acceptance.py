@@ -47,7 +47,7 @@ def test_criterion_02_zero_set():
 def test_criterion_03_contradiction_certificate():
     cert = chain_prediction(okbar_to_fail_chain())
     ok = (
-        cert.composed_prediction == 0.0
+        cert.composed == 0.0
         and abs(cert.actual - 1 / 12) <= 1e-12
         and cert.actual > INFERENCE_TOL
     )

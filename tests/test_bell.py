@@ -392,6 +392,17 @@ def test_born_rule_residual_checks_the_state_as_quantum_correlation_does(case):
         assert str(got.value) == str(want.value)
 
 
+def test_chsh_max_has_no_default_source():
+    from wignerfriend import bell
+
+    with pytest.raises(TypeError, match="^cannot take Born distribution of NoneType$"):
+        chsh_max(None)
+    # The two functions that document state=None still read it as the singlet.
+    scan = chsh_max(singlet())
+    assert quantum_correlation(0.3, 1.1) == quantum_correlation(0.3, 1.1, singlet())
+    assert bell.born_rule_residual(scan) == bell.born_rule_residual(scan, singlet())
+
+
 @pytest.mark.parametrize("grid_n", [None, 7])
 def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monkeypatch, grid_n):
     from wignerfriend import bell

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,6 +26,8 @@ from wignerfriend.bohm import (
 )
 from wignerfriend.cli import MAX_SAMPLES
 from wignerfriend.hardy import CTX_WBAR_W, CTX_ZBAR_Z, context_table, hardy_state
+from wignerfriend.qcore import COIN_WBAR, COIN_ZBAR, SPIN_W, SPIN_Z, make_state
+
 INV = 2.0 ** -0.5
 
 ALL_COUPLINGS = (MONOTONE, INDEPENDENT)
@@ -56,9 +58,29 @@ def test_conditional_wave_given_up_is_tail():
     assert np.allclose(cond.amps, [0, 1], atol=1e-15)
 
 
-def test_conditional_wave_empty_branch():
-    from wignerfriend.qcore import make_state, COIN_ZBAR, SPIN_Z
+amp_parts = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+complex_amps = st.lists(st.tuples(amp_parts, amp_parts), min_size=4, max_size=4).map(
+    lambda parts: np.array([complex(re, im) for re, im in parts])
+)
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    complex_amps,
+    st.sampled_from([(COIN_ZBAR, SPIN_Z), (COIN_WBAR, SPIN_W), (COIN_ZBAR, SPIN_W)]),
+    st.integers(0, 1),
+    st.integers(0, 1),
+)
+def test_conditional_wave_is_the_normalised_slice_of_a_complex_state(amps, frame, system, index):
+    assume(np.linalg.norm(amps.reshape(2, 2).take(index, axis=system)) > 1e-3)
+    state = make_state(amps, frame)
+    cond = conditional_wave(state, system, frame[system].label_names[index])
+    assert cond.bases == (frame[1 - system],)
+    want = oracles.conditional_slice(state.amps, system, index)
+    assert np.max(np.abs(cond.amps - want)) <= 1e-12
+
+
+def test_conditional_wave_empty_branch():
     product = make_state([1, 0, 0, 0], (COIN_ZBAR, SPIN_Z))
     with pytest.raises(ValueError, match="empty conditional"):
         conditional_wave(product, 0, "t")

@@ -6,15 +6,19 @@ from wignerfriend.epistemic import (
     Agent,
     AxiomSet,
     CertainThat,
-    Classification,
     EpistemicStatement,
     OutcomeClaim,
     backing_probabilities,
     builtin_statements,
-    classify,
     run_trace,
 )
-from wignerfriend.hardy import CTX_WBAR_W, CTX_ZBAR_W, context_table
+from wignerfriend.hardy import (
+    CTX_WBAR_W,
+    CTX_ZBAR_W,
+    chain_prediction,
+    context_table,
+    okbar_to_fail_chain,
+)
 
 STATEMENTS = {s.id: s for s in builtin_statements()}
 
@@ -44,14 +48,14 @@ def test_fbar_n02_lookup():
     s = STATEMENTS["Fbar_n02"]
     assert s.author is Agent.FBAR
     assert s.proposition == OutcomeClaim("w", "fail", "n:31")
-    assert s.classification is Classification.COUNTERFACTUAL
+    assert s.counterfactual
     assert s.assumed_context == CTX_ZBAR_W and s.actual_context == CTX_WBAR_W
 
 
 def test_f_n12_lookup():
     s = STATEMENTS["F_n12"]
     assert s.proposition == CertainThat(Agent.FBAR, OutcomeClaim("z", "up", "n:02"))
-    assert s.classification is Classification.CONTEXT_VALID
+    assert not s.counterfactual
 
 
 def test_w_n28_is_equivalent_to_wbar_n24():
@@ -63,9 +67,10 @@ def test_classification_is_structural():
     same = EpistemicStatement(
         "X", Agent.W, OutcomeClaim("w", "ok", "n:31"), CTX_WBAR_W, CTX_WBAR_W
     )
-    assert classify(same) is Classification.CONTEXT_VALID
-    assert classify(STATEMENTS["Fbar_n02"]) is Classification.COUNTERFACTUAL
-    assert classify(STATEMENTS["Wbar_n22"]) is Classification.COUNTERFACTUAL
+    assert not same.counterfactual
+    assert STATEMENTS["Fbar_n02"].counterfactual
+    assert STATEMENTS["Wbar_n22"].counterfactual
+    assert {sid for sid, s in STATEMENTS.items() if s.counterfactual} == COUNTERFACTUAL_IDS
 
 
 def test_deeper_certainty_nesting_is_rejected():
@@ -77,14 +82,45 @@ def test_deeper_certainty_nesting_is_rejected():
 def test_every_backing_entry_is_a_zero_of_the_tables():
     for s in STATEMENTS.values():
         for backing in s.backing:
-            assert context_table(backing.context)[backing.outcome] <= 1e-15
+            assert context_table(backing.context)[backing.forbidden] <= 1e-15
         probs = backing_probabilities(s)
         assert all(p <= 1e-15 for p in probs.values())
 
 
+def test_every_backing_is_a_link_of_the_chain():
+    chain = okbar_to_fail_chain()
+    for s in STATEMENTS.values():
+        assert all(rule in chain for rule in s.backing), s.id
+
+
+# The keys and values each statement's backing gave when the zeros were
+# written out by hand, one (context, coin, spin) entry per zero.
+_OKBAR_DOWN = ("Wbar,Z", "okbar", "down")
+_H_UP = ("Zbar,Z", "h", "up")
+_T_OK = ("Zbar,W", "t", "ok")
+PINNED_BACKINGS = {
+    "Fbar_n02": [_T_OK],
+    "F_n12": [_H_UP],
+    "F_n13": [_H_UP, _T_OK],
+    "F_n14": [_H_UP, _T_OK],
+    "Wbar_n22": [_OKBAR_DOWN],
+    "Wbar_n23": [_OKBAR_DOWN, _H_UP, _T_OK],
+    "Wbar_n24": [_OKBAR_DOWN, _H_UP, _T_OK],
+    "W_n26": [],
+    "W_n27": [_OKBAR_DOWN, _H_UP, _T_OK],
+    "W_n28": [_OKBAR_DOWN, _H_UP, _T_OK],
+}
+
+
+def test_backing_probabilities_are_the_pinned_zeros():
+    for sid, keys in PINNED_BACKINGS.items():
+        probs = backing_probabilities(STATEMENTS[sid])
+        assert list(probs.items()) == [(key, 0.0) for key in keys], sid
+
+
 def test_fbar_n02_backing_is_the_tail_ok_zero():
     (backing,) = STATEMENTS["Fbar_n02"].backing
-    assert backing.context == CTX_ZBAR_W and backing.outcome == ("t", "ok")
+    assert backing.context == CTX_ZBAR_W and backing.forbidden == ("t", "ok")
 
 
 def test_trace_with_everything_on_finds_the_contradiction():
@@ -95,6 +131,7 @@ def test_trace_with_everything_on_finds_the_contradiction():
     assert report.witness.outcome == ("okbar", "ok")
     assert set(report.minimal_counterfactual) == {"Fbar_n02", "Wbar_n22"}
     assert set(report.active) == set(STATEMENTS)
+    assert report.witness == chain_prediction(okbar_to_fail_chain())
 
 
 def test_trace_without_counterfactual_composition_is_consistent():

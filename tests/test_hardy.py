@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,7 +125,7 @@ def test_swap_symmetry_mirrors_the_two_inferences():
 def test_chain_certificate_is_valid():
     cert = chain_prediction(okbar_to_fail_chain())
     assert isinstance(cert, ContradictionCertificate)
-    assert cert.composed_prediction == 0.0
+    assert cert.composed == 0.0
     assert cert.actual == pytest.approx(1 / 12, abs=1e-12)
     assert cert.outcome == ("okbar", "ok")
     assert cert.context == CTX_WBAR_W
@@ -152,3 +154,47 @@ def test_non_composing_chain_is_broken():
 def test_chain_with_invalid_link_is_broken():
     with pytest.raises(ValueError, match="broken chain"):
         chain_prediction([InferenceRule(CTX_ZBAR_W, "fail", "t")])
+
+
+def _all_rules() -> list[InferenceRule]:
+    """Every rule over the four contexts: a premise label and a conclusion
+    label on different systems."""
+    rules = []
+    for ctx in ALL_CONTEXTS:
+        for p_sys, c_sys in ((0, 1), (1, 0)):
+            for premise in ctx.bases[p_sys].label_names:
+                for conclusion in ctx.bases[c_sys].label_names:
+                    rules.append(InferenceRule(ctx, premise, conclusion))
+    return rules
+
+
+def _premise_and_not_conclusion(rule: InferenceRule) -> float:
+    """The reference: P(premise and not conclusion), summed over the table."""
+    p_sys = 0 if rule.premise in rule.context.coin_basis.label_names else 1
+    return sum(
+        p
+        for key, p in context_table(rule.context).items()
+        if key[p_sys] == rule.premise and key[1 - p_sys] != rule.conclusion
+    )
+
+
+def test_check_inference_is_the_summed_table_on_every_rule():
+    rules = _all_rules()
+    assert len(set(rules)) == 32
+    valid = []
+    for rule in rules:
+        mass = _premise_and_not_conclusion(rule)
+        assert context_table(rule.context)[rule.forbidden] == mass
+        assert check_inference(rule) == (mass < INFERENCE_TOL)
+        if check_inference(rule):
+            valid.append(rule)
+    # Three zeros, each read forwards and as its contrapositive.
+    assert len(valid) == 6 and set(okbar_to_fail_chain()) <= set(valid)
+
+
+def test_a_rules_forbidden_outcome_is_derived_not_a_field():
+    assert InferenceRule._fields == ("context", "premise", "conclusion")
+    rule = InferenceRule(CTX_ZBAR_Z, "up", "t")
+    assert rule.forbidden == ("h", "up")
+    for twin in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+        assert twin == rule and twin.forbidden == ("h", "up")

@@ -298,6 +298,37 @@ def test_rephasing_the_port_bases_changes_no_probabilities(p1, p2, p3, p4):
         assert rephased[key] == pytest.approx(p, abs=1e-12)
 
 
+# Spin bases whose label vectors are the rows of a complex unitary.
+complex_bases = st.tuples(angles, angles, angles).map(
+    lambda a: Basis("C", (DOWN, UP), tuple(map(tuple, _rotation(*a))))
+)
+complex_densities = (
+    st.lists(st.tuples(amp_parts, amp_parts), min_size=16, max_size=16)
+    .map(lambda parts: np.array([complex(re, im) for re, im in parts]).reshape(4, 4))
+    .map(lambda a: a @ a.conj().T)
+    .filter(lambda rho: np.trace(rho).real > 1e-3)
+    .map(lambda rho: (rho + rho.conj().T) / (2.0 * np.trace(rho).real))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    complex_densities,
+    st.tuples(complex_bases, complex_bases),
+    st.tuples(complex_bases, complex_bases),
+)
+def test_density_basis_change_is_u_rho_u_dagger_in_complex_bases(rho, source, target):
+    want = oracles.re_expressed_density(
+        rho, [b.vectors for b in source], [b.vectors for b in target]
+    )
+    density = DensityOperator(source, rho)
+    out = express_density(density, target)
+    assert out.bases == target
+    assert np.max(np.abs(out.matrix - want)) <= 1e-12
+    probs = list(born_distribution(density, target).probs.values())
+    assert np.max(np.abs(np.array(probs) - np.real(np.diag(want)))) <= 1e-12
+
+
 def test_density_validation_rejects_bad_matrices():
     from wignerfriend.qcore import InvariantViolation
 

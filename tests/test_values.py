@@ -40,10 +40,8 @@ def _instances() -> dict:
         bohm.compare_foliations(),
         statement.proposition.inner,
         statement.proposition,
-        statement.backing[0],
         statement,
         trace.axioms,
-        trace.witness,
         trace,
         run,
         bell.observer_independent_facts_model(),
@@ -76,7 +74,7 @@ def test_every_value_class_is_covered():
         if isinstance(obj, type) and issubclass(obj, Frozen) and obj not in (Frozen, FrozenValue)
     }
     assert classes == set(INSTANCES)
-    assert len(classes) == 28
+    assert len(classes) == 26
     assert {c for c in classes if not issubclass(c, FrozenValue)} == _IDENTITY
 
 
@@ -226,8 +224,6 @@ _PLAIN = {
     bohm.TrajectoryPath,
     bohm.FoliationReport,
     epistemic.OutcomeClaim,
-    epistemic.ZeroBacking,
-    epistemic.Witness,
     epistemic.TraceReport,
     hardy.ContradictionCertificate,
     memory.ProtocolRun,
@@ -242,7 +238,7 @@ _REQUIRED = {
 
 
 def test_plain_classes_take_the_shared_constructor():
-    assert len(_PLAIN) == 12
+    assert len(_PLAIN) == 10
     for cls in _PLAIN:
         assert "__init__" not in vars(cls), cls
         assert cls.__init__ is Frozen.__init__, cls
