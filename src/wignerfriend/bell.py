@@ -458,14 +458,17 @@ class ErasedKeptReport(FrozenValue):
         }
 
 
-def erased_vs_kept_chsh(grid_n: int | None = None) -> ErasedKeptReport:
-    """Erased records leave the singlet coherent (S = 2*sqrt2); kept records
-    dephase it in z, and the dephased correlations equal the
-    observer-independent-facts model's -cos(alpha)cos(beta) exactly: the
-    reported gap is the largest singular value of the difference of their
-    blocks, the supremum of |E_kept - E_model| over all settings.  Each
-    state's block is read once, and every correlation reported is the
-    bilinear form on it.
+def erased_vs_kept_chsh(
+    grid_n: int | None = None, *, quad: AngleQuad = OPTIMAL_QUAD
+) -> ErasedKeptReport:
+    """Erased records leave the singlet coherent (S = 2*sqrt2 at
+    OPTIMAL_QUAD); kept records dephase it in z, and the dephased
+    correlations equal the observer-independent-facts model's
+    -cos(alpha)cos(beta) exactly: the reported gap is the largest singular
+    value of the difference of their blocks, the supremum of
+    |E_kept - E_model| over all settings.  The erased and the kept S are
+    taken at ``quad``, OPTIMAL_QUAD by default.  Each state's block is read
+    once, and every correlation reported is the bilinear form on it.
 
     The kept-records maximum is solved as :func:`chsh_max` solves it, or by
     :func:`chsh_scan` on a given grid_n, and checked against the Born rule at
@@ -478,7 +481,7 @@ def erased_vs_kept_chsh(grid_n: int | None = None) -> ErasedKeptReport:
     run = record_and_erase(_SINGLET, Friend.FBAR, PAIR_Z)
     coherent = record_and_erase(run.final_state, Friend.F, PAIR_Z).final_state
     coherent_block = _correlation_block(_checked_pair(coherent))
-    s_erased = chsh(lambda a, b: _bilinear(coherent_block, a, b), OPTIMAL_QUAD)
+    s_erased = chsh(lambda a, b: _bilinear(coherent_block, a, b), quad)
 
     kept: DensityOperator = record_and_keep(_SINGLET, (Friend.F, Friend.FBAR)).final_state
     kept_block = _correlation_block(_checked_pair(kept))
@@ -486,10 +489,10 @@ def erased_vs_kept_chsh(grid_n: int | None = None) -> ErasedKeptReport:
     def kept_corr(a, b):
         return _bilinear(kept_block, a, b)
 
-    s_kept_at_quad = chsh(kept_corr, OPTIMAL_QUAD)
+    s_kept_at_quad = chsh(kept_corr, quad)
     scan = _block_max(kept_block) if grid_n is None else chsh_scan(kept_corr, grid_n=grid_n)
     born_rule_residual(scan, kept)
 
     gap = _block_svd([k - m for k, m in zip(kept_block, _FACTS_MODEL._block)])[2]
     aligned = kept_corr(0.0, 0.0)
-    return ErasedKeptReport(OPTIMAL_QUAD, s_erased, s_kept_at_quad, scan.max_s, aligned, gap)
+    return ErasedKeptReport(quad, s_erased, s_kept_at_quad, scan.max_s, aligned, gap)

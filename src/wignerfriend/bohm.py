@@ -11,7 +11,9 @@ of non-crossing trajectories.  Everything is enumerated exactly; the sampler
 exists only for Monte-Carlo consistency checks and demo output.
 
 When both beam splitters fire, the two events are space-like separated, so
-the dynamics needs a global ordering of them: a :class:`Foliation`.  The two
+the dynamics needs a global ordering of them: a :class:`Foliation`.  Each
+event is named by the basis its detection measures in, one of the two bases
+of ``hardy.CTX_WBAR_W``, the context every path ends in.  The two
 orderings generate different trajectory sets with identical final-outcome
 marginals (equivariance) but different origins for the same outcome.
 """
@@ -40,35 +42,23 @@ WEIGHT_TOL = 1e-12
 _ADVANCE_TOL = 1e-15
 
 
-class MeasurementEvent(str, Enum):
-    SPIN_BS = "spin"  # spin beam splitter + W-port detection
-    COIN_BS = "coin"  # coin beam splitter + Wbar-port detection
-
-
-_EVENT_SYSTEM = {MeasurementEvent.SPIN_BS: 1, MeasurementEvent.COIN_BS: 0}
-_EVENT_TARGET: dict[MeasurementEvent, Basis] = {
-    MeasurementEvent.COIN_BS: COIN_WBAR,
-    MeasurementEvent.SPIN_BS: SPIN_W,
-}
-# The context every path ends in, both events having fired: (coin, spin) names.
-FINAL_CONTEXT = tuple(basis.name for basis in _EVENT_TARGET.values())
-
-
 class Foliation(FrozenValue):
-    """A global ordering of the two space-like-separated detection events."""
+    """A global ordering of the two space-like-separated detections: the two
+    bases of ``CTX_WBAR_W``, in the order they are measured."""
 
     __slots__ = ("name", "ordering")
     name: str
-    ordering: tuple[MeasurementEvent, MeasurementEvent]
+    ordering: tuple[Basis, Basis]
 
-    def __init__(self, name: str, ordering: tuple[MeasurementEvent, MeasurementEvent]) -> None:
-        if set(ordering) != {MeasurementEvent.SPIN_BS, MeasurementEvent.COIN_BS}:
+    def __init__(self, name: str, ordering: tuple[Basis, Basis]) -> None:
+        bases = CTX_WBAR_W.bases
+        if ordering not in (bases, bases[::-1]):
             raise ValueError("ordering must permute the two measurement events")
         FrozenValue.__init__(self, name, ordering)
 
 
-FOLIATION_F = Foliation("F", (MeasurementEvent.SPIN_BS, MeasurementEvent.COIN_BS))
-FOLIATION_FPRIME = Foliation("Fprime", (MeasurementEvent.COIN_BS, MeasurementEvent.SPIN_BS))
+FOLIATION_F = Foliation("F", (SPIN_W, COIN_WBAR))
+FOLIATION_FPRIME = Foliation("Fprime", (COIN_WBAR, SPIN_W))
 
 
 class CouplingKind(str, Enum):
@@ -239,7 +229,7 @@ class TrajectorySet(FrozenValue):
     def to_json_dict(self) -> dict:
         return {
             "foliation": self.foliation.name,
-            "context": list(FINAL_CONTEXT),
+            "context": [basis.name for basis in CTX_WBAR_W.bases],
             "coupling": self.coupling.kind.value,
             "paths": [
                 {
@@ -258,12 +248,7 @@ class TrajectorySet(FrozenValue):
 
 def initial_distribution() -> dict[HiddenConfig, float]:
     """Hidden configurations distributed by the shared state's (Zbar, Z) table."""
-    table = context_table(CTX_ZBAR_Z)
-    return {
-        HiddenConfig(coin, spin): table[(coin, spin)]
-        for coin in ("h", "t")
-        for spin in ("down", "up")
-    }
+    return {HiddenConfig(*pair): p for pair, p in context_table(CTX_ZBAR_Z).items()}
 
 
 def conditional_wave(state: StateVector, fixed_system: int, fixed_branch: str) -> StateVector:
@@ -291,7 +276,7 @@ def _walk(
     initial: HiddenConfig,
     config: HiddenConfig,
     weight: float,
-    events: tuple[MeasurementEvent, ...],
+    events: tuple[Basis, ...],
     transitions: tuple[Transition, ...],
     coupling: TransportCoupling,
     out: list[TrajectoryPath],
@@ -299,11 +284,10 @@ def _walk(
     if not events:
         out.append(TrajectoryPath(initial, transitions, (config.coin, config.spin), weight))
         return
-    event, rest = events[0], events[1:]
-    active = _EVENT_SYSTEM[event]
+    target, rest = events[0], events[1:]
+    active = CTX_WBAR_W.bases.index(target)
     partner = 1 - active
     cond = conditional_wave(pilot, partner, config.label(partner))
-    target = _EVENT_TARGET[event]
     out_wave = apply_local(cond, basis_change(0, cond.bases[0], target))
     input_dist = _born_1q(cond)
     output_dist = _born_1q(out_wave)
@@ -327,7 +311,7 @@ def _walk(
             config.with_label(active, out_name),
             weight * p,
             rest,
-            transitions + (Transition(event.value, branch, out_name),),
+            transitions + (Transition(target.system.value, branch, out_name),),
             coupling,
             out,
         )

@@ -143,7 +143,7 @@ def cmd_bohm(args) -> tuple[str, dict]:
     from . import bohm
 
     coupling = {"monotone": bohm.MONOTONE, "independent": bohm.INDEPENDENT}[args.coupling]
-    context = ", ".join(bohm.FINAL_CONTEXT)
+    context = ", ".join(basis.name for basis in hardy.CTX_WBAR_W.bases)
     lines: list[str] = []
     payload: dict = {"coupling": args.coupling}
 
@@ -289,7 +289,7 @@ def cmd_chsh(args) -> tuple[str, dict]:
         payload["S_lhv_max"] = _json_prob(scan_l.max_s)
         payload["argmax_quad"] = list(scan_q.argmax.as_tuple())
     if args.erased_vs_kept:
-        report = bell.erased_vs_kept_chsh()
+        report = bell.erased_vs_kept_chsh(quad=quad)
         lines.append(
             f"records erased: S = {report.s_erased:.15g}; records kept: "
             f"S = {report.s_kept_at_quad:.15g} at the quad, max {report.s_kept_max:.15g}"
@@ -429,6 +429,8 @@ def main(argv=None) -> int:
         parser.error("--seed is required iff --samples is given")
     if args.samples is not None and args.command != "bohm":
         parser.error("sampling applies to the bohm scenario only")
+    if args.samples is not None and args.foliation == "both":
+        parser.error("sampling needs one foliation, F or Fprime")
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be a non-negative integer")
     if args.samples is not None and not 1 <= args.samples <= MAX_SAMPLES:

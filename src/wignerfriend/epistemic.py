@@ -1,10 +1,12 @@
 """Replay of the four agents' reasoning about the coin/spin experiment.
 
-Each statement an agent makes carries the context its reasoning assumed and
-the context actually realized; a statement is context-valid exactly when the
-two coincide, and counterfactual otherwise.  That verdict is structural, not
-probabilistic: each statement is backed by the rules of
-``hardy.okbar_to_fail_chain`` it leans on, and the table entry each rule
+Each statement an agent makes carries the context actually realized and is
+backed by the rules of ``hardy.okbar_to_fail_chain`` it leans on.  The
+context its reasoning assumed is not stated beside them but read from them:
+it is the context of the last rule, the one the conclusion is drawn in, or
+the realized context when no rule backs the statement.  A statement is
+context-valid exactly when the two coincide, and counterfactual otherwise.
+That verdict is structural, not probabilistic: the table entry each rule
 excludes is attached as evidence, not as the verdict.
 
 The trace engine replays the statements under a choice of axioms: (Q) the
@@ -22,8 +24,6 @@ from enum import Enum
 
 from .hardy import (
     CTX_WBAR_W,
-    CTX_WBAR_Z,
-    CTX_ZBAR_W,
     CTX_ZBAR_Z,
     ContradictionCertificate,
     InferenceRule,
@@ -76,17 +76,16 @@ class EpistemicStatement(FrozenValue):
         "id",
         "author",
         "proposition",
-        "assumed_context",
         "actual_context",
         "derived_from",
         "axioms_used",
         "backing",
         "note",
+        "_assumed",
     )
     id: str
     author: Agent
     proposition: Proposition
-    assumed_context: MeasurementContext
     actual_context: MeasurementContext
     derived_from: tuple[str, ...]
     axioms_used: frozenset[str]
@@ -98,22 +97,31 @@ class EpistemicStatement(FrozenValue):
         id: str,
         author: Agent,
         proposition: Proposition,
-        assumed_context: MeasurementContext,
         actual_context: MeasurementContext,
         derived_from: tuple[str, ...] = (),
         axioms_used: frozenset[str] = frozenset({"Q"}),
         backing: tuple[InferenceRule, ...] = (),
         note: str = "",
     ) -> None:
+        if not (isinstance(derived_from, tuple) and all(isinstance(p, str) for p in derived_from)):
+            raise TypeError(f"derived_from must be a tuple of statement ids, got {derived_from!r}")
         FrozenValue.__init__(
-            self, id, author, proposition, assumed_context, actual_context,
+            self, id, author, proposition, actual_context,
             derived_from, axioms_used, backing, note,
         )
+        # Not a field: copy and pickle rebuild it from the fields.
+        object.__setattr__(self, "_assumed", backing[-1].context if backing else actual_context)
+
+    @property
+    def assumed_context(self) -> MeasurementContext:
+        """The context the reasoning assumed: that of the last rule it rests
+        on, or the realized one when no rule backs it."""
+        return self._assumed
 
     @property
     def counterfactual(self) -> bool:
         """True iff the reasoning assumed a context other than the realized one."""
-        return self.assumed_context != self.actual_context
+        return self._assumed != self.actual_context
 
     @property
     def verdict(self) -> str:
@@ -140,7 +148,6 @@ _STATEMENTS = (
         "Fbar_n02",
         Agent.FBAR,
         _FAIL_AT_31,
-        CTX_ZBAR_W,
         CTX_WBAR_W,
         axioms_used=frozenset({"Q"}),
         backing=(_T_FAIL,),
@@ -151,7 +158,6 @@ _STATEMENTS = (
         Agent.F,
         CertainThat(Agent.FBAR, OutcomeClaim("z", "up", "n:02")),
         CTX_ZBAR_Z,
-        CTX_ZBAR_Z,
         axioms_used=frozenset({"Q", "C"}),
         backing=(_UP_T,),
         note="deduction about a fellow agent within the unchanged context",
@@ -160,7 +166,6 @@ _STATEMENTS = (
         "F_n13",
         Agent.F,
         CertainThat(Agent.FBAR, _FAIL_AT_31),
-        CTX_ZBAR_W,
         CTX_WBAR_W,
         derived_from=("Fbar_n02", "F_n12"),
         axioms_used=frozenset({"Q", "C"}),
@@ -170,7 +175,6 @@ _STATEMENTS = (
         "F_n14",
         Agent.F,
         _FAIL_AT_31,
-        CTX_ZBAR_W,
         CTX_WBAR_W,
         derived_from=("F_n13",),
         axioms_used=frozenset({"Q", "C"}),
@@ -180,7 +184,6 @@ _STATEMENTS = (
         "Wbar_n22",
         Agent.WBAR,
         CertainThat(Agent.F, OutcomeClaim("z", "up", "n:11")),
-        CTX_WBAR_Z,
         CTX_WBAR_W,
         axioms_used=frozenset({"Q"}),
         backing=(_OKBAR_UP,),
@@ -190,7 +193,6 @@ _STATEMENTS = (
         "Wbar_n23",
         Agent.WBAR,
         CertainThat(Agent.F, _FAIL_AT_31),
-        CTX_ZBAR_W,
         CTX_WBAR_W,
         derived_from=("Wbar_n22", "F_n14"),
         axioms_used=frozenset({"Q", "C"}),
@@ -200,7 +202,6 @@ _STATEMENTS = (
         "Wbar_n24",
         Agent.WBAR,
         _FAIL_AT_31,
-        CTX_ZBAR_W,
         CTX_WBAR_W,
         derived_from=("Wbar_n23",),
         axioms_used=frozenset({"Q", "C"}),
@@ -212,7 +213,6 @@ _STATEMENTS = (
         Agent.W,
         OutcomeClaim("wbar", "okbar", "n:21"),
         CTX_WBAR_W,
-        CTX_WBAR_W,
         axioms_used=frozenset({"C"}),
         backing=(),
         note="announced result, shared at the same observer level",
@@ -221,7 +221,6 @@ _STATEMENTS = (
         "W_n27",
         Agent.W,
         CertainThat(Agent.WBAR, _FAIL_AT_31),
-        CTX_ZBAR_W,
         CTX_WBAR_W,
         derived_from=("W_n26", "Wbar_n24"),
         axioms_used=frozenset({"Q", "C"}),
@@ -231,7 +230,6 @@ _STATEMENTS = (
         "W_n28",
         Agent.W,
         _FAIL_AT_31,
-        CTX_ZBAR_W,
         CTX_WBAR_W,
         derived_from=("W_n27",),
         axioms_used=frozenset({"Q", "C", "S"}),

@@ -377,3 +377,17 @@ def conditional_slice(amps: np.ndarray, fixed_system: int, index: int) -> np.nda
     m = np.asarray(amps, dtype=complex).reshape(2, 2)
     v = m[index, :] if fixed_system == 0 else m[:, index]
     return v / np.linalg.norm(v)
+
+
+# Index of each amplitude of a two-qubit vector once its systems trade places:
+# (i, j) at 2i + j goes to (j, i) at 2j + i.
+SWAP_ORDER = [0, 2, 1, 3]
+
+
+def swap_systems(amps_or_rho: np.ndarray) -> np.ndarray:
+    """A two-qubit 4-vector or 4x4 density, first system major, with its two
+    systems exchanged: SWAP v, or SWAP rho SWAP."""
+    m = np.asarray(amps_or_rho, dtype=complex)
+    if m.ndim == 1:
+        return m[SWAP_ORDER]
+    return m[np.ix_(SWAP_ORDER, SWAP_ORDER)]

@@ -269,6 +269,19 @@ def test_erased_vs_kept_report():
     assert report.kept_vs_lhv_max_gap <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "quad",
+    [AngleQuad(0.0, 1.0, 2.0, 3.0), AngleQuad(0.3, -2.0, 5.0, 1e-3), OPTIMAL_QUAD],
+    ids=["0123", "mixed", "optimal"],
+)
+def test_erased_vs_kept_takes_both_s_at_the_given_quad(quad):
+    report = erased_vs_kept_chsh(quad=quad)
+    assert report.quad == quad
+    assert report.s_erased == pytest.approx(chsh(quantum_correlation, quad), abs=1e-12)
+    s_lhv = chsh(lambda a, b: lhv_correlation(MODEL, a, b), quad)
+    assert report.s_kept_at_quad == pytest.approx(s_lhv, abs=1e-12)
+
+
 def _kept_vs_lhv_grid_max(model) -> float:
     """max |E_kept - E_model| over a 50x50 grid of settings."""
     kept = record_and_keep(singlet(), (Friend.F, Friend.FBAR)).final_state
@@ -900,6 +913,34 @@ def test_no_signalling_each_marginal_ignores_the_other_setting(objs, alpha, beta
         _, bob_other = _marginals(obj, other, beta)
         assert np.max(np.abs(np.subtract(alice, alice_other))) <= 1e-12
         assert np.max(np.abs(np.subtract(bob, bob_other))) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(angles, min_size=4, max_size=4), angles)
+def test_a_common_rotation_of_the_settings_leaves_the_singlets_s_unchanged(settings4, shift):
+    # The singlet is rotation invariant: E(a, b) depends on a - b alone.
+    turned = AngleQuad(*(x + shift for x in settings4))
+    s = chsh(quantum_correlation, AngleQuad(*settings4))
+    assert abs(chsh(quantum_correlation, turned) - s) <= 1e-12
+
+
+def _swapped(obj):
+    """The state or density ``obj`` with its two systems exchanged, bases
+    and all, by the oracle's SWAP."""
+    bases = obj.bases[::-1]
+    if isinstance(obj, StateVector):
+        return make_state(oracles.swap_systems(obj.amps), bases)
+    return DensityOperator(bases, oracles.swap_systems(obj.matrix))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs(), angles, angles)
+def test_swapping_the_two_systems_transposes_the_correlations(pair, alpha, beta):
+    state, rho = pair
+    want = oracles.correlation_block(rho).T
+    assert np.max(np.abs(oracles.correlation_block(oracles.swap_systems(rho)) - want)) <= 1e-12
+    got = quantum_correlation(alpha, beta, _swapped(state))
+    assert abs(got - quantum_correlation(beta, alpha, state)) <= 1e-12
 
 
 @st.composite

@@ -15,7 +15,6 @@ from wignerfriend.bohm import (
     MONOTONE,
     Foliation,
     HiddenConfig,
-    MeasurementEvent,
     binomial,
     compare_foliations,
     conditional_wave,
@@ -94,7 +93,7 @@ def _as_oracle_key(path):
 @pytest.mark.parametrize("foliation", ALL_FOLIATIONS)
 @pytest.mark.parametrize("coupling", ALL_COUPLINGS)
 def test_evolve_matches_independent_path_oracle(foliation, coupling):
-    order = tuple(e.value for e in foliation.ordering)
+    order = tuple(basis.system.value for basis in foliation.ordering)
     expected = {
         ((r["initial"]), r["transitions"], r["final"]): r["weight"]
         for r in oracles.enumerate_paths(order, coupling.kind.value)
@@ -179,9 +178,27 @@ def test_total_weight_one_everywhere():
         assert sum(p.weight for p in ts.paths) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_foliation_requires_both_events():
-    with pytest.raises(ValueError):
-        Foliation("bad", (MeasurementEvent.SPIN_BS, MeasurementEvent.SPIN_BS))
+@pytest.mark.parametrize(
+    "ordering",
+    [(SPIN_W, SPIN_W), (SPIN_Z, COIN_ZBAR), (COIN_WBAR,), (SPIN_W, COIN_WBAR, SPIN_W)],
+    ids=["repeated", "other-context", "one", "three"],
+)
+def test_foliation_orders_the_two_bases_of_the_final_context(ordering):
+    with pytest.raises(ValueError, match="permute the two measurement events"):
+        Foliation("bad", ordering)
+
+
+# F fires the spin's W detection first, Fprime the coin's Wbar one.
+@pytest.mark.parametrize(
+    "foliation, systems",
+    [(FOLIATION_F, ["spin", "coin"]), (FOLIATION_FPRIME, ["coin", "spin"])],
+    ids=["F", "Fprime"],
+)
+@pytest.mark.parametrize("coupling", ALL_COUPLINGS, ids=lambda c: c.kind.value)
+def test_each_path_steps_in_the_order_of_its_foliation(foliation, systems, coupling):
+    for path in evolve(foliation, coupling).paths:
+        assert [t.system for t in path.events] == systems
+        assert all(t.target in b.label_names for t, b in zip(path.events, foliation.ordering))
 
 
 def test_trajectory_set_rejects_broken_weights():

@@ -109,6 +109,20 @@ def test_zero_samples_is_usage_error(capsys):
     assert info.value.code == 2
 
 
+def test_sampling_both_foliations_is_usage_error(capsys):
+    err = _usage_error_without_traceback(
+        capsys, ["bohm", "--foliation", "both", "--samples", "10", "--seed", "1"]
+    )
+    assert err.splitlines()[-1] == "wignerfriend: error: sampling needs one foliation, F or Fprime"
+
+
+def test_config_sampling_both_foliations_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"scenario": "bohm", "foliation": "both", "samples": 10, "seed": 1}))
+    err = _usage_error_without_traceback(capsys, ["--config", str(cfg)])
+    assert err.splitlines()[-1] == "wignerfriend: error: sampling needs one foliation, F or Fprime"
+
+
 def test_samples_on_wrong_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["contexts", "--samples", "10", "--seed", "1"])
@@ -192,6 +206,26 @@ def test_chsh_erased_vs_kept(capsys):
     code, out, _ = run_cli(capsys, "chsh", "--erased-vs-kept")
     assert code == 0
     assert "records erased: S = 2.82842712474619" in out
+
+
+def test_chsh_erased_vs_kept_reports_at_the_given_quad(capsys):
+    # Erased records give back the singlet and kept ones the hidden-variable
+    # model, so at the user's quad the two S equal the quantum and the
+    # hidden-variable S.
+    quad = ["0", "1", "2", "3"]
+    payload = run_json(capsys, "chsh", "--quad", *quad, "--erased-vs-kept")
+    report = payload["erased_vs_kept"]
+    assert report["quad"] == payload["quad"]
+    assert abs(float(report["S_erased"]) - float(payload["S_quantum"])) <= 1e-12
+    assert abs(float(report["S_kept_at_quad"]) - float(payload["S_lhv"])) <= 1e-12
+    code, out, _ = run_cli(capsys, "chsh", "--quad", *quad, "--erased-vs-kept")
+    assert code == 0
+    lines = out.splitlines()
+    s_quantum = float(lines[1].removeprefix("quantum S = "))
+    s_lhv = float(lines[2].removeprefix("hidden-variable S = "))
+    erased, kept = lines[3].removeprefix("records erased: S = ").split("; records kept: S = ")
+    assert abs(float(erased) - s_quantum) <= 1e-12
+    assert abs(float(kept.split(" at the quad")[0]) - s_lhv) <= 1e-12
 
 
 def test_chsh_malformed_angles_are_usage_error(capsys):
@@ -460,6 +494,10 @@ _TWINS = [
     (["chsh", "--quad", "0", "1", "2", "3"], {"scenario": "chsh", "quad": [0, 1, 2, 3]}),
     (["chsh", "--quad", "0", "-1e-3", "0", "0"], {"scenario": "chsh", "quad": [0, -1e-3, 0, 0]}),
     (["chsh", "--scan", "--erased-vs-kept"], {"scenario": "chsh", "scan": True, "erased_vs_kept": True}),
+    (
+        ["chsh", "--quad", "0", "1", "2", "3", "--erased-vs-kept"],
+        {"scenario": "chsh", "quad": [0, 1, 2, 3], "erased_vs_kept": True},
+    ),
 ]
 # Twins that exit 2, on a bound, a choice and a repeat checked by the parser.
 _BAD_TWINS = [
@@ -642,6 +680,7 @@ _NUMPY_FREE = [
     ["chsh", "--quad", "0", "1.5707963", "0.7853982", "-0.7853982"],
     ["chsh", "--scan"],
     ["chsh", "--erased-vs-kept"],
+    ["chsh", "--quad", "0", "1", "2", "3", "--erased-vs-kept"],
     ["bohm", "--samples", "1000", "--seed", "1"],
 ]
 _NUMPY_FREE_CONFIGS = [
@@ -653,6 +692,7 @@ _NUMPY_FREE_CONFIGS = [
     {"scenario": "chsh", "quad": [0, 1, 2, 3]},
     {"scenario": "chsh", "scan": True},
     {"scenario": "chsh", "erased_vs_kept": True},
+    {"scenario": "chsh", "quad": [0, 1, 2, 3], "erased_vs_kept": True},
     {"scenario": "bohm", "foliation": "Fprime", "samples": 1000, "seed": 1},
 ]
 

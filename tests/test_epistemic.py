@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -14,7 +16,9 @@ from wignerfriend.epistemic import (
 )
 from wignerfriend.hardy import (
     CTX_WBAR_W,
+    CTX_WBAR_Z,
     CTX_ZBAR_W,
+    CTX_ZBAR_Z,
     chain_prediction,
     context_table,
     okbar_to_fail_chain,
@@ -64,13 +68,76 @@ def test_w_n28_is_equivalent_to_wbar_n24():
 
 
 def test_classification_is_structural():
-    same = EpistemicStatement(
-        "X", Agent.W, OutcomeClaim("w", "ok", "n:31"), CTX_WBAR_W, CTX_WBAR_W
-    )
+    same = EpistemicStatement("X", Agent.W, OutcomeClaim("w", "ok", "n:31"), CTX_WBAR_W)
     assert not same.counterfactual
     assert STATEMENTS["Fbar_n02"].counterfactual
     assert STATEMENTS["Wbar_n22"].counterfactual
     assert {sid for sid, s in STATEMENTS.items() if s.counterfactual} == COUNTERFACTUAL_IDS
+
+
+# The (assumed, actual) contexts each statement had when both were written
+# out by hand.
+PINNED_CONTEXTS = {
+    "Fbar_n02": (CTX_ZBAR_W, CTX_WBAR_W),
+    "F_n12": (CTX_ZBAR_Z, CTX_ZBAR_Z),
+    "F_n13": (CTX_ZBAR_W, CTX_WBAR_W),
+    "F_n14": (CTX_ZBAR_W, CTX_WBAR_W),
+    "Wbar_n22": (CTX_WBAR_Z, CTX_WBAR_W),
+    "Wbar_n23": (CTX_ZBAR_W, CTX_WBAR_W),
+    "Wbar_n24": (CTX_ZBAR_W, CTX_WBAR_W),
+    "W_n26": (CTX_WBAR_W, CTX_WBAR_W),
+    "W_n27": (CTX_ZBAR_W, CTX_WBAR_W),
+    "W_n28": (CTX_ZBAR_W, CTX_WBAR_W),
+}
+
+
+def test_assumed_contexts_are_the_pinned_ones():
+    got = {sid: (s.assumed_context, s.actual_context) for sid, s in STATEMENTS.items()}
+    assert got == PINNED_CONTEXTS
+    flags = {sid: s.counterfactual for sid, s in STATEMENTS.items()}
+    assert flags == {sid: assumed != actual for sid, (assumed, actual) in PINNED_CONTEXTS.items()}
+
+
+def test_the_assumed_context_is_read_from_the_last_backing_rule():
+    claim = OutcomeClaim("w", "fail", "n:31")
+    okbar_up, up_t, t_fail = okbar_to_fail_chain()
+    for backing in ((up_t, okbar_up), (okbar_up, up_t), (t_fail, up_t), (up_t,)):
+        s = EpistemicStatement("X", Agent.W, claim, CTX_WBAR_W, backing=backing)
+        assert s.assumed_context == backing[-1].context
+    for actual in (CTX_ZBAR_Z, CTX_WBAR_Z):
+        unbacked = EpistemicStatement("X", Agent.W, claim, actual)
+        assert unbacked.assumed_context == actual and not unbacked.counterfactual
+
+
+def test_the_assumed_context_is_derived_not_a_field():
+    assert "assumed_context" not in EpistemicStatement._fields
+    assert "actual_context" in EpistemicStatement._fields
+    for s in STATEMENTS.values():
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and twin is not s
+            assert twin.assumed_context == s.assumed_context
+            assert twin.counterfactual == s.counterfactual
+
+
+@pytest.mark.parametrize(
+    "derived_from",
+    [CTX_WBAR_W, ["F_n12"], ("F_n12", CTX_WBAR_W), "F_n12"],
+    ids=["context", "list", "tuple-with-context", "string"],
+)
+def test_a_derived_from_that_is_not_a_tuple_of_ids_is_a_type_error(derived_from):
+    claim = OutcomeClaim("w", "fail", "n:31")
+    with pytest.raises(TypeError, match="derived_from"):
+        EpistemicStatement("X", Agent.W, claim, CTX_WBAR_W, derived_from)
+
+
+def test_the_old_positional_form_fails_loudly():
+    # (id, author, proposition, assumed, actual): the actual context would
+    # land in derived_from.
+    claim = OutcomeClaim("w", "fail", "n:31")
+    with pytest.raises(TypeError, match="derived_from"):
+        EpistemicStatement("X", Agent.F, claim, CTX_ZBAR_W, CTX_WBAR_W)
+    with pytest.raises(TypeError, match="derived_from"):
+        EpistemicStatement("X", Agent.F, claim, CTX_ZBAR_W, CTX_WBAR_W, ("F_n12",))
 
 
 def test_deeper_certainty_nesting_is_rejected():

@@ -195,7 +195,7 @@ def test_constructors_keep_their_checks_and_defaults():
     with pytest.raises(ValueError, match="outcome not in context"):
         hardy.MeasurementContext(qcore.SPIN_Z, qcore.SPIN_Z)
     with pytest.raises(ValueError, match="permute"):
-        bohm.Foliation("X", (bohm.MeasurementEvent.SPIN_BS, bohm.MeasurementEvent.SPIN_BS))
+        bohm.Foliation("X", (qcore.SPIN_W, qcore.SPIN_W))
     claim = epistemic.OutcomeClaim("w", "fail", "n")
     with pytest.raises(ValueError, match="nesting"):
         epistemic.CertainThat(epistemic.Agent.F, epistemic.CertainThat(epistemic.Agent.W, claim))
@@ -203,9 +203,7 @@ def test_constructors_keep_their_checks_and_defaults():
         qcore.OutcomeDistribution(("Z",))
     quad = bell.AngleQuad(-math.pi, 3 * math.pi, 0, 1)
     assert quad.as_tuple() == (math.pi, math.pi, 0.0, 1.0)
-    statement = epistemic.EpistemicStatement(
-        "x", epistemic.Agent.F, claim, hardy.CTX_ZBAR_Z, hardy.CTX_ZBAR_Z
-    )
+    statement = epistemic.EpistemicStatement("x", epistemic.Agent.F, claim, hardy.CTX_ZBAR_Z)
     assert (statement.derived_from, statement.axioms_used, statement.backing, statement.note) == (
         (),
         frozenset({"Q"}),
@@ -232,7 +230,7 @@ _PLAIN = {
 _REQUIRED = {
     qcore.BasisLabel: 2,
     qcore.OutcomeDistribution: 1,
-    epistemic.EpistemicStatement: 5,
+    epistemic.EpistemicStatement: 4,
     epistemic.AxiomSet: 0,
 }
 
