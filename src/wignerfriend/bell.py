@@ -412,14 +412,14 @@ def chsh_scan(correlation_fn: CorrelationFn, grid_n: int = 20) -> ScanResult:
     return _closed_form(t.ravel().tolist())
 
 
-def born_rule_residual(scan: ScanResult, state=None) -> float:
+def born_rule_residual(scan: ScanResult, state) -> float:
     """|S - scan.max_s|, with S from the Born rule at the scan's argmax: four
-    scalar correlations of the state (default: the singlet), each a Born
-    distribution in two direction bases, so that none of the closed-form
-    block's arithmetic that the scan solved on is reused.  A residual above
-    BILINEAR_TOL raises InvariantViolation.  The state is checked as
-    :func:`quantum_correlation` checks it."""
-    obj = _checked_pair(_SINGLET if state is None else state)
+    scalar correlations of ``state``, the state the scan was solved for,
+    each a Born distribution in two direction bases, so that none of the
+    closed-form block's arithmetic that the scan solved on is reused.  A
+    residual above BILINEAR_TOL raises InvariantViolation.  The state is
+    required, and checked as :func:`quantum_correlation` checks it."""
+    obj = _checked_pair(state)
     s_born = chsh(lambda a, b: _born_correlation(obj, a, b), scan.argmax)
     residual = abs(s_born - scan.max_s)
     if not residual <= BILINEAR_TOL:

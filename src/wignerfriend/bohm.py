@@ -21,6 +21,7 @@ marginals (equivariance) but different origins for the same outcome.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from enum import Enum
 from functools import lru_cache
@@ -357,18 +358,12 @@ class FoliationReport(FrozenValue):
     """Per-outcome origin comparison between the two event orderings."""
 
     __slots__ = (
-        "coupling",
-        "marginal_f",
-        "marginal_fprime",
         "origins_f",
         "origins_fprime",
         "origin_differs",
         "marginals_identical",
         "born_identical",
     )
-    coupling: TransportCoupling
-    marginal_f: dict[tuple[str, str], float]
-    marginal_fprime: dict[tuple[str, str], float]
     origins_f: dict[tuple[str, str], dict[HiddenConfig, float]]
     origins_fprime: dict[tuple[str, str], dict[HiddenConfig, float]]
     origin_differs: dict[tuple[str, str], bool]
@@ -391,9 +386,6 @@ def compare_foliations(coupling: TransportCoupling = MONOTONE) -> FoliationRepor
         marg_fp, dict(born.items())
     )
     return FoliationReport(
-        coupling,
-        marg_f,
-        marg_fp,
         origins_f,
         origins_fp,
         differs,
@@ -482,13 +474,26 @@ def _binomial_btrs(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
+def _count(value, name: str) -> int:
+    """``value`` as a Python int, read with ``operator.index``.  A bool, or
+    anything that is not an integer, raises TypeError naming ``name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def binomial(rng: random.Random, n: int, p: float) -> int:
     """One exact Binomial(n, p) draw from ``rng``.
 
     Geometric-gap inversion when n*p < 10, BTRS otherwise, and p > 1/2 as
-    n minus a draw at 1 - p (exact in floating point there).  ValueError for
-    a negative n or a p outside [0, 1].
+    n minus a draw at 1 - p (exact in floating point there).  ``n`` is read
+    as :func:`sample_paths` reads its count.  ValueError for a negative n or
+    a p outside [0, 1].
     """
+    n = _count(n, "n")
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial needs n >= 0 and 0 <= p <= 1, got n={n}, p={p}")
     if p > 0.5:
@@ -551,8 +556,14 @@ def sample_paths(
     each call only walks them, drawing nothing below a count of zero.  The
     generator is ``random.Random(seed)``, so counts are deterministic given
     the seed; they differ from version 0.1.0's, which drew them with numpy.
-    Returns counts keyed by path signature.
+    Returns counts, Python ints, keyed by path signature.
+
+    ``samples`` is read with ``operator.index`` before any draw: a bool or a
+    non-integer raises TypeError and a negative count ValueError.
     """
+    samples = _count(samples, "samples")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rng = random.Random(seed)
     counts: dict[tuple, int] = {}
 

@@ -42,73 +42,40 @@ class Agent(str, Enum):
     WBAR = "Wbar"
 
 
-class OutcomeClaim(FrozenValue):
-    """'Measurement <quantity> gives <outcome> at <time>' asserted as certain."""
-
-    __slots__ = ("quantity", "outcome", "time")
-    quantity: str  # "w", "wbar", or "z"
-    outcome: str
-    time: str
-
-
-class CertainThat(FrozenValue):
-    """One agent's certainty about another agent's claim.
-
-    Only a single wrapping level is representable; nesting a CertainThat
-    inside a CertainThat is rejected.
-    """
-
-    __slots__ = ("agent", "inner")
-    agent: Agent
-    inner: OutcomeClaim
-
-    def __init__(self, agent: Agent, inner: OutcomeClaim) -> None:
-        if not isinstance(inner, OutcomeClaim):
-            raise ValueError("certainty nesting deeper than one wrapper is rejected")
-        FrozenValue.__init__(self, agent, inner)
-
-
-Proposition = OutcomeClaim | CertainThat
-
-
 class EpistemicStatement(FrozenValue):
+    """One agent's statement as the trace checks it: its author, the context
+    realized when it is made, the statements it is derived from, the axioms
+    it needs and the rules that back it.  What it claims is not stored; a
+    comment above each built-in statement says it in words."""
+
     __slots__ = (
         "id",
         "author",
-        "proposition",
         "actual_context",
         "derived_from",
         "axioms_used",
         "backing",
-        "note",
         "_assumed",
     )
     id: str
     author: Agent
-    proposition: Proposition
     actual_context: MeasurementContext
     derived_from: tuple[str, ...]
     axioms_used: frozenset[str]
     backing: tuple[InferenceRule, ...]
-    note: str
 
     def __init__(
         self,
         id: str,
         author: Agent,
-        proposition: Proposition,
         actual_context: MeasurementContext,
         derived_from: tuple[str, ...] = (),
         axioms_used: frozenset[str] = frozenset({"Q"}),
         backing: tuple[InferenceRule, ...] = (),
-        note: str = "",
     ) -> None:
         if not (isinstance(derived_from, tuple) and all(isinstance(p, str) for p in derived_from)):
             raise TypeError(f"derived_from must be a tuple of statement ids, got {derived_from!r}")
-        FrozenValue.__init__(
-            self, id, author, proposition, actual_context,
-            derived_from, axioms_used, backing, note,
-        )
+        FrozenValue.__init__(self, id, author, actual_context, derived_from, axioms_used, backing)
         # Not a field: copy and pickle rebuild it from the fields.
         object.__setattr__(self, "_assumed", backing[-1].context if backing else actual_context)
 
@@ -139,102 +106,99 @@ def backing_probabilities(statement: EpistemicStatement) -> dict[tuple[str, str,
 
 
 _OKBAR_UP, _UP_T, _T_FAIL = okbar_to_fail_chain()
-_FAIL_AT_31 = OutcomeClaim("w", "fail", "n:31")
 
 # The statements are frozen and hold only tuples and frozensets, so they are
 # built once and shared by every caller.
 _STATEMENTS = (
+    # Fbar (n:02): w = fail at n:31 is certain, from the recorded coin value t.
     EpistemicStatement(
         "Fbar_n02",
         Agent.FBAR,
-        _FAIL_AT_31,
         CTX_WBAR_W,
         axioms_used=frozenset({"Q"}),
         backing=(_T_FAIL,),
-        note="from the recorded coin value t",
     ),
+    # F (n:12): Fbar is certain that z = up at n:02, a deduction about a
+    # fellow agent within the unchanged context.
     EpistemicStatement(
         "F_n12",
         Agent.F,
-        CertainThat(Agent.FBAR, OutcomeClaim("z", "up", "n:02")),
         CTX_ZBAR_Z,
         axioms_used=frozenset({"Q", "C"}),
         backing=(_UP_T,),
-        note="deduction about a fellow agent within the unchanged context",
     ),
+    # F (n:13): Fbar is certain that w = fail at n:31.
     EpistemicStatement(
         "F_n13",
         Agent.F,
-        CertainThat(Agent.FBAR, _FAIL_AT_31),
         CTX_WBAR_W,
         derived_from=("Fbar_n02", "F_n12"),
         axioms_used=frozenset({"Q", "C"}),
         backing=(_UP_T, _T_FAIL),
     ),
+    # F (n:14): w = fail at n:31 is certain.
     EpistemicStatement(
         "F_n14",
         Agent.F,
-        _FAIL_AT_31,
         CTX_WBAR_W,
         derived_from=("F_n13",),
         axioms_used=frozenset({"Q", "C"}),
         backing=(_UP_T, _T_FAIL),
     ),
+    # Wbar (n:22): F is certain that z = up at n:11, from the observed okbar,
+    # applied outside the realized context.
     EpistemicStatement(
         "Wbar_n22",
         Agent.WBAR,
-        CertainThat(Agent.F, OutcomeClaim("z", "up", "n:11")),
         CTX_WBAR_W,
         axioms_used=frozenset({"Q"}),
         backing=(_OKBAR_UP,),
-        note="from the observed okbar, applied outside the realized context",
     ),
+    # Wbar (n:23): F is certain that w = fail at n:31.
     EpistemicStatement(
         "Wbar_n23",
         Agent.WBAR,
-        CertainThat(Agent.F, _FAIL_AT_31),
         CTX_WBAR_W,
         derived_from=("Wbar_n22", "F_n14"),
         axioms_used=frozenset({"Q", "C"}),
         backing=(_OKBAR_UP, _UP_T, _T_FAIL),
     ),
+    # Wbar (n:24): w = fail at n:31 is certain, the okbar->up->t->fail chain
+    # in one statement.
     EpistemicStatement(
         "Wbar_n24",
         Agent.WBAR,
-        _FAIL_AT_31,
         CTX_WBAR_W,
         derived_from=("Wbar_n23",),
         axioms_used=frozenset({"Q", "C"}),
         backing=(_OKBAR_UP, _UP_T, _T_FAIL),
-        note="the okbar->up->t->fail chain in one statement",
     ),
+    # W (n:26): wbar = okbar at n:21 is certain, an announced result shared
+    # at the same observer level.
     EpistemicStatement(
         "W_n26",
         Agent.W,
-        OutcomeClaim("wbar", "okbar", "n:21"),
         CTX_WBAR_W,
         axioms_used=frozenset({"C"}),
         backing=(),
-        note="announced result, shared at the same observer level",
     ),
+    # W (n:27): Wbar is certain that w = fail at n:31.
     EpistemicStatement(
         "W_n27",
         Agent.W,
-        CertainThat(Agent.WBAR, _FAIL_AT_31),
         CTX_WBAR_W,
         derived_from=("W_n26", "Wbar_n24"),
         axioms_used=frozenset({"Q", "C"}),
         backing=(_OKBAR_UP, _UP_T, _T_FAIL),
     ),
+    # W (n:28): w = fail at n:31 is certain, the same claim as Wbar_n24.
     EpistemicStatement(
         "W_n28",
         Agent.W,
-        _FAIL_AT_31,
         CTX_WBAR_W,
         derived_from=("W_n27",),
         axioms_used=frozenset({"Q", "C", "S"}),
         backing=(_OKBAR_UP, _UP_T, _T_FAIL),
-        note="equivalent to Wbar_n24",
     ),
 )
 
@@ -263,7 +227,6 @@ class TraceReport(FrozenValue):
         "axioms",
         "allow_counterfactual",
         "statements",
-        "admitted",
         "active",
         "edges",
         "contradiction",
@@ -273,7 +236,6 @@ class TraceReport(FrozenValue):
     axioms: AxiomSet
     allow_counterfactual: bool
     statements: tuple[EpistemicStatement, ...]
-    admitted: tuple[str, ...]
     active: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     contradiction: bool
@@ -353,9 +315,7 @@ def run_trace(
     edges = tuple((parent, s.id) for s in statements for parent in s.derived_from)
 
     if not axioms.Q:
-        return TraceReport(
-            axioms, allow_counterfactual, statements, admitted_ids, (), edges, False, None, ()
-        )
+        return TraceReport(axioms, allow_counterfactual, statements, (), edges, False, None, ())
 
     active = tuple(
         s.id
@@ -381,7 +341,6 @@ def run_trace(
         axioms,
         allow_counterfactual,
         statements,
-        admitted_ids,
         active,
         edges,
         contradiction,

@@ -133,14 +133,16 @@ def check_inference(rule: InferenceRule) -> bool:
 
 
 class ContradictionCertificate(FrozenValue):
-    """The outcome a chained prediction forbids, with its measured probability.
+    """The outcome a chained prediction forbids, in the context that measures
+    it, with the probability the chain composes (zero) and the measured one.
 
     The chain is contradicted when it predicts probability zero while the
-    actual table assigns the outcome a probability above INFERENCE_TOL.
+    actual table assigns the outcome a probability above INFERENCE_TOL.  The
+    certificate does not hold the chain: the caller of
+    :func:`chain_prediction` passed it in.
     """
 
-    __slots__ = ("chain", "context", "outcome", "composed", "actual")
-    chain: tuple[InferenceRule, ...]
+    __slots__ = ("context", "outcome", "composed", "actual")
     context: MeasurementContext
     outcome: tuple[str, str]
     composed: float
@@ -189,4 +191,4 @@ def chain_prediction(chain) -> ContradictionCertificate:
     bases = {head_sys: head.context.bases[head_sys], tail_sys: tail.context.bases[tail_sys]}
     joint = InferenceRule(MeasurementContext(bases[0], bases[1]), head.premise, tail.conclusion)
     actual = context_table(joint.context)[joint.forbidden]
-    return ContradictionCertificate(chain, joint.context, joint.forbidden, 0.0, actual)
+    return ContradictionCertificate(joint.context, joint.forbidden, 0.0, actual)

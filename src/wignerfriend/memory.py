@@ -1,7 +1,8 @@
 """Quantum memories for the two friends: record then exact uncompute, and the
 decoherence alternative where records are kept.
 
-The memory is modeled logically, by the resulting joint state.  Erasing
+The memory is modeled logically: a run holds only the joint state it
+leaves, which every caller reads through its context tables.  Erasing
 uncomputes a record exactly, so an erased run returns the input state
 untouched and every context table stays pristine.  Keeping a record (or
 destroying it into an environment, which is the same thing here) dephases
@@ -35,11 +36,11 @@ class Friend(str, Enum):
 
 
 class ProtocolRun(Frozen):
-    """Outcome of one record-then-erase or record-and-keep protocol."""
+    """Outcome of one record-then-erase or record-and-keep protocol: the
+    joint state it leaves, which is the input state after an erasure and the
+    dephased density after keeping records."""
 
-    __slots__ = ("agents", "erased", "final_state")
-    agents: tuple[Friend, ...]
-    erased: bool
+    __slots__ = ("final_state",)
     final_state: StateVector | DensityOperator
 
     def tables(self) -> dict[str, OutcomeDistribution]:
@@ -68,7 +69,7 @@ def record_and_erase(state: StateVector, agent: Friend, basis: Basis) -> Protoco
     so the run stays coherent.
     """
     _check_recording_basis(state, agent, basis)
-    return ProtocolRun((agent,), True, state)
+    return ProtocolRun(state)
 
 
 def record_and_keep(state: StateVector, agents) -> ProtocolRun:
@@ -78,20 +79,20 @@ def record_and_keep(state: StateVector, agents) -> ProtocolRun:
     Each agent records in its system's current basis, so the density is
     |psi><psi| with the coherences of every recorded system zeroed, built in
     one pass and checked once."""
-    agents = tuple(sorted(set(agents), key=lambda a: a.system))
-    if not agents:
+    systems = {agent.system for agent in agents}
+    if not systems:
         raise ValueError("no agents")
     n = state.num_systems
-    if agents[-1].system >= n:
+    if max(systems) >= n:
         raise ValueError("system index out of range")
     # Entry (r, c) is a coherence of a recorded system when r and c differ in
     # that system's bit of the first-system-major index.
-    recorded = sum(1 << (n - agent.system - 1) for agent in agents)
+    recorded = sum(1 << (n - k - 1) for k in systems)
     v = state.vec
     vc = [y.conjugate() for y in v]
     rows = [
         [x * y if (r ^ c) & recorded == 0 else 0j for c, y in enumerate(vc)]
         for r, x in enumerate(v)
     ]
-    return ProtocolRun(agents, False, DensityOperator(state.bases, rows))
+    return ProtocolRun(DensityOperator(state.bases, rows))
 

@@ -56,10 +56,10 @@ building the re-expressed value at all.  For a density operator it computes
 only the diagonal of the last basis change, the same floats that the full
 change would put there.  What a re-expression needs apart from the numbers
 is planned once per pair of (value's bases, target bases) and kept: the
-rows of each checked basis change, the index pairs it mixes, the outcome
-names and the outcome keys.  The plan is keyed by the bases alone, never by
-a value or a result, and at most ``BASIS_CHANGE_CACHE`` plans are kept; a
-call that raises leaves none behind.
+rows of each checked basis change, the index pairs it mixes and the outcome
+keys.  The plan is keyed by the bases alone, never by a value or a result,
+and at most ``BASIS_CHANGE_CACHE`` plans are kept; a call that raises
+leaves none behind.
 
 Conventions, fixed so that emitted tables and files are deterministic:
 
@@ -513,8 +513,8 @@ def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
 def _born_plan(source: tuple[Basis, ...], target: tuple[Basis, ...]):
     """What re-expressing a value from ``source`` bases into ``target`` needs,
     keyed by the bases alone: the checked ``(rows, pairs)`` of each system's
-    basis change where the bases differ, in system order; the target's basis
-    names; and the outcome keys, first-system-major.
+    basis change where the bases differ, in system order; and the outcome
+    keys, first-system-major.
 
     Memoized like :func:`basis_change`.  A basis count mismatch raises
     ValueError("dimension mismatch") and a change between systems of
@@ -529,7 +529,7 @@ def _born_plan(source: tuple[Basis, ...], target: tuple[Basis, ...]):
         if s != t
     )
     keys = tuple(itertools.product(*(b.label_names for b in target)))
-    return changes, tuple(b.name for b in target), keys
+    return changes, keys
 
 
 def _expressed_amps(vec, changes):
@@ -550,13 +550,10 @@ def express(state: StateVector, bases: tuple[Basis, ...]) -> StateVector:
 class OutcomeDistribution(FrozenValue):
     """Probabilities over joint outcomes, keyed by label-name tuples."""
 
-    __slots__ = ("basis_names", "probs")
-    basis_names: tuple[str, ...]
+    __slots__ = ("probs",)
     probs: dict[tuple[str, ...], float]
 
-    def __init__(self, basis_names: tuple[str, ...], probs: dict | None = None) -> None:
-        if probs is None:
-            probs = {}
+    def __init__(self, probs: dict) -> None:
         total = 0.0
         for key, p in probs.items():
             if p < -NORM_TOL:
@@ -564,7 +561,7 @@ class OutcomeDistribution(FrozenValue):
             total += p
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"probabilities sum to {total}")
-        FrozenValue.__init__(self, basis_names, probs)
+        FrozenValue.__init__(self, probs)
 
     def __getitem__(self, key: tuple[str, ...]) -> float:
         return self.probs[key]
@@ -581,14 +578,14 @@ def born_distribution(obj, bases: tuple[Basis, ...]) -> OutcomeDistribution:
     change computes the diagonal alone."""
     bases = tuple(bases)
     if isinstance(obj, StateVector):
-        changes, names, keys = _born_plan(tuple(obj.bases), bases)
+        changes, keys = _born_plan(tuple(obj.bases), bases)
         diag = [abs(z) ** 2 for z in _expressed_amps(obj.vec, changes)]
     elif isinstance(obj, DensityOperator):
-        changes, names, keys = _born_plan(tuple(obj.bases), bases)
+        changes, keys = _born_plan(tuple(obj.bases), bases)
         diag = _expressed_rows(obj.rows, changes, diagonal=True)
     else:
         raise TypeError(f"cannot take Born distribution of {type(obj).__name__}")
-    return OutcomeDistribution(names, {key: max(p, 0.0) for key, p in zip(keys, diag)})
+    return OutcomeDistribution({key: max(p, 0.0) for key, p in zip(keys, diag)})
 
 
 def project(state: StateVector, system: int, outcome: str) -> tuple[StateVector, float]:

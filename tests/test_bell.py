@@ -361,7 +361,8 @@ def test_born_rule_residual_is_below_tolerance_on_true_blocks():
     from wignerfriend import bell
 
     kept = record_and_keep(singlet(), (Friend.F, Friend.FBAR)).final_state
-    assert bell.born_rule_residual(chsh_scan(quantum_correlation, 7)) <= bell.BILINEAR_TOL
+    scan = chsh_scan(quantum_correlation, 7)
+    assert bell.born_rule_residual(scan, singlet()) <= bell.BILINEAR_TOL
     scan = chsh_scan(lambda a, b: quantum_correlation(a, b, kept), 7)
     assert bell.born_rule_residual(scan, kept) <= bell.BILINEAR_TOL
 
@@ -381,7 +382,7 @@ def test_only_the_born_rule_check_takes_the_born_path(monkeypatch):
         chsh(lambda a, b: quantum_correlation(a, b, state), OPTIMAL_QUAD)
     scan = chsh_scan(quantum_correlation, 5)
     assert calls == []
-    bell.born_rule_residual(scan)
+    bell.born_rule_residual(scan, singlet())
     # One Born correlation per setting pair of the argmax quad.
     assert len(calls) == 4
 
@@ -410,10 +411,12 @@ def test_chsh_max_has_no_default_source():
 
     with pytest.raises(TypeError, match="^cannot take Born distribution of NoneType$"):
         chsh_max(None)
-    # The two functions that document state=None still read it as the singlet.
+    # quantum_correlation documents state=None and reads it as the singlet;
+    # born_rule_residual has no default state.
     scan = chsh_max(singlet())
     assert quantum_correlation(0.3, 1.1) == quantum_correlation(0.3, 1.1, singlet())
-    assert bell.born_rule_residual(scan) == bell.born_rule_residual(scan, singlet())
+    with pytest.raises(TypeError, match="state"):
+        bell.born_rule_residual(scan)
 
 
 @pytest.mark.parametrize("grid_n", [None, 7])

@@ -357,6 +357,38 @@ def test_sampler_builds_each_split_tree_once_in_a_bounded_cache():
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
+@pytest.mark.parametrize("samples", [2.5, 1000.7, True, "10", None], ids=repr)
+def test_sampler_refuses_a_count_that_is_not_an_integer(samples):
+    with pytest.raises(TypeError, match="^samples must be an integer"):
+        sample_paths(FOLIATION_F, samples=samples, seed=1)
+
+
+def test_sampler_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="^samples must be >= 0, got -1$"):
+        sample_paths(FOLIATION_F, samples=-1, seed=1)
+
+
+def test_sampler_reads_any_integer_type_and_counts_in_python_ints():
+    want = sample_paths(FOLIATION_F, samples=1000, seed=1)
+    got = sample_paths(FOLIATION_F, samples=np.int64(1000), seed=1)
+    assert got == want and sum(got.values()) == 1000
+    assert {type(k) for k in got.values()} == {int}
+    assert sample_paths(FOLIATION_F, samples=np.int64(0), seed=1) == {}
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)], ids=repr)
+def test_binomial_refuses_an_n_that_is_not_an_integer(n):
+    with pytest.raises(TypeError, match="^n must be an integer"):
+        binomial(random.Random(0), n, 0.3)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_binomial_draws_python_ints_from_any_integer_type(p):
+    want = binomial(random.Random(4), 1000, p)
+    got = binomial(random.Random(4), np.int64(1000), p)
+    assert got == want and type(got) is int
+
+
 def _chi_square_passes(draws: list[int], n: int, p: float) -> bool:
     """Pearson's chi-square of the draws against the exact pmf, below its
     1e-6 upper quantile.  Bins are runs of k that each expect at least 20

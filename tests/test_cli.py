@@ -199,7 +199,7 @@ def test_chsh_scan_json_pins_the_singlet_argmax(capsys):
     assert payload["argmax_quad"] == SINGLET_ARGMAX
     assert payload["S_quantum_max"] == "2.8284271247461907"
     scan = bell.ScanResult(float(payload["S_quantum_max"]), bell.AngleQuad(*SINGLET_ARGMAX))
-    assert bell.born_rule_residual(scan) <= bell.BILINEAR_TOL
+    assert bell.born_rule_residual(scan, bell.singlet()) <= bell.BILINEAR_TOL
 
 
 def test_chsh_erased_vs_kept(capsys):

@@ -7,9 +7,7 @@ import pytest
 from wignerfriend.epistemic import (
     Agent,
     AxiomSet,
-    CertainThat,
     EpistemicStatement,
-    OutcomeClaim,
     backing_probabilities,
     builtin_statements,
     run_trace,
@@ -51,24 +49,24 @@ def test_builtin_statement_verdicts():
 def test_fbar_n02_lookup():
     s = STATEMENTS["Fbar_n02"]
     assert s.author is Agent.FBAR
-    assert s.proposition == OutcomeClaim("w", "fail", "n:31")
     assert s.counterfactual
     assert s.assumed_context == CTX_ZBAR_W and s.actual_context == CTX_WBAR_W
 
 
 def test_f_n12_lookup():
     s = STATEMENTS["F_n12"]
-    assert s.proposition == CertainThat(Agent.FBAR, OutcomeClaim("z", "up", "n:02"))
+    assert s.author is Agent.F
     assert not s.counterfactual
 
 
-def test_w_n28_is_equivalent_to_wbar_n24():
-    assert STATEMENTS["W_n28"].proposition == STATEMENTS["Wbar_n24"].proposition
-    assert "Wbar_n24" in STATEMENTS["W_n28"].note
+def test_w_n28_has_the_backing_of_wbar_n24():
+    w, wbar = STATEMENTS["W_n28"], STATEMENTS["Wbar_n24"]
+    assert w.backing == wbar.backing == okbar_to_fail_chain()
+    assert w.actual_context == wbar.actual_context
 
 
 def test_classification_is_structural():
-    same = EpistemicStatement("X", Agent.W, OutcomeClaim("w", "ok", "n:31"), CTX_WBAR_W)
+    same = EpistemicStatement("X", Agent.W, CTX_WBAR_W)
     assert not same.counterfactual
     assert STATEMENTS["Fbar_n02"].counterfactual
     assert STATEMENTS["Wbar_n22"].counterfactual
@@ -99,13 +97,12 @@ def test_assumed_contexts_are_the_pinned_ones():
 
 
 def test_the_assumed_context_is_read_from_the_last_backing_rule():
-    claim = OutcomeClaim("w", "fail", "n:31")
     okbar_up, up_t, t_fail = okbar_to_fail_chain()
     for backing in ((up_t, okbar_up), (okbar_up, up_t), (t_fail, up_t), (up_t,)):
-        s = EpistemicStatement("X", Agent.W, claim, CTX_WBAR_W, backing=backing)
+        s = EpistemicStatement("X", Agent.W, CTX_WBAR_W, backing=backing)
         assert s.assumed_context == backing[-1].context
     for actual in (CTX_ZBAR_Z, CTX_WBAR_Z):
-        unbacked = EpistemicStatement("X", Agent.W, claim, actual)
+        unbacked = EpistemicStatement("X", Agent.W, actual)
         assert unbacked.assumed_context == actual and not unbacked.counterfactual
 
 
@@ -125,25 +122,21 @@ def test_the_assumed_context_is_derived_not_a_field():
     ids=["context", "list", "tuple-with-context", "string"],
 )
 def test_a_derived_from_that_is_not_a_tuple_of_ids_is_a_type_error(derived_from):
-    claim = OutcomeClaim("w", "fail", "n:31")
     with pytest.raises(TypeError, match="derived_from"):
-        EpistemicStatement("X", Agent.W, claim, CTX_WBAR_W, derived_from)
+        EpistemicStatement("X", Agent.W, CTX_WBAR_W, derived_from)
 
 
-def test_the_old_positional_form_fails_loudly():
-    # (id, author, proposition, assumed, actual): the actual context would
-    # land in derived_from.
-    claim = OutcomeClaim("w", "fail", "n:31")
+@pytest.mark.parametrize(
+    "rest",
+    [(CTX_WBAR_W,), (CTX_ZBAR_W, CTX_WBAR_W), (CTX_ZBAR_W, CTX_WBAR_W, ("F_n12",))],
+    ids=["actual", "assumed-actual", "assumed-actual-parents"],
+)
+def test_the_old_positional_forms_fail_loudly(rest):
+    # Old calls passed a proposition third, (id, author, proposition, actual)
+    # or (id, author, proposition, assumed, actual): a context would land in
+    # derived_from.
     with pytest.raises(TypeError, match="derived_from"):
-        EpistemicStatement("X", Agent.F, claim, CTX_ZBAR_W, CTX_WBAR_W)
-    with pytest.raises(TypeError, match="derived_from"):
-        EpistemicStatement("X", Agent.F, claim, CTX_ZBAR_W, CTX_WBAR_W, ("F_n12",))
-
-
-def test_deeper_certainty_nesting_is_rejected():
-    inner = CertainThat(Agent.F, OutcomeClaim("w", "fail", "n:31"))
-    with pytest.raises(ValueError):
-        CertainThat(Agent.W, inner)
+        EpistemicStatement("X", Agent.F, "w = fail at n:31", *rest)
 
 
 def test_every_backing_entry_is_a_zero_of_the_tables():

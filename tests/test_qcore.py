@@ -361,7 +361,7 @@ def test_non_finite_values_are_rejected():
     with pytest.raises(InvariantViolation):
         DensityOperator(HARDY_BASES, np.diag([float("nan"), 1.0, 0, 0]))
     with pytest.raises(InvariantViolation):
-        OutcomeDistribution(("Z",), {("down",): float("nan"), ("up",): 1.0})
+        OutcomeDistribution({("down",): float("nan"), ("up",): 1.0})
 
 
 def test_basis_change_is_memoized_in_a_bounded_cache():
@@ -517,14 +517,12 @@ def test_express_is_the_chain_of_local_basis_changes(seed):
             out = express(state, bases)
             assert (out.bases, out.vec) == (chained.bases, chained.vec)
             table = born_distribution(state, bases)
-            assert table.basis_names == tuple(b.name for b in bases)
             assert list(table.probs) == keys
             assert list(table.probs.values()) == [abs(z) ** 2 for z in chained.vec]
             chained = _chained(rho, bases)
             out = express_density(rho, bases)
             assert (out.bases, out.rows) == (chained.bases, chained.rows)
             table = born_distribution(rho, bases)
-            assert table.basis_names == tuple(b.name for b in bases)
             assert list(table.probs) == keys
             diag = [max(row[i].real, 0.0) for i, row in enumerate(chained.rows)]
             assert list(table.probs.values()) == diag
