@@ -43,8 +43,6 @@ import operator
 from typing import TYPE_CHECKING, Callable
 
 from .qcore import (
-    UP,
-    DOWN,
     NORM_TOL,
     Basis,
     DensityOperator,
@@ -68,7 +66,7 @@ _TWO_PI = 2.0 * math.pi
 BILINEAR_TOL = 1e-12
 
 # z basis for either particle of the pair, ordered (up, down).
-PAIR_Z = Basis("Z", (UP, DOWN), ((1, 0), (0, 1)))
+PAIR_Z = Basis("Z", System.SPIN, ("up", "down"), ((1, 0), (0, 1)))
 _PAIR_ZZ = (PAIR_Z, PAIR_Z)
 # The entries (i, j) of a pair density in _PAIR_ZZ that its correlation block
 # reads: the diagonal, then the coherences of t01, t10 and t11 in turn.

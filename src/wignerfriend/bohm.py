@@ -268,7 +268,7 @@ def conditional_wave(state: StateVector, fixed_system: int, fixed_branch: str) -
 
 
 def _born_1q(state: StateVector) -> dict[str, float]:
-    names = state.bases[0].label_names
+    names = state.bases[0].labels
     return {name: abs(z) ** 2 for name, z in zip(names, state.vec)}
 
 
@@ -301,7 +301,7 @@ def _walk(
             f"hidden branch {branch!r} has weight {weight} but zero conditional mass"
         )
     pilot_bs = apply_local(pilot, basis_change(active, pilot.bases[active], target))
-    for out_name in target.label_names:
+    for out_name in target.labels:
         p = joint.get((branch, out_name), 0.0) / in_mass
         if p <= WEIGHT_TOL:
             continue
@@ -558,12 +558,16 @@ def sample_paths(
     the seed; they differ from version 0.1.0's, which drew them with numpy.
     Returns counts, Python ints, keyed by path signature.
 
-    ``samples`` is read with ``operator.index`` before any draw: a bool or a
-    non-integer raises TypeError and a negative count ValueError.
+    ``samples`` and ``seed`` are read with ``operator.index`` before any
+    draw: a bool or a non-integer raises TypeError and a negative value
+    ValueError.
     """
     samples = _count(samples, "samples")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    seed = _count(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     counts: dict[tuple, int] = {}
 

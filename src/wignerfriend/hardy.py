@@ -1,4 +1,4 @@
-"""The two-qubit coin/spin experiment: its four measurement contexts, their
+"""The two-qubit coin/spin experiment: its measurement contexts, their
 exact outcome tables, single-context inference rules, and the certificate
 showing what goes wrong when rules from incompatible contexts are chained.
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qcore import (
+    BASIS_CHANGE_CACHE,
     COIN_WBAR,
     COIN_ZBAR,
     SPIN_W,
@@ -26,6 +27,7 @@ from .qcore import (
     FrozenValue,
     OutcomeDistribution,
     StateVector,
+    System,
     born_distribution,
     make_state,
 )
@@ -38,8 +40,10 @@ _SQRT3 = 3.0 ** 0.5
 class MeasurementContext(FrozenValue):
     """An ordered pair (coin basis, spin basis) naming one experiment.
 
-    Only Zbar/Wbar are allowed on the coin and Z/W on the spin, so exactly
-    four distinct contexts exist; equality is structural.
+    Any coin basis with any spin basis is a context, provided no label name
+    belongs to both, so that a name identifies its system (which
+    :class:`InferenceRule` relies on).  The experiment's four are
+    ``ALL_CONTEXTS``; equality is structural.
     """
 
     __slots__ = ("coin_basis", "spin_basis", "_hash")
@@ -47,10 +51,13 @@ class MeasurementContext(FrozenValue):
     spin_basis: Basis
 
     def __init__(self, coin_basis: Basis, spin_basis: Basis) -> None:
-        if coin_basis not in (COIN_ZBAR, COIN_WBAR):
-            raise ValueError(f"outcome not in context: coin basis {coin_basis.name}")
-        if spin_basis not in (SPIN_Z, SPIN_W):
-            raise ValueError(f"outcome not in context: spin basis {spin_basis.name}")
+        if coin_basis.system is not System.COIN:
+            raise ValueError(f"outcome not in context: {coin_basis.name} is not a coin basis")
+        if spin_basis.system is not System.SPIN:
+            raise ValueError(f"outcome not in context: {spin_basis.name} is not a spin basis")
+        shared = sorted(set(coin_basis.labels) & set(spin_basis.labels))
+        if shared:
+            raise ValueError(f"outcome not in context: {shared[0]!r} labels both systems")
         FrozenValue.__init__(self, coin_basis, spin_basis)
         object.__setattr__(self, "_hash", hash((coin_basis, spin_basis)))
 
@@ -79,18 +86,27 @@ def hardy_state() -> StateVector:
     return make_state([1.0 / _SQRT3, 0.0, 1.0 / _SQRT3, 1.0 / _SQRT3], (COIN_ZBAR, SPIN_Z))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CHANGE_CACHE)
 def context_table(context: MeasurementContext) -> OutcomeDistribution:
-    """Exact outcome probabilities of the shared state in one context."""
+    """Exact outcome probabilities of the shared state in one context.
+
+    Memoized: equal contexts return the same (immutable) table; the least
+    recently used of BASIS_CHANGE_CACHE contexts is evicted first.
+    """
     return born_distribution(hardy_state(), context.bases)
 
 
 def _locate(context: MeasurementContext, label: str) -> int:
     """Which system (0=coin, 1=spin) a label belongs to in this context."""
     for k, b in enumerate(context.bases):
-        if label in b.label_names:
+        if label in b.labels:
             return k
     raise ValueError(f"outcome not in context: {label!r}")
+
+
+def _outcome(context: MeasurementContext, label: str) -> tuple[Basis, str]:
+    """A label of this context as an outcome: its basis and its name."""
+    return context.bases[_locate(context, label)], label
 
 
 class InferenceRule(FrozenValue):
@@ -113,7 +129,7 @@ class InferenceRule(FrozenValue):
         if premise_sys == conclusion_sys:
             raise ValueError("outcome not in context: premise and conclusion share a system")
         FrozenValue.__init__(self, context, premise, conclusion)
-        a, b = context.bases[conclusion_sys].label_names
+        a, b = context.bases[conclusion_sys].labels
         negated = b if a == conclusion else a
         forbidden = (premise, negated) if premise_sys == 0 else (negated, premise)
         # Not a field: copy and pickle rebuild it from the three fields.
@@ -166,8 +182,10 @@ def chain_prediction(chain) -> ContradictionCertificate:
     """Chain single-context rules as if contexts did not matter.
 
     The chain must be nonempty, every link valid in its own context, each
-    link's conclusion the next link's premise, and the first premise and the
-    negated final conclusion must land on different systems; otherwise
+    link's conclusion the next link's premise (the same name in the same
+    basis, since a name labels an outcome only within its basis), and the
+    first premise and the negated final conclusion must land on different
+    systems; otherwise
     ValueError("broken chain").  The chain then reads as one rule, first
     premise => final conclusion, in the context that measures both; the
     certificate compares its prediction (zero, by construction) against the
@@ -180,7 +198,7 @@ def chain_prediction(chain) -> ContradictionCertificate:
         if not check_inference(rule):
             raise ValueError("broken chain")
     for first, second in zip(chain, chain[1:]):
-        if first.conclusion != second.premise:
+        if _outcome(first.context, first.conclusion) != _outcome(second.context, second.premise):
             raise ValueError("broken chain")
 
     head, tail = chain[0], chain[-1]

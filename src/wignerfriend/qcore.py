@@ -18,6 +18,11 @@ import: generating the classes (``dataclasses``), and importing what the
 generator needs, cost a fresh process more time than the computation a CLI
 call runs.
 
+Bases and labels: a label is a name within its basis.  A ``Basis`` holds
+the kind of system it measures (``System.COIN`` or ``System.SPIN``) and the
+names of its two vectors, two distinct strings that any other basis may
+reuse.  Outcomes are keyed by these names.
+
 Storage: numbers are Python ``complex`` values in tuples, and the module does
 not import numpy.  A state's ``vec`` is its flat tuple of amplitudes; a
 density operator's ``rows`` and a local unitary's ``rows`` are row-major
@@ -37,7 +42,9 @@ What is checked, and when: every constructor checks its value once, when it
 is built, by computing the largest residual directly and comparing it with
 ``NORM_TOL`` (1e-12); a value that is not finite fails the check.  ``Basis``
 and ``LocalUnitary`` check that their matrix is unitary (max |M^H M - I|) and
-raise ValueError("not unitary").  ``StateVector`` checks |norm - 1|,
+raise ValueError("not unitary"); a ``Basis`` whose system is not a
+``System``, or whose labels are not a pair of distinct strings, raises
+ValueError too.  ``StateVector`` checks |norm - 1|,
 ``OutcomeDistribution`` the sum and sign of its probabilities, and
 ``DensityOperator`` Hermiticity (max |M - M^H|), unit trace and positivity;
 these raise :class:`InvariantViolation`.  Positivity has one rule: the LDL^H
@@ -164,42 +171,6 @@ class System(str, Enum):
     SPIN = "spin"
 
 
-_COIN_NAMES = {"h", "t", "okbar", "failbar"}
-_SPIN_NAMES = {"up", "down", "ok", "fail", "plus_a", "minus_a"}
-_ANGLED_NAMES = {"plus_a", "minus_a"}
-
-
-class BasisLabel(FrozenValue):
-    """One named basis vector of a two-level system.
-
-    ``plus_a``/``minus_a`` are the Bloch-equator directions at ``angle``
-    radians from the +z axis; all other names are fixed directions and carry
-    no angle.
-    """
-
-    __slots__ = ("system", "name", "angle")
-    system: System
-    name: str
-    angle: float | None
-
-    def __init__(self, system: System, name: str, angle: float | None = None) -> None:
-        allowed = _COIN_NAMES if system is System.COIN else _SPIN_NAMES
-        if name not in allowed:
-            raise ValueError(f"label {name!r} not allowed on {system.value}")
-        if (angle is not None) != (name in _ANGLED_NAMES):
-            raise ValueError(f"label {name!r} takes an angle iff it is angled")
-        FrozenValue.__init__(self, system, name, angle)
-
-
-H = BasisLabel(System.COIN, "h")
-T = BasisLabel(System.COIN, "t")
-OKBAR = BasisLabel(System.COIN, "okbar")
-FAILBAR = BasisLabel(System.COIN, "failbar")
-DOWN = BasisLabel(System.SPIN, "down")
-UP = BasisLabel(System.SPIN, "up")
-OK = BasisLabel(System.SPIN, "ok")
-FAIL = BasisLabel(System.SPIN, "fail")
-
 _Vec = tuple[complex, complex]
 _Rows = tuple[tuple[complex, ...], ...]
 
@@ -252,67 +223,72 @@ def _is_unitary(u: _Vec, v: _Vec) -> bool:
 
 
 class Basis(FrozenValue):
-    """An ordered pair of orthonormal labels for one system.
+    """An ordered pair of orthonormal vectors of one system, each named by a
+    label.
 
-    ``vectors`` holds each label's coordinates in the system's reference
-    frame (the computational basis the state was constructed in), one vector
-    per label.  Two Basis values are equal iff their names, labels and
-    vectors coincide, so context equality is structural.
+    A label is a name within its basis: ``labels`` holds the two names, which
+    must differ, and any string will do.  ``vectors`` holds each label's
+    coordinates in the system's reference frame (the computational basis the
+    state was constructed in), one vector per label.  Two Basis values are
+    equal iff their names, systems, labels and vectors coincide, so context
+    equality is structural.
     """
 
-    __slots__ = ("name", "labels", "vectors", "_hash")
+    __slots__ = ("name", "system", "labels", "vectors", "_hash")
     name: str
-    labels: tuple[BasisLabel, BasisLabel]
+    system: System
+    labels: tuple[str, str]
     vectors: tuple[_Vec, _Vec]
 
     # The four classes of the numerical kernel (Basis, StateVector,
     # LocalUnitary, DensityOperator) check and bind their fields in
     # ``__post_init__``, called once by ``__init__``: one method per
     # construction, which bench/layertrace.py wraps to count constructions.
-    def __init__(self, name: str, labels: tuple[BasisLabel, BasisLabel], vectors) -> None:
-        self.__post_init__(name, labels, vectors)
+    def __init__(self, name: str, system: System, labels: tuple[str, str], vectors) -> None:
+        self.__post_init__(name, system, labels, vectors)
 
-    def __post_init__(self, name, labels, vectors) -> None:
-        if labels[0].system is not labels[1].system:
-            raise ValueError("basis labels must belong to one system")
+    def __post_init__(self, name, system, labels, vectors) -> None:
+        if not isinstance(system, System):
+            raise ValueError(f"basis {name} needs a System, got {system!r}")
+        if (
+            type(labels) is not tuple
+            or len(labels) != 2
+            or labels[0] == labels[1]
+            or not all(type(label) is str for label in labels)
+        ):
+            raise ValueError(f"basis {name} needs a pair of distinct label names, got {labels!r}")
         # Complex tuples: the kernel's storage, and hashable, so that every
         # basis can key the basis_change cache.
         vectors = _square(vectors, 2)
         if not _is_unitary(*vectors):
             raise ValueError("not unitary")
-        FrozenValue.__init__(self, name, labels, vectors)
-        object.__setattr__(self, "_hash", hash((name, labels, vectors)))
+        FrozenValue.__init__(self, name, system, labels, vectors)
+        object.__setattr__(self, "_hash", hash((name, system, labels, vectors)))
 
     def __hash__(self) -> int:
         # Computed once: every basis_change lookup hashes two bases, and
-        # hashing the labels afresh costs more than the lookup itself.
+        # hashing the fields afresh costs more than the lookup itself.
         return self._hash
-
-    @property
-    def system(self) -> System:
-        return self.labels[0].system
-
-    @property
-    def label_names(self) -> tuple[str, str]:
-        return (self.labels[0].name, self.labels[1].name)
 
     def index(self, label_name: str) -> int:
         try:
-            return self.label_names.index(label_name)
+            return self.labels.index(label_name)
         except ValueError:
             raise ValueError(f"outcome {label_name!r} not in basis {self.name}") from None
 
 
-COIN_ZBAR = Basis("Zbar", (H, T), ((1, 0), (0, 1)))
+COIN_ZBAR = Basis("Zbar", System.COIN, ("h", "t"), ((1, 0), (0, 1)))
 COIN_WBAR = Basis(
     "Wbar",
-    (OKBAR, FAILBAR),
+    System.COIN,
+    ("okbar", "failbar"),
     ((_INV_SQRT2, -_INV_SQRT2), (_INV_SQRT2, _INV_SQRT2)),
 )
-SPIN_Z = Basis("Z", (DOWN, UP), ((1, 0), (0, 1)))
+SPIN_Z = Basis("Z", System.SPIN, ("down", "up"), ((1, 0), (0, 1)))
 SPIN_W = Basis(
     "W",
-    (OK, FAIL),
+    System.SPIN,
+    ("ok", "fail"),
     ((-_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, _INV_SQRT2)),
 )
 
@@ -331,11 +307,7 @@ def direction_basis(angle: float) -> Basis:
 @lru_cache(maxsize=DIRECTION_CACHE)
 def _direction_basis(a: float) -> Basis:
     c, s = math.cos(a / 2.0), math.sin(a / 2.0)
-    return Basis(
-        f"A({a:.9g})",
-        (BasisLabel(System.SPIN, "plus_a", a), BasisLabel(System.SPIN, "minus_a", a)),
-        ((c, s), (-s, c)),
-    )
+    return Basis(f"A({a:.9g})", System.SPIN, ("plus_a", "minus_a"), ((c, s), (-s, c)))
 
 
 def _norm2(vec) -> float:
@@ -528,7 +500,7 @@ def _born_plan(source: tuple[Basis, ...], target: tuple[Basis, ...]):
         for k, (s, t) in enumerate(zip(source, target))
         if s != t
     )
-    keys = tuple(itertools.product(*(b.label_names for b in target)))
+    keys = tuple(itertools.product(*(b.labels for b in target)))
     return changes, keys
 
 

@@ -302,6 +302,23 @@ def pair_correlation(rho: np.ndarray, a: float, b: float) -> float:
     return float(np.real(np.trace(rho @ np.kron(obs_a, obs_b))))
 
 
+def born_table_along(
+    coin_labels: tuple[str, str], angle: float, state: np.ndarray = HARDY
+) -> dict[tuple[str, str], float]:
+    """P(c, plus_a) and P(c, minus_a) with the spin measured along the
+    direction at ``angle``: the expectation of |c><c| (x) (I +- n.(Z, X))/2,
+    n = (cos angle, sin angle), with Z and X in the spin's reference frame."""
+    z, x = PAIR_PAULI_ZX
+    obs = np.cos(angle) * z + np.sin(angle) * x
+    ports = {"plus_a": (np.eye(2) + obs) / 2.0, "minus_a": (np.eye(2) - obs) / 2.0}
+    coin = {c: np.outer(COIN_VECS[c], COIN_VECS[c].conj()) for c in coin_labels}
+    return {
+        (c, s): float(np.real(np.vdot(state, np.kron(coin[c], p) @ state)))
+        for c in coin_labels
+        for s, p in ports.items()
+    }
+
+
 def correlation_block(rho: np.ndarray) -> np.ndarray:
     """T_ij = tr(rho sigma_i x sigma_j) for i, j in (z, x)."""
     return np.array(

@@ -73,7 +73,7 @@ complex_amps = st.lists(st.tuples(amp_parts, amp_parts), min_size=4, max_size=4)
 def test_conditional_wave_is_the_normalised_slice_of_a_complex_state(amps, frame, system, index):
     assume(np.linalg.norm(amps.reshape(2, 2).take(index, axis=system)) > 1e-3)
     state = make_state(amps, frame)
-    cond = conditional_wave(state, system, frame[system].label_names[index])
+    cond = conditional_wave(state, system, frame[system].labels[index])
     assert cond.bases == (frame[1 - system],)
     want = oracles.conditional_slice(state.amps, system, index)
     assert np.max(np.abs(cond.amps - want)) <= 1e-12
@@ -83,6 +83,12 @@ def test_conditional_wave_empty_branch():
     product = make_state([1, 0, 0, 0], (COIN_ZBAR, SPIN_Z))
     with pytest.raises(ValueError, match="empty conditional"):
         conditional_wave(product, 0, "t")
+
+
+@pytest.mark.parametrize("system", [-1, 2])
+def test_conditional_wave_refuses_a_system_index_outside_the_state(system):
+    with pytest.raises(ValueError, match="^system index out of range$"):
+        conditional_wave(hardy_state(), system, "h")
 
 
 def _as_oracle_key(path):
@@ -198,7 +204,7 @@ def test_foliation_orders_the_two_bases_of_the_final_context(ordering):
 def test_each_path_steps_in_the_order_of_its_foliation(foliation, systems, coupling):
     for path in evolve(foliation, coupling).paths:
         assert [t.system for t in path.events] == systems
-        assert all(t.target in b.label_names for t, b in zip(path.events, foliation.ordering))
+        assert all(t.target in b.labels for t, b in zip(path.events, foliation.ordering))
 
 
 def test_trajectory_set_rejects_broken_weights():
@@ -361,6 +367,21 @@ def test_sampler_builds_each_split_tree_once_in_a_bounded_cache():
 def test_sampler_refuses_a_count_that_is_not_an_integer(samples):
     with pytest.raises(TypeError, match="^samples must be an integer"):
         sample_paths(FOLIATION_F, samples=samples, seed=1)
+
+
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (True, TypeError, "an integer, not a bool"),
+        (2.5, TypeError, "an integer, got float"),
+        ("abc", TypeError, "an integer, got str"),
+        (-1, ValueError, ">= 0, got -1"),
+    ],
+    ids=repr,
+)
+def test_sampler_refuses_a_seed_that_is_not_a_non_negative_integer(seed, error, message):
+    with pytest.raises(error, match=f"^seed must be {message}$"):
+        sample_paths(FOLIATION_F, samples=10, seed=seed)
 
 
 def test_sampler_refuses_a_negative_count():

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from wignerfriend.hardy import (
@@ -22,7 +24,16 @@ from wignerfriend.hardy import (
     hardy_state,
     okbar_to_fail_chain,
 )
-from wignerfriend.qcore import COIN_WBAR, COIN_ZBAR, SPIN_W, SPIN_Z
+from wignerfriend.qcore import (
+    BASIS_CHANGE_CACHE,
+    COIN_WBAR,
+    COIN_ZBAR,
+    SPIN_W,
+    SPIN_Z,
+    Basis,
+    System,
+    direction_basis,
+)
 
 # The state is invariant under swapping the two systems with the label
 # identification below, which is why the (Wbar,Z) experiment mirrors (Zbar,W).
@@ -49,6 +60,35 @@ def test_exactly_four_contexts_with_structural_equality():
     assert MeasurementContext(COIN_WBAR, SPIN_W) == CTX_WBAR_W
     with pytest.raises(ValueError):
         MeasurementContext(SPIN_Z, SPIN_Z)
+
+
+def test_a_context_is_a_coin_basis_and_a_spin_basis_with_no_shared_label():
+    with pytest.raises(ValueError, match="^outcome not in context: Z is not a coin basis$"):
+        MeasurementContext(SPIN_Z, SPIN_W)
+    with pytest.raises(ValueError, match="^outcome not in context: Wbar is not a spin basis$"):
+        MeasurementContext(COIN_ZBAR, COIN_WBAR)
+    # A name must identify its system, or a rule could not tell premise from
+    # conclusion.
+    coin = Basis("Zbar'", System.COIN, ("up", "t"), COIN_ZBAR.vectors)
+    with pytest.raises(ValueError, match="^outcome not in context: 'up' labels both systems$"):
+        MeasurementContext(coin, SPIN_Z)
+    table = context_table(MeasurementContext(coin, SPIN_W))
+    assert table[("up", "ok")] == pytest.approx(1 / 6, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([COIN_ZBAR, COIN_WBAR]),
+    st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False, allow_infinity=False),
+)
+def test_a_direction_basis_opens_a_context_whose_table_matches_the_oracle(coin, angle):
+    table = context_table(MeasurementContext(coin, direction_basis(angle)))
+    expected = oracles.born_table_along(coin.labels, angle)
+    assert set(table.probs) == set(expected)
+    for key, p in expected.items():
+        assert abs(table[key] - p) <= 1e-12
+    info = context_table.cache_info()
+    assert info.maxsize == BASIS_CHANGE_CACHE and info.currsize <= BASIS_CHANGE_CACHE
 
 
 def test_context_tables_match_oracle_and_sum_to_one():
@@ -151,6 +191,20 @@ def test_non_composing_chain_is_broken():
         )
 
 
+def test_a_link_joins_one_outcome_not_one_name():
+    # Both direction bases name their ports plus_a and minus_a; at pi,
+    # plus_a is up, and at 3pi/2 it is ok.
+    up_at, ok_at = direction_basis(math.pi), direction_basis(1.5 * math.pi)
+    chain = [
+        InferenceRule(MeasurementContext(COIN_WBAR, up_at), "okbar", "plus_a"),
+        InferenceRule(MeasurementContext(COIN_ZBAR, ok_at), "plus_a", "h"),
+        InferenceRule(MeasurementContext(COIN_ZBAR, up_at), "h", "minus_a"),
+    ]
+    assert all(check_inference(rule) for rule in chain)
+    with pytest.raises(ValueError, match="broken chain"):
+        chain_prediction(chain)
+
+
 def test_chain_with_invalid_link_is_broken():
     with pytest.raises(ValueError, match="broken chain"):
         chain_prediction([InferenceRule(CTX_ZBAR_W, "fail", "t")])
@@ -162,15 +216,15 @@ def _all_rules() -> list[InferenceRule]:
     rules = []
     for ctx in ALL_CONTEXTS:
         for p_sys, c_sys in ((0, 1), (1, 0)):
-            for premise in ctx.bases[p_sys].label_names:
-                for conclusion in ctx.bases[c_sys].label_names:
+            for premise in ctx.bases[p_sys].labels:
+                for conclusion in ctx.bases[c_sys].labels:
                     rules.append(InferenceRule(ctx, premise, conclusion))
     return rules
 
 
 def _premise_and_not_conclusion(rule: InferenceRule) -> float:
     """The reference: P(premise and not conclusion), summed over the table."""
-    p_sys = 0 if rule.premise in rule.context.coin_basis.label_names else 1
+    p_sys = 0 if rule.premise in rule.context.coin_basis.labels else 1
     return sum(
         p
         for key, p in context_table(rule.context).items()

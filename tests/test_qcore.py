@@ -11,12 +11,9 @@ from wignerfriend.memory import Friend, record_and_keep
 from wignerfriend.qcore import (
     COIN_WBAR,
     COIN_ZBAR,
-    DOWN,
     SPIN_W,
     SPIN_Z,
-    UP,
     Basis,
-    BasisLabel,
     DensityOperator,
     InvariantViolation,
     LocalUnitary,
@@ -64,13 +61,17 @@ def test_make_state_length_mismatch_rejected():
         make_state([1, 0, 0], HARDY_BASES)
 
 
-def test_label_system_discipline():
-    with pytest.raises(ValueError):
-        BasisLabel(System.COIN, "ok")
-    with pytest.raises(ValueError):
-        BasisLabel(System.SPIN, "h")
-    with pytest.raises(ValueError):
-        BasisLabel(System.SPIN, "plus_a")  # angled labels need an angle
+def test_a_basis_names_its_system_and_two_distinct_labels():
+    identity = ((1, 0), (0, 1))
+    for labels in (("h", "h"), ("h", "t", "x"), ["h", "t"], (0, 1)):
+        with pytest.raises(ValueError, match="distinct label names"):
+            Basis("X", System.COIN, labels, identity)
+    with pytest.raises(ValueError, match="needs a System, got 'coin'"):
+        Basis("X", "coin", ("h", "t"), identity)
+    # A label is a name within its basis: any two distinct names will do.
+    renamed = Basis("X", System.COIN, ("up", "heads"), identity)
+    assert renamed.labels == ("up", "heads") and renamed.index("heads") == 1
+    assert renamed != COIN_ZBAR
 
 
 def spin_bs():
@@ -109,6 +110,15 @@ def test_apply_local_rejects_basis_mismatch():
     u = basis_change(1, SPIN_W, SPIN_Z)
     with pytest.raises(ValueError, match="basis mismatch"):
         apply_local(s, u)
+
+
+@pytest.mark.parametrize("system", [-1, 2])
+def test_a_system_index_outside_the_state_is_refused(system):
+    s = hardy()
+    with pytest.raises(ValueError, match="^system index out of range$"):
+        project(s, system, "h")
+    with pytest.raises(ValueError, match="^system index out of range$"):
+        apply_local(s, LocalUnitary(system, np.eye(2), SPIN_Z, SPIN_Z))
 
 
 @pytest.mark.parametrize(
@@ -151,8 +161,8 @@ def test_born_consistency_with_hand_applied_beam_splitters():
         if use_coin_bs:
             out = apply_local(out, coin_bs)
         table = born_distribution(hardy(), out.bases)
-        coin_labels = out.bases[0].label_names
-        spin_labels = out.bases[1].label_names
+        coin_labels = out.bases[0].labels
+        spin_labels = out.bases[1].labels
         for flat, (c, s) in enumerate([(c, s) for c in coin_labels for s in spin_labels]):
             assert table[(c, s)] == pytest.approx(float(abs(out.amps[flat]) ** 2), abs=1e-12)
 
@@ -186,7 +196,7 @@ def test_project_unknown_outcome():
 def _reconstruction_holds(state, system):
     basis = state.bases[system]
     total = np.zeros((4, 4), dtype=complex)
-    for label in basis.label_names:
+    for label in basis.labels:
         try:
             collapsed, prob = project(state, system, label)
         except ValueError:
@@ -278,6 +288,7 @@ def test_rephasing_the_port_bases_changes_no_probabilities(p1, p2, p3, p4):
     # Multiply each port basis vector by its own phase; all tables must stay put.
     wbar = Basis(
         "Wbar'",
+        COIN_WBAR.system,
         COIN_WBAR.labels,
         (
             tuple(np.exp(1j * p1) * v for v in COIN_WBAR.vectors[0]),
@@ -286,6 +297,7 @@ def test_rephasing_the_port_bases_changes_no_probabilities(p1, p2, p3, p4):
     )
     w = Basis(
         "W'",
+        SPIN_W.system,
         SPIN_W.labels,
         (
             tuple(np.exp(1j * p3) * v for v in SPIN_W.vectors[0]),
@@ -300,7 +312,7 @@ def test_rephasing_the_port_bases_changes_no_probabilities(p1, p2, p3, p4):
 
 # Spin bases whose label vectors are the rows of a complex unitary.
 complex_bases = st.tuples(angles, angles, angles).map(
-    lambda a: Basis("C", (DOWN, UP), tuple(map(tuple, _rotation(*a))))
+    lambda a: Basis("C", System.SPIN, ("down", "up"), tuple(map(tuple, _rotation(*a))))
 )
 complex_densities = (
     st.lists(st.tuples(amp_parts, amp_parts), min_size=16, max_size=16)
@@ -343,7 +355,7 @@ def test_density_validation_rejects_bad_matrices():
 def test_near_unitary_basis_is_rejected():
     # Off by 4e-6: inside np.allclose's default rtol, outside NORM_TOL.
     with pytest.raises(ValueError, match="not unitary"):
-        Basis("x", (DOWN, UP), ((1 + 4e-6, 0), (0, 1)))
+        Basis("x", System.SPIN, ("down", "up"), ((1 + 4e-6, 0), (0, 1)))
 
 
 def test_near_unitary_local_unitary_is_rejected():
@@ -367,7 +379,7 @@ def test_non_finite_values_are_rejected():
 def test_basis_change_is_memoized_in_a_bounded_cache():
     assert 0 < basis_change.cache_info().maxsize < math.inf
     assert basis_change(1, SPIN_Z, SPIN_W) is basis_change(1, SPIN_Z, SPIN_W)
-    listed = Basis("Z", (DOWN, UP), [np.array([1, 0]), [0, 1]])
+    listed = Basis("Z", System.SPIN, ("down", "up"), [np.array([1, 0]), [0, 1]])
     assert listed == SPIN_Z
     assert basis_change(1, listed, SPIN_W) is basis_change(1, SPIN_Z, SPIN_W)
 
@@ -379,7 +391,7 @@ THREE_TARGET = (COIN_WBAR, SPIN_W, SPIN_W)
 
 
 def _labels(bases):
-    return [b.label_names for b in bases]
+    return [b.labels for b in bases]
 
 
 def _three_system_state(seed):
@@ -400,7 +412,7 @@ def _change_one(system):
 
 
 def _oracle_operator(system):
-    u = oracles.change_matrix(THREE_SOURCE[system].label_names, THREE_TARGET[system].label_names)
+    u = oracles.change_matrix(THREE_SOURCE[system].labels, THREE_TARGET[system].labels)
     return oracles.local_operator(u, system, 3)
 
 
@@ -616,6 +628,14 @@ def test_positivity_check_agrees_with_eigvalsh_oracle(systems, lam, rank_one):
         else:
             with pytest.raises(InvariantViolation, match="not positive semidefinite"):
                 DensityOperator(bases, m)
+
+
+def test_an_eigenvalue_of_exactly_minus_norm_tol_fails_the_positivity_check():
+    # Unit trace, exactly; the second pivot of the factorisation is exactly 0.
+    m = np.diag([1 + 1e-12, -1e-12, 0, 0])
+    assert np.trace(m) == 1.0
+    with pytest.raises(InvariantViolation, match="^density operator not positive semidefinite$"):
+        DensityOperator((SPIN_Z, SPIN_Z), m)
 
 
 def _check_stack(stack):

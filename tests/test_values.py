@@ -25,7 +25,6 @@ def _instances() -> dict:
     trace = epistemic.run_trace()
     statement = epistemic.builtin_statements()[1]
     values = [
-        qcore.H,
         qcore.COIN_WBAR,
         state,
         qcore.basis_change(0, qcore.COIN_ZBAR, qcore.COIN_WBAR),
@@ -75,7 +74,7 @@ def test_every_value_class_is_covered():
         if isinstance(obj, type) and issubclass(obj, Frozen) and obj not in (Frozen, FrozenValue)
     }
     assert classes == set(INSTANCES)
-    assert len(classes) == 24
+    assert len(classes) == 23
     assert {c for c in classes if not issubclass(c, FrozenValue)} == _IDENTITY
 
 
@@ -130,10 +129,11 @@ def test_copies_and_pickles_are_hash_equal(cls):
 
 
 def test_hashes_kept_at_construction_are_the_hashes_of_the_fields():
+    w = qcore.COIN_WBAR
     for value, fields in (
         (bohm.HiddenConfig("h", "down"), ("h", "down")),
         (hardy.MeasurementContext(qcore.COIN_WBAR, qcore.SPIN_Z), (qcore.COIN_WBAR, qcore.SPIN_Z)),
-        (qcore.COIN_WBAR, (qcore.COIN_WBAR.name, qcore.COIN_WBAR.labels, qcore.COIN_WBAR.vectors)),
+        (qcore.COIN_WBAR, (w.name, w.system, w.labels, w.vectors)),
     ):
         assert hash(value) == hash(fields)
 
@@ -141,13 +141,16 @@ def test_hashes_kept_at_construction_are_the_hashes_of_the_fields():
 def test_repr_names_the_fields_in_order():
     assert repr(bohm.HiddenConfig("h", "down")) == "HiddenConfig(coin='h', spin='down')"
     assert repr(epistemic.AxiomSet(C=False)) == "AxiomSet(Q=True, C=False, S=True)"
-    assert repr(qcore.H) == "BasisLabel(system=<System.COIN: 'coin'>, name='h', angle=None)"
+    assert repr(qcore.COIN_ZBAR) == (
+        "Basis(name='Zbar', system=<System.COIN: 'coin'>, labels=('h', 't'), "
+        "vectors=(((1+0j), 0j), (0j, (1+0j))))"
+    )
 
 
 def test_values_built_twice_are_equal_and_hash_equal():
     w = qcore.COIN_WBAR
     pairs = [
-        (qcore.Basis(w.name, w.labels, w.vectors), w),
+        (qcore.Basis(w.name, w.system, w.labels, w.vectors), w),
         (hardy.MeasurementContext(qcore.COIN_ZBAR, qcore.SPIN_W), hardy.CTX_ZBAR_W),
         (bohm.HiddenConfig("t", "up"), bohm.HiddenConfig("h", "up").with_label(0, "t")),
         (epistemic.AxiomSet(), epistemic.AxiomSet(True, True, True)),
@@ -164,7 +167,7 @@ def test_values_built_twice_are_equal_and_hash_equal():
     assert epistemic.AxiomSet(S=False) != epistemic.AxiomSet()
     assert hardy.CTX_ZBAR_W != (qcore.COIN_ZBAR, qcore.SPIN_W)
     # A field that differs in value, not in name, breaks equality.
-    renamed = qcore.Basis("Wbar2", w.labels, w.vectors)
+    renamed = qcore.Basis("Wbar2", w.system, w.labels, w.vectors)
     assert renamed != w
 
 
@@ -191,8 +194,8 @@ def test_hidden_config_relabels_by_construction():
 
 
 def test_constructors_keep_their_checks_and_defaults():
-    with pytest.raises(ValueError, match="not allowed"):
-        qcore.BasisLabel(qcore.System.COIN, "up")
+    with pytest.raises(ValueError, match="distinct label names"):
+        qcore.Basis("X", qcore.System.COIN, ("h", "h"), qcore.COIN_ZBAR.vectors)
     with pytest.raises(ValueError, match="outcome not in context"):
         hardy.MeasurementContext(qcore.SPIN_Z, qcore.SPIN_Z)
     with pytest.raises(ValueError, match="permute"):
@@ -224,7 +227,6 @@ _PLAIN = {
 }
 # Positional arguments a constructor needs, where fields have defaults.
 _REQUIRED = {
-    qcore.BasisLabel: 2,
     epistemic.EpistemicStatement: 3,
     epistemic.AxiomSet: 0,
 }
@@ -251,8 +253,6 @@ def test_constructors_refuse_a_wrong_number_of_fields(cls):
 
 # Fields that no attribute read in src/ or bench/ names, kept on purpose.
 UNREAD_FIELDS = {
-    # Part of a label's identity: equality and hashing compare it.
-    "qcore.BasisLabel.angle",
     # The model's correlation block is computed from it when the model is built.
     "bell.LHVModel.prior",
 }
