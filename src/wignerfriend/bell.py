@@ -32,7 +32,8 @@ maximum with four Born-rule correlations at its argmax, each one Born
 distribution in two direction bases: arithmetic independent of the block's.
 ``chsh_max`` runs it on a state's maximum, and ``erased_vs_kept_chsh`` on
 its kept-records one.  Grid sizes must be integers of at least 1, checked
-before anything is computed.
+before anything is computed.  Results hold numbers, not the settings they
+were asked at.
 """
 
 from __future__ import annotations
@@ -428,32 +429,22 @@ def born_rule_residual(scan: ScanResult, state) -> float:
 
 
 class ErasedKeptReport(FrozenValue):
-    """CHSH attainable when the friends' records are erased versus kept."""
+    """CHSH attainable when the friends' records are erased versus kept: the
+    erased and the kept S at the quad the caller gave, the kept maximum, the
+    kept correlation at aligned settings, and the kept-versus-model gap."""
 
     __slots__ = (
-        "quad",
         "s_erased",
         "s_kept_at_quad",
         "s_kept_max",
         "aligned_correlation",
         "kept_vs_lhv_max_gap",
     )
-    quad: AngleQuad
     s_erased: float
     s_kept_at_quad: float
     s_kept_max: float
     aligned_correlation: float
     kept_vs_lhv_max_gap: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quad": list(self.quad.as_tuple()),
-            "S_erased": f"{self.s_erased:.17g}",
-            "S_kept_at_quad": f"{self.s_kept_at_quad:.17g}",
-            "S_kept_max": f"{self.s_kept_max:.17g}",
-            "aligned_correlation": f"{self.aligned_correlation:.17g}",
-            "kept_vs_lhv_max_gap": f"{self.kept_vs_lhv_max_gap:.17g}",
-        }
 
 
 def erased_vs_kept_chsh(
@@ -493,4 +484,4 @@ def erased_vs_kept_chsh(
 
     gap = _block_svd([k - m for k, m in zip(kept_block, _FACTS_MODEL._block)])[2]
     aligned = kept_corr(0.0, 0.0)
-    return ErasedKeptReport(quad, s_erased, s_kept_at_quad, scan.max_s, aligned, gap)
+    return ErasedKeptReport(s_erased, s_kept_at_quad, scan.max_s, aligned, gap)

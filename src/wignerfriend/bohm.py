@@ -16,6 +16,9 @@ event is named by the basis its detection measures in, one of the two bases
 of ``hardy.CTX_WBAR_W``, the context every path ends in.  The two
 orderings generate different trajectory sets with identical final-outcome
 marginals (equivariance) but different origins for the same outcome.
+
+A :class:`TrajectorySet` holds its paths alone: the foliation and coupling
+it was evolved under are its caller's inputs.
 """
 
 from __future__ import annotations
@@ -47,19 +50,19 @@ class Foliation(FrozenValue):
     """A global ordering of the two space-like-separated detections: the two
     bases of ``CTX_WBAR_W``, in the order they are measured."""
 
-    __slots__ = ("name", "ordering")
-    name: str
+    __slots__ = ("ordering",)
     ordering: tuple[Basis, Basis]
 
-    def __init__(self, name: str, ordering: tuple[Basis, Basis]) -> None:
+    def __init__(self, ordering: tuple[Basis, Basis]) -> None:
         bases = CTX_WBAR_W.bases
         if ordering not in (bases, bases[::-1]):
             raise ValueError("ordering must permute the two measurement events")
-        FrozenValue.__init__(self, name, ordering)
+        FrozenValue.__init__(self, ordering)
 
 
-FOLIATION_F = Foliation("F", (SPIN_W, COIN_WBAR))
-FOLIATION_FPRIME = Foliation("Fprime", (COIN_WBAR, SPIN_W))
+# F fires the spin's W detection first, Fprime the coin's Wbar one.
+FOLIATION_F = Foliation((SPIN_W, COIN_WBAR))
+FOLIATION_FPRIME = Foliation((COIN_WBAR, SPIN_W))
 
 
 class CouplingKind(str, Enum):
@@ -83,9 +86,10 @@ BRANCH_RANK: dict[str, int] = {
 class TransportCoupling(FrozenValue):
     """A joint law over (input branch, output port) with prescribed marginals.
 
-    Monotone pairs the two distributions by matching cumulative mass in rank
-    order (no crossing); independent couples them as a product.  Either way
-    both marginals are reproduced exactly.
+    Monotone pairs the two distributions by matching cumulative mass in the
+    order of ``BRANCH_RANK`` (no crossing), and raises ValueError for a label
+    it does not rank; independent couples them as a product.  Either way both
+    marginals are reproduced exactly.
     """
 
     __slots__ = ("kind",)
@@ -112,6 +116,9 @@ class TransportCoupling(FrozenValue):
     def _monotone(
         self, input_dist: dict[str, float], output_dist: dict[str, float]
     ) -> dict[tuple[str, str], float]:
+        unranked = [lab for d in (input_dist, output_dist) for lab in d if lab not in BRANCH_RANK]
+        if unranked:
+            raise ValueError(f"the monotone coupling ranks no label {unranked[0]!r}")
         ins = sorted(
             ((lab, p) for lab, p in input_dist.items() if p > _ADVANCE_TOL),
             key=lambda kv: BRANCH_RANK[kv[0]],
@@ -200,17 +207,10 @@ class TrajectoryPath(FrozenValue):
 class TrajectorySet(FrozenValue):
     """All weighted hidden-variable paths of one experiment."""
 
-    __slots__ = ("foliation", "coupling", "paths")
-    foliation: Foliation
-    coupling: TransportCoupling
+    __slots__ = ("paths",)
     paths: tuple[TrajectoryPath, ...]
 
-    def __init__(
-        self,
-        foliation: Foliation,
-        coupling: TransportCoupling,
-        paths: tuple[TrajectoryPath, ...],
-    ) -> None:
+    def __init__(self, paths: tuple[TrajectoryPath, ...]) -> None:
         total = 0.0
         for p in paths:
             # Written as "not ok" so that a NaN weight fails too.
@@ -219,32 +219,13 @@ class TrajectorySet(FrozenValue):
             total += p.weight
         if not abs(total - 1.0) <= WEIGHT_TOL:
             raise InvariantViolation(f"path weights sum to {total}")
-        FrozenValue.__init__(self, foliation, coupling, paths)
+        FrozenValue.__init__(self, paths)
 
     def final_marginal(self) -> dict[tuple[str, str], float]:
         out: dict[tuple[str, str], float] = {}
         for p in self.paths:
             out[p.final] = out.get(p.final, 0.0) + p.weight
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "foliation": self.foliation.name,
-            "context": [basis.name for basis in CTX_WBAR_W.bases],
-            "coupling": self.coupling.kind.value,
-            "paths": [
-                {
-                    "initial": {"coin": p.initial.coin, "spin": p.initial.spin},
-                    "events": [
-                        {"system": t.system, "from": t.source, "to": t.target}
-                        for t in p.events
-                    ],
-                    "final": list(p.final),
-                    "weight": f"{p.weight:.17g}",
-                }
-                for p in self.paths
-            ],
-        }
 
 
 def initial_distribution() -> dict[HiddenConfig, float]:
@@ -332,7 +313,7 @@ def evolve(foliation: Foliation, coupling: TransportCoupling = MONOTONE) -> Traj
         if w <= WEIGHT_TOL:
             continue
         _walk(hardy_state(), config, config, w, foliation.ordering, (), coupling, paths)
-    return TrajectorySet(foliation, coupling, tuple(paths))
+    return TrajectorySet(tuple(paths))
 
 
 def origin_of(

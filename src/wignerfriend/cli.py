@@ -1,6 +1,13 @@
 """Scenario runner: every module as a subcommand, with aligned-text tables or
 machine-readable JSON on stdout.  Exit codes: 0 success, 2 usage error,
-1 internal invariant violation."""
+1 internal invariant violation.
+
+This module composes every byte the program prints, each table line and each
+JSON object: probabilities in tables through :func:`fmt_prob`, and in JSON
+as 17-significant-digit strings.  The library calls return what they
+computed and no copy of their arguments, so the options a result echoes (a
+foliation's name, a coupling, a quad, the axioms) are read from the command
+line."""
 
 from __future__ import annotations
 
@@ -83,10 +90,7 @@ def _table_lines(table, title: str) -> list[str]:
 
 
 def _table_json(table) -> dict:
-    payload = {",".join(key): _json_prob(p) for key, p in table.items()}
-    if abs(sum(table.probs.values()) - 1.0) > 1e-12:
-        raise InvariantViolation("table does not sum to 1")
-    return payload
+    return {",".join(key): _json_prob(p) for key, p in table.items()}
 
 
 def cmd_contexts(args) -> tuple[str, dict]:
@@ -102,6 +106,10 @@ def cmd_contexts(args) -> tuple[str, dict]:
 
 def _config_str(config: bohm.HiddenConfig) -> str:
     return f"({config.coin}, {config.spin})"
+
+
+def _config_json(config: bohm.HiddenConfig) -> dict:
+    return {"coin": config.coin, "spin": config.spin}
 
 
 def _tree_lines(ts: bohm.TrajectorySet) -> list[str]:
@@ -143,7 +151,8 @@ def cmd_bohm(args) -> tuple[str, dict]:
     from . import bohm
 
     coupling = {"monotone": bohm.MONOTONE, "independent": bohm.INDEPENDENT}[args.coupling]
-    context = ", ".join(basis.name for basis in hardy.CTX_WBAR_W.bases)
+    names = [basis.name for basis in hardy.CTX_WBAR_W.bases]
+    context = ", ".join(names)
     lines: list[str] = []
     payload: dict = {"coupling": args.coupling}
 
@@ -178,7 +187,20 @@ def cmd_bohm(args) -> tuple[str, dict]:
         origins = bohm.origin_of(ts, outcome)
         pretty = ", ".join(f"{_config_str(c)} {fmt_prob(p)}" for c, p in origins.items())
         lines.append(f"  ({outcome[0]}, {outcome[1]}): {pretty}")
-    payload["trajectories"] = ts.to_json_dict()
+    payload["trajectories"] = {
+        "foliation": args.foliation,
+        "context": names,
+        "coupling": args.coupling,
+        "paths": [
+            {
+                "initial": _config_json(p.initial),
+                "events": [{"system": t.system, "from": t.source, "to": t.target} for t in p.events],
+                "final": list(p.final),
+                "weight": _json_prob(p.weight),
+            }
+            for p in ts.paths
+        ],
+    }
     payload["origins"] = _origins_json(ts)
 
     if args.samples:
@@ -194,7 +216,7 @@ def cmd_bohm(args) -> tuple[str, dict]:
             )
             sample_payload.append(
                 {
-                    "initial": {"coin": p.initial.coin, "spin": p.initial.spin},
+                    "initial": _config_json(p.initial),
                     "final": list(p.final),
                     "count": got,
                     "exact_weight": _json_prob(p.weight),
@@ -207,16 +229,19 @@ def cmd_bohm(args) -> tuple[str, dict]:
 def cmd_agents(args) -> tuple[str, dict]:
     from . import epistemic
 
-    report = epistemic.run_trace(allow_counterfactual=not args.forbid_counterfactual)
+    axioms = epistemic.AxiomSet()
+    allow = not args.forbid_counterfactual
+    report = epistemic.run_trace(axioms, allow_counterfactual=allow)
+    statements = epistemic.builtin_statements()
     lines = ["statements:"]
-    for s in report.statements:
+    for s in statements:
         active = "active" if s.id in report.active else "excluded"
         lines.append(
             f"  {s.id:<9} {s.author.value:<5} assumed ({s.assumed_context.name}) "
             f"actual ({s.actual_context.name})  {s.verdict:<22} [{active}]"
         )
+    w = report.witness
     if report.contradiction:
-        w = report.witness
         lines.append(
             f"contradiction: chained prediction {w.composed:g} vs actual "
             f"{fmt_prob(w.actual)} for ({w.outcome[0]}, {w.outcome[1]}) in ({w.context.name})"
@@ -224,7 +249,38 @@ def cmd_agents(args) -> tuple[str, dict]:
         lines.append(f"minimal counterfactual set: {', '.join(report.minimal_counterfactual)}")
     else:
         lines.append("no contradiction")
-    return "\n".join(lines), report.to_json_dict()
+    payload = {
+        "axioms": {"Q": axioms.Q, "C": axioms.C, "S": axioms.S},
+        "allow_counterfactual": allow,
+        "statements": [
+            {
+                "id": s.id,
+                "author": s.author.value,
+                "assumed_context": s.assumed_context.name,
+                "actual_context": s.actual_context.name,
+                "classification": s.verdict,
+                "active": s.id in report.active,
+                "derived_from": list(s.derived_from),
+                "backing": {
+                    ",".join(key): _json_prob(p)
+                    for key, p in epistemic.backing_probabilities(s).items()
+                },
+            }
+            for s in statements
+        ],
+        "edges": [[parent, s.id] for s in statements for parent in s.derived_from],
+        "contradiction": report.contradiction,
+        "witness": None
+        if w is None
+        else {
+            "context": w.context.name,
+            "outcome": list(w.outcome),
+            "composed": w.composed,
+            "actual": _json_prob(w.actual),
+        },
+        "minimal_counterfactual": list(report.minimal_counterfactual),
+    }
+    return "\n".join(lines), payload
 
 
 def cmd_memory(args) -> tuple[str, dict]:
@@ -298,7 +354,14 @@ def cmd_chsh(args) -> tuple[str, dict]:
             f"kept correlations at aligned angles: {report.aligned_correlation:.15g}; "
             f"max gap to the hidden-variable model: {report.kept_vs_lhv_max_gap:.3g}"
         )
-        payload["erased_vs_kept"] = report.to_json_dict()
+        payload["erased_vs_kept"] = {
+            "quad": list(quad.as_tuple()),
+            "S_erased": _json_prob(report.s_erased),
+            "S_kept_at_quad": _json_prob(report.s_kept_at_quad),
+            "S_kept_max": _json_prob(report.s_kept_max),
+            "aligned_correlation": _json_prob(report.aligned_correlation),
+            "kept_vs_lhv_max_gap": _json_prob(report.kept_vs_lhv_max_gap),
+        }
     return "\n".join(lines), payload
 
 

@@ -15,7 +15,9 @@ one another's certainties, (S) an agent's certainties must be consistent with
 that agent's own outcomes.  Admitting any counterfactual statement into the
 trace yields a prediction ("fail is certain") that the measured table refutes
 with positive probability, witnessed by the chain's own certificate; refusing
-counterfactual composition leaves nothing to contradict.
+counterfactual composition leaves nothing to contradict.  A
+:class:`TraceReport` holds what the replay derived; the statements it ran
+over are :func:`builtin_statements`, and the axioms are the caller's.
 """
 
 from __future__ import annotations
@@ -223,57 +225,16 @@ class AxiomSet(FrozenValue):
 
 
 class TraceReport(FrozenValue):
-    __slots__ = (
-        "axioms",
-        "allow_counterfactual",
-        "statements",
-        "active",
-        "edges",
-        "contradiction",
-        "witness",
-        "minimal_counterfactual",
-    )
-    axioms: AxiomSet
-    allow_counterfactual: bool
-    statements: tuple[EpistemicStatement, ...]
+    """What a replay derived: the ids of the statements it admitted, in the
+    story's order, whether they contradict the measured table, the chain's
+    certificate when they do, and the counterfactual statements the
+    contradiction rests on."""
+
+    __slots__ = ("active", "contradiction", "witness", "minimal_counterfactual")
     active: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
     contradiction: bool
     witness: ContradictionCertificate | None
     minimal_counterfactual: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "axioms": {"Q": self.axioms.Q, "C": self.axioms.C, "S": self.axioms.S},
-            "allow_counterfactual": self.allow_counterfactual,
-            "statements": [
-                {
-                    "id": s.id,
-                    "author": s.author.value,
-                    "assumed_context": s.assumed_context.name,
-                    "actual_context": s.actual_context.name,
-                    "classification": s.verdict,
-                    "active": s.id in self.active,
-                    "derived_from": list(s.derived_from),
-                    "backing": {
-                        ",".join(key): f"{p:.17g}"
-                        for key, p in backing_probabilities(s).items()
-                    },
-                }
-                for s in self.statements
-            ],
-            "edges": [list(e) for e in self.edges],
-            "contradiction": self.contradiction,
-            "witness": None
-            if self.witness is None
-            else {
-                "context": self.witness.context.name,
-                "outcome": list(self.witness.outcome),
-                "composed": self.witness.composed,
-                "actual": f"{self.witness.actual:.17g}",
-            },
-            "minimal_counterfactual": list(self.minimal_counterfactual),
-        }
 
 
 def _ancestors(statement_map: dict[str, EpistemicStatement], sid: str) -> set[str]:
@@ -312,10 +273,9 @@ def run_trace(
         unknown = [sid for sid in admitted_ids if sid not in by_id]
         if unknown:
             raise ValueError(f"unknown statement ids: {unknown}")
-    edges = tuple((parent, s.id) for s in statements for parent in s.derived_from)
 
     if not axioms.Q:
-        return TraceReport(axioms, allow_counterfactual, statements, (), edges, False, None, ())
+        return TraceReport((), False, None, ())
 
     active = tuple(
         s.id
@@ -337,13 +297,4 @@ def run_trace(
             for sid in active_counterfactual
             if not (_ancestors(by_id, sid) & active_cf)
         )
-    return TraceReport(
-        axioms,
-        allow_counterfactual,
-        statements,
-        active,
-        edges,
-        contradiction,
-        witness,
-        minimal,
-    )
+    return TraceReport(active, contradiction, witness, minimal)

@@ -326,6 +326,17 @@ def correlation_block(rho: np.ndarray) -> np.ndarray:
     )
 
 
+PAIR_PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    """The full T_ij = tr(rho sigma_i x sigma_j) for i, j in (z, x, y): the
+    (z, x) block of :func:`correlation_block`, bordered by the y row and
+    column."""
+    paulis = (*PAIR_PAULI_ZX, PAIR_PAULI_Y)
+    return np.array([[np.real(np.trace(rho @ np.kron(p, q))) for q in paulis] for p in paulis])
+
+
 def chsh_grid_max(correlation, grid_n: int) -> float:
     """Brute-force max of |E(a,b) + E(a',b) + E(a,b') - E(a',b')| over all
     grid_n^4 quads of grid angles."""

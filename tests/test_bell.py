@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -276,7 +276,6 @@ def test_erased_vs_kept_report():
 )
 def test_erased_vs_kept_takes_both_s_at_the_given_quad(quad):
     report = erased_vs_kept_chsh(quad=quad)
-    assert report.quad == quad
     assert report.s_erased == pytest.approx(chsh(quantum_correlation, quad), abs=1e-12)
     s_lhv = chsh(lambda a, b: lhv_correlation(MODEL, a, b), quad)
     assert report.s_kept_at_quad == pytest.approx(s_lhv, abs=1e-12)
@@ -833,18 +832,21 @@ FRIEND_SETS = [(), (Friend.FBAR,), (Friend.F,), (Friend.FBAR, Friend.F)]
 
 
 @st.composite
-def stored_pairs(draw):
+def stored_pairs(draw, real=False):
     """(state or record-kept density, its oracle density in the reference
-    frame): random complex amplitudes stored in one of STORED_BASES, with
-    the records of one of FRIEND_SETS kept."""
+    frame): random complex amplitudes, or real ones if ``real``, stored in
+    one of STORED_BASES, with the records of one of FRIEND_SETS kept."""
+    size = 4 if real else 8
     parts = draw(
-        st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).filter(
+        st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size).filter(
             lambda xs: sum(x * x for x in xs) > 1e-2
         )
     )
     bases = STORED_BASES[draw(st.sampled_from(sorted(STORED_BASES)))]
     friends = draw(st.sampled_from(FRIEND_SETS))
-    amps = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    amps = np.array(parts[:4], dtype=complex)
+    if not real:
+        amps.imag = parts[4:]
     amps /= np.linalg.norm(amps)
     state = make_state(amps, bases)
     stored = np.outer(amps, amps.conj())
@@ -1051,3 +1053,37 @@ def test_scalar_correlations_at_fresh_angles_build_no_born_plan(case):
     for a, b in rng.uniform(-10.0, 10.0, size=(300, 2)).tolist():
         quantum_correlation(a, b, state)
     assert qcore._born_plan.cache_info().misses == misses
+
+
+def _horodecki_max(rho) -> float:
+    """2 sqrt(lambda1 + lambda2), lambda1 >= lambda2 the two largest squared
+    singular values of the full correlation matrix: the CHSH maximum over
+    all settings (Horodecki criterion)."""
+    sigma = np.linalg.svd(oracles.correlation_matrix(rho), compute_uv=False)
+    return 2.0 * math.sqrt(sigma[0] ** 2 + sigma[1] ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs())
+def test_the_planar_maximum_is_at_most_horodeckis(pair):
+    state, rho = pair
+    assert chsh_max(state).max_s <= _horodecki_max(rho) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(stored_pairs(real=True))
+def test_the_planar_maximum_is_horodeckis_when_the_top_two_lie_in_the_plane(pair):
+    state, rho = pair
+    t = oracles.correlation_matrix(rho)
+    # Real amplitudes leave T block-diagonal: the (z, x) block, then T_yy.
+    assert np.max(np.abs([t[0, 2], t[1, 2], t[2, 0], t[2, 1]])) <= 1e-12
+    assume(abs(t[2, 2]) <= np.linalg.svd(t[:2, :2], compute_uv=False)[1])
+    assert abs(chsh_max(state).max_s - _horodecki_max(rho)) <= 1e-12
+
+
+def test_a_complex_state_can_sit_strictly_below_horodeckis_maximum():
+    # (|up,up> + i|down,down>)/sqrt2: its x-y correlation lies off the plane.
+    state = make_state([INV, 0.0, 0.0, 1j * INV], (PAIR_Z, PAIR_Z))
+    rho = np.outer(state.amps, state.amps.conj())
+    assert chsh_max(state).max_s == pytest.approx(2.0, abs=1e-12)
+    assert _horodecki_max(rho) == pytest.approx(TSIRELSON, abs=1e-12)

@@ -191,7 +191,7 @@ def test_total_weight_one_everywhere():
 )
 def test_foliation_orders_the_two_bases_of_the_final_context(ordering):
     with pytest.raises(ValueError, match="permute the two measurement events"):
-        Foliation("bad", ordering)
+        Foliation(ordering)
 
 
 # F fires the spin's W detection first, Fprime the coin's Wbar one.
@@ -218,7 +218,7 @@ def test_trajectory_set_rejects_broken_weights():
         0.5,
     )
     with pytest.raises(InvariantViolation):
-        TrajectorySet(FOLIATION_F, MONOTONE, (path,))
+        TrajectorySet((path,))
 
 
 def test_trajectory_set_rejects_a_nan_weight():
@@ -229,7 +229,7 @@ def test_trajectory_set_rejects_a_nan_weight():
     p = ts.paths[0]
     path = TrajectoryPath(p.initial, p.events, p.final, math.nan)
     with pytest.raises(InvariantViolation):
-        TrajectorySet(ts.foliation, ts.coupling, (path,))
+        TrajectorySet((path,))
 
 
 masses = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -265,6 +265,23 @@ def test_coupling_rejects_a_nan_marginal(coupling, side):
 
     with pytest.raises(InvariantViolation):
         coupling.joint(*NAN_MARGINALS[side])
+
+
+# (input, output) marginals with a label that BRANCH_RANK does not list on
+# one side, as a direction basis names its ports.
+UNRANKED_MARGINALS = {
+    "input": ({"plus_a": 0.5, "minus_a": 0.5}, {"h": 0.5, "t": 0.5}),
+    "output": ({"h": 0.5, "t": 0.5}, {"plus_a": 0.5, "minus_a": 0.5}),
+}
+
+
+@pytest.mark.parametrize("side", sorted(UNRANKED_MARGINALS))
+def test_monotone_coupling_names_a_label_it_does_not_rank(side):
+    assert "plus_a" not in BRANCH_RANK
+    with pytest.raises(ValueError, match="ranks no label 'plus_a'"):
+        MONOTONE.joint(*UNRANKED_MARGINALS[side])
+    joint = INDEPENDENT.joint(*UNRANKED_MARGINALS[side])
+    assert sum(joint.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coupling_marginal_check_rejects_a_nan_joint():

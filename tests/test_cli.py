@@ -144,9 +144,11 @@ def test_agents_forbid_counterfactual(capsys):
 
 def test_agents_json_witness(capsys):
     payload = run_json(capsys, "agents")
+    assert payload["contradiction"] is True
     witness = payload["witness"]
-    assert witness["composed"] == 0
+    assert witness["composed"] == 0.0
     assert abs(float(witness["actual"]) - 1 / 12) < 1e-12
+    assert len(payload["statements"]) == 10
 
 
 def test_memory_none_kept_shows_the_coherent_row(capsys):

@@ -239,11 +239,3 @@ def test_minimal_set_tracks_the_admitted_roots():
 def test_unknown_statement_ids_are_rejected():
     with pytest.raises(ValueError, match="unknown statement ids"):
         run_trace(admitted=("nope",))
-
-
-def test_report_json_shape():
-    payload = run_trace().to_json_dict()
-    assert payload["contradiction"] is True
-    assert payload["witness"]["composed"] == 0.0
-    assert abs(float(payload["witness"]["actual"]) - 1 / 12) < 1e-12
-    assert len(payload["statements"]) == 10

@@ -41,7 +41,7 @@ def _instances() -> dict:
         ts,
         bohm.compare_foliations(),
         statement,
-        trace.axioms,
+        epistemic.AxiomSet(),
         trace,
         run,
         bell.observer_independent_facts_model(),
@@ -199,7 +199,7 @@ def test_constructors_keep_their_checks_and_defaults():
     with pytest.raises(ValueError, match="outcome not in context"):
         hardy.MeasurementContext(qcore.SPIN_Z, qcore.SPIN_Z)
     with pytest.raises(ValueError, match="permute"):
-        bohm.Foliation("X", (qcore.SPIN_W, qcore.SPIN_W))
+        bohm.Foliation((qcore.SPIN_W, qcore.SPIN_W))
     with pytest.raises(qcore.InvariantViolation, match="sum to 0"):
         qcore.OutcomeDistribution({})
     quad = bell.AngleQuad(-math.pi, 3 * math.pi, 0, 1)
