@@ -18,6 +18,12 @@ with positive probability, witnessed by the chain's own certificate; refusing
 counterfactual composition leaves nothing to contradict.  A
 :class:`TraceReport` holds what the replay derived; the statements it ran
 over are :func:`builtin_statements`, and the axioms are the caller's.
+
+The story never changes, so what a replay reads of it is built once, at
+import: the statements by id, each statement's transitive parents and its
+counterfactual flag, and the chain's certificate.  A call of
+:func:`run_trace` computes only what depends on its inputs: which statements
+are active, and which of the active counterfactual ones are minimal.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ class EpistemicStatement(FrozenValue):
         "axioms_used",
         "backing",
         "_assumed",
+        "_counterfactual",
     )
     id: str
     author: Agent
@@ -78,8 +85,10 @@ class EpistemicStatement(FrozenValue):
         if not (isinstance(derived_from, tuple) and all(isinstance(p, str) for p in derived_from)):
             raise TypeError(f"derived_from must be a tuple of statement ids, got {derived_from!r}")
         FrozenValue.__init__(self, id, author, actual_context, derived_from, axioms_used, backing)
-        # Not a field: copy and pickle rebuild it from the fields.
-        object.__setattr__(self, "_assumed", backing[-1].context if backing else actual_context)
+        # Not fields: copy and pickle rebuild them from the fields.
+        assumed = backing[-1].context if backing else actual_context
+        object.__setattr__(self, "_assumed", assumed)
+        object.__setattr__(self, "_counterfactual", assumed != actual_context)
 
     @property
     def assumed_context(self) -> MeasurementContext:
@@ -90,7 +99,7 @@ class EpistemicStatement(FrozenValue):
     @property
     def counterfactual(self) -> bool:
         """True iff the reasoning assumed a context other than the realized one."""
-        return self._assumed != self.actual_context
+        return self._counterfactual
 
     @property
     def verdict(self) -> str:
@@ -210,6 +219,16 @@ def builtin_statements() -> tuple[EpistemicStatement, ...]:
     return _STATEMENTS
 
 
+# Built once: the story and the Hardy tables are fixed.  The story lists a
+# statement's parents before it, so its ancestors are already known.
+_BY_ID = {s.id: s for s in _STATEMENTS}
+_ANCESTORS: dict[str, frozenset[str]] = {}
+for _s in _STATEMENTS:
+    _ANCESTORS[_s.id] = frozenset(_s.derived_from).union(*(_ANCESTORS[p] for p in _s.derived_from))
+del _s
+_WITNESS = chain_prediction((_OKBAR_UP, _UP_T, _T_FAIL))
+
+
 class AxiomSet(FrozenValue):
     __slots__ = ("Q", "C", "S")
     Q: bool
@@ -237,18 +256,6 @@ class TraceReport(FrozenValue):
     minimal_counterfactual: tuple[str, ...]
 
 
-def _ancestors(statement_map: dict[str, EpistemicStatement], sid: str) -> set[str]:
-    seen: set[str] = set()
-    stack = list(statement_map[sid].derived_from)
-    while stack:
-        parent = stack.pop()
-        if parent in seen:
-            continue
-        seen.add(parent)
-        stack.extend(statement_map[parent].derived_from)
-    return seen
-
-
 def run_trace(
     axioms: AxiomSet = AxiomSet(),
     *,
@@ -263,38 +270,40 @@ def run_trace(
     minimal set of counterfactual statements it rests on.  Forbidding
     counterfactual composition removes every such statement and with it the
     contradiction; dropping (Q) removes all derivations outright.
+
+    ``admitted`` is an iterable of statement ids, read once; None admits all
+    ten.  A bare string is a ``TypeError`` and an unknown id a
+    ``ValueError``.  The story's graph and the certificate are built at
+    import; a call only filters the ten statements by its own inputs and
+    picks out the active counterfactual statements with no active
+    counterfactual ancestor.
     """
-    statements = builtin_statements()
-    by_id = {s.id: s for s in statements}
     if admitted is None:
-        admitted_ids = tuple(by_id)
+        chosen = _BY_ID.keys()
     else:
-        admitted_ids = tuple(admitted)
-        unknown = [sid for sid in admitted_ids if sid not in by_id]
+        if isinstance(admitted, str):
+            raise TypeError(f"admitted must be an iterable of statement ids, got the string {admitted!r}")
+        given = tuple(admitted)
+        unknown = [sid for sid in given if sid not in _BY_ID]
         if unknown:
             raise ValueError(f"unknown statement ids: {unknown}")
+        chosen = set(given)
 
     if not axioms.Q:
         return TraceReport((), False, None, ())
 
+    enabled = axioms.enabled
     active = tuple(
         s.id
-        for s in statements
-        if s.id in admitted_ids
-        and s.axioms_used <= axioms.enabled
-        and (allow_counterfactual or not s.counterfactual)
+        for s in _STATEMENTS
+        if s.id in chosen
+        and s.axioms_used <= enabled
+        and (allow_counterfactual or not s._counterfactual)
     )
-    active_counterfactual = [sid for sid in active if by_id[sid].counterfactual]
-    contradiction = bool(active_counterfactual)
-
-    witness = None
-    minimal: tuple[str, ...] = ()
-    if contradiction:
-        witness = chain_prediction(okbar_to_fail_chain())
-        active_cf = set(active_counterfactual)
-        minimal = tuple(
-            sid
-            for sid in active_counterfactual
-            if not (_ancestors(by_id, sid) & active_cf)
-        )
-    return TraceReport(active, contradiction, witness, minimal)
+    counterfactual = {sid for sid in active if _BY_ID[sid]._counterfactual}
+    if not counterfactual:
+        return TraceReport(active, False, None, ())
+    minimal = tuple(
+        sid for sid in active if sid in counterfactual and _ANCESTORS[sid].isdisjoint(counterfactual)
+    )
+    return TraceReport(active, True, _WITNESS, minimal)

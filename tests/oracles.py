@@ -419,3 +419,60 @@ def swap_systems(amps_or_rho: np.ndarray) -> np.ndarray:
     if m.ndim == 1:
         return m[SWAP_ORDER]
     return m[np.ix_(SWAP_ORDER, SWAP_ORDER)]
+
+
+# The story's ten statements as data, in the story's order: (id, axioms
+# used, counterfactual, derived from).
+STORY = (
+    ("Fbar_n02", "Q", True, ()),
+    ("F_n12", "QC", False, ()),
+    ("F_n13", "QC", True, ("Fbar_n02", "F_n12")),
+    ("F_n14", "QC", True, ("F_n13",)),
+    ("Wbar_n22", "Q", True, ()),
+    ("Wbar_n23", "QC", True, ("Wbar_n22", "F_n14")),
+    ("Wbar_n24", "QC", True, ("Wbar_n23",)),
+    ("W_n26", "C", False, ()),
+    ("W_n27", "QC", True, ("W_n26", "Wbar_n24")),
+    ("W_n28", "QCS", True, ("W_n27",)),
+)
+
+
+def trace_walk(axioms: str, allow_counterfactual: bool, admitted) -> dict:
+    """The agents' trace, walked per call over :data:`STORY`: the admitted
+    statements whose axioms are all enabled (a string of Q, C, S), none
+    without Q; counterfactual ones only if allowed.  A contradiction exists
+    iff an active statement is counterfactual; its witness is the (Wbar, W)
+    outcome (okbar, ok), composed 0 by the chain and measured by the Born
+    rule; the minimal statements are the active counterfactual ones with no
+    active counterfactual ancestor, found by walking the parents."""
+    by_id = {sid: (used, cf, parents) for sid, used, cf, parents in STORY}
+    admitted_ids = tuple(by_id) if admitted is None else tuple(admitted)
+    if "Q" not in axioms:
+        return {"active": (), "contradiction": False, "witness": None, "minimal": ()}
+    active = tuple(
+        sid
+        for sid, (used, cf, _) in by_id.items()
+        if sid in admitted_ids and set(used) <= set(axioms) and (allow_counterfactual or not cf)
+    )
+    active_cf = [sid for sid in active if by_id[sid][1]]
+
+    def ancestors(sid: str) -> set[str]:
+        seen: set[str] = set()
+        stack = list(by_id[sid][2])
+        while stack:
+            parent = stack.pop()
+            if parent not in seen:
+                seen.add(parent)
+                stack.extend(by_id[parent][2])
+        return seen
+
+    witness = None
+    if active_cf:
+        actual = float(abs(np.vdot(outcome_vector("okbar", "ok"), HARDY)) ** 2)
+        witness = ("Wbar,W", ("okbar", "ok"), 0.0, actual)
+    return {
+        "active": active,
+        "contradiction": bool(active_cf),
+        "witness": witness,
+        "minimal": tuple(sid for sid in active_cf if not ancestors(sid) & set(active_cf)),
+    }

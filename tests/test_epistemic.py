@@ -1,9 +1,10 @@
 import copy
 import pickle
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import oracles
 from wignerfriend.epistemic import (
     Agent,
     AxiomSet,
@@ -239,3 +240,56 @@ def test_minimal_set_tracks_the_admitted_roots():
 def test_unknown_statement_ids_are_rejected():
     with pytest.raises(ValueError, match="unknown statement ids"):
         run_trace(admitted=("nope",))
+    # named in the order given, from an iterator read once
+    with pytest.raises(ValueError, match=r"unknown statement ids: \['x', 'a'\]"):
+        run_trace(admitted=iter(("x", "F_n12", "a", "F_n12")))
+
+
+def test_a_bare_string_as_admitted_is_a_type_error():
+    # It would otherwise be read as one id per character.
+    with pytest.raises(TypeError, match="admitted"):
+        run_trace(admitted="Fbar_n02")
+
+
+def test_the_story_table_of_the_oracle_is_the_builtin_story():
+    got = tuple(
+        (s.id, frozenset(s.axioms_used), s.counterfactual, s.derived_from)
+        for s in builtin_statements()
+    )
+    assert got == tuple((sid, frozenset(used), cf, parents) for sid, used, cf, parents in oracles.STORY)
+
+
+_AXIOM_STRINGS = tuple("".join(a for a, on in zip("QCS", bits) if on) for bits in product((1, 0), repeat=3))
+_ALL_ADMITTED = (None,) + tuple(
+    subset for r in range(len(oracles.STORY) + 1) for subset in combinations([s[0] for s in oracles.STORY], r)
+)
+
+
+@pytest.mark.parametrize("allow", [True, False])
+@pytest.mark.parametrize("axioms", _AXIOM_STRINGS)
+def test_the_trace_is_the_oracles_walk_on_every_input(axioms, allow):
+    # Every axiom set, both allow values, all 1,024 subsets and None.
+    assert len(_ALL_ADMITTED) == 1 + 2 ** len(oracles.STORY)
+    axiom_set = AxiomSet(*(a in axioms for a in "QCS"))
+    for admitted in _ALL_ADMITTED:
+        report = run_trace(axiom_set, allow_counterfactual=allow, admitted=admitted)
+        want = oracles.trace_walk(axioms, allow, admitted)
+        assert report.active == want["active"], admitted
+        assert report.contradiction is want["contradiction"], admitted
+        assert report.minimal_counterfactual == want["minimal"], admitted
+        if want["witness"] is None:
+            assert report.witness is None, admitted
+        else:
+            w = report.witness
+            context, outcome, composed, actual = want["witness"]
+            assert (w.context.name, w.outcome, w.composed) == (context, outcome, composed)
+            assert w.actual == pytest.approx(actual, abs=1e-12)
+
+
+@pytest.mark.parametrize("subset", [(), ("F_n13", "F_n14", "W_n26"), ("W_n28", "Fbar_n02"), tuple(STATEMENTS)])
+def test_admitted_is_read_once_in_any_iterable_form(subset):
+    want = run_trace(admitted=subset)
+    assert run_trace(admitted=iter(subset)) == want
+    assert run_trace(admitted=(sid for sid in subset)) == want
+    assert run_trace(admitted=subset + subset[::-1]) == want
+    assert run_trace(admitted=list(subset)) == want
