@@ -307,7 +307,13 @@ def evolve(foliation: Foliation, coupling: TransportCoupling = MONOTONE) -> Traj
 
     The input is always the Hardy state, so the result depends on the
     arguments alone and is memoized; the returned set is frozen and shared.
+    A foliation that is not a :class:`Foliation`, or a coupling that is not
+    a :class:`TransportCoupling`, raises TypeError before any path is walked.
     """
+    if not isinstance(foliation, Foliation):
+        raise TypeError(f"foliation must be a Foliation, got {type(foliation).__name__}")
+    if not isinstance(coupling, TransportCoupling):
+        raise TypeError(f"coupling must be a TransportCoupling, got {type(coupling).__name__}")
     paths: list[TrajectoryPath] = []
     for config, w in initial_distribution().items():
         if w <= WEIGHT_TOL:
@@ -352,8 +358,17 @@ class FoliationReport(FrozenValue):
     born_identical: bool
 
 
+# Two couplings, each reachable positionally, by keyword or by default.
+@lru_cache(maxsize=8)
 def compare_foliations(coupling: TransportCoupling = MONOTONE) -> FoliationReport:
-    """Evolve under both orderings and report where the origins disagree."""
+    """Evolve under both orderings and report where the origins disagree.
+
+    Like :func:`evolve`, the result depends on the coupling alone and is
+    memoized: every call with one coupling returns the same report, whose
+    dicts are shared with every other caller and must not be written to.  A
+    coupling that is not a :class:`TransportCoupling` raises TypeError, from
+    :func:`evolve`, before anything is computed.
+    """
     ts_f = evolve(FOLIATION_F, coupling)
     ts_fp = evolve(FOLIATION_FPRIME, coupling)
     marg_f = ts_f.final_marginal()

@@ -418,8 +418,9 @@ def test_chsh_max_has_no_default_source():
         bell.born_rule_residual(scan)
 
 
-@pytest.mark.parametrize("grid_n", [None, 7])
-def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monkeypatch, grid_n):
+def _count_blocks_and_born_rule(monkeypatch) -> dict[str, int]:
+    """Counts of bell's calls to _correlation_block and born_distribution,
+    from now to the end of the test."""
     from wignerfriend import bell
 
     counts = {"_correlation_block": 0, "born_distribution": 0}
@@ -431,6 +432,16 @@ def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monke
             return _original(*args)
 
         monkeypatch.setattr(bell, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("grid_n", [None, 7])
+def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monkeypatch, grid_n):
+    from wignerfriend import bell
+
+    # The count is of a cold call's work: a warm one reads the memo.
+    bell._erased_kept_blocks.cache_clear()
+    counts = _count_blocks_and_born_rule(monkeypatch)
     erased_vs_kept_chsh(grid_n)
     assert counts == {"_correlation_block": 2, "born_distribution": 4}
 
@@ -439,12 +450,92 @@ def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monke
 def test_erased_vs_kept_and_chsh_max_check_the_maximum_against_the_born_rule(monkeypatch, grid_n):
     from wignerfriend import bell
 
+    bell._erased_kept_blocks.cache_clear()
     monkeypatch.setattr(bell, "_correlation_block", lambda obj: WRONG_BLOCK)
     message = "^scan maximum .* is not the Born-rule S .* at its argmax$"
     with pytest.raises(InvariantViolation, match=message):
         erased_vs_kept_chsh(grid_n)
     with pytest.raises(InvariantViolation, match=message):
         chsh_max(singlet())
+
+
+# The singlet's erased and kept blocks and the kept maximum are memoized by
+# grid size; what depends on the quad is computed on every call.
+
+
+def _spy_on_states(monkeypatch) -> list:
+    """Every StateVector and DensityOperator built from now to the end of
+    the test."""
+    built = []
+    for cls in (StateVector, DensityOperator):
+        original = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, *a, _o=original: built.append(self) or _o(self, *a)
+        )
+    return built
+
+
+@pytest.mark.parametrize("grid_n", [None, 7])
+def test_a_warm_erased_vs_kept_call_reads_no_block_and_builds_no_state(monkeypatch, grid_n):
+    from wignerfriend import bell
+
+    bell._erased_kept_blocks.cache_clear()
+    counts = _count_blocks_and_born_rule(monkeypatch)
+    built = _spy_on_states(monkeypatch)
+    erased_vs_kept_chsh(grid_n)
+    assert counts == {"_correlation_block": 2, "born_distribution": 4}
+    assert [type(x) for x in built] == [DensityOperator]
+    counts.update(dict.fromkeys(counts, 0))
+    built.clear()
+    erased_vs_kept_chsh(grid_n, quad=AngleQuad(0.1, 0.2, 0.3, 0.4))
+    assert counts == {"_correlation_block": 0, "born_distribution": 0}
+    assert built == []
+
+
+_ANGLES = st.floats(-100.0, 100.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(AngleQuad, _ANGLES, _ANGLES, _ANGLES, _ANGLES))
+def test_a_warm_erased_vs_kept_report_equals_a_cold_one(quad):
+    from wignerfriend import bell
+
+    for grid_n in (None, 4, 7):
+        # Warmed at another quad, so that the memo holds nothing of this one.
+        erased_vs_kept_chsh(grid_n)
+        hits = bell._erased_kept_blocks.cache_info().hits
+        warm = erased_vs_kept_chsh(grid_n, quad=quad)
+        assert bell._erased_kept_blocks.cache_info().hits == hits + 1
+        bell._erased_kept_blocks.cache_clear()
+        cold = erased_vs_kept_chsh(grid_n, quad=quad)
+        for field in bell.ErasedKeptReport.__slots__:
+            assert getattr(warm, field) == getattr(cold, field), field
+
+
+def test_the_erased_vs_kept_memo_is_bounded_and_keyed_by_the_checked_grid_size():
+    from wignerfriend import bell
+
+    assert 0 < bell._erased_kept_blocks.cache_info().maxsize < math.inf
+    bell._erased_kept_blocks.cache_clear()
+    erased_vs_kept_chsh(7)
+    erased_vs_kept_chsh(np.int64(7), quad=AngleQuad(1.0, 2.0, 3.0, 4.0))
+    assert bell._erased_kept_blocks.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("quad", [(0, 1, 2, 3), None, "optimal"], ids=repr)
+def test_erased_vs_kept_refuses_a_quad_that_is_not_an_angle_quad_before_computing(
+    monkeypatch, quad
+):
+    from wignerfriend import bell
+
+    bell._erased_kept_blocks.cache_clear()
+    _refuse_record_and_keep(monkeypatch)
+    with pytest.raises(TypeError, match="^quad must be an AngleQuad, got "):
+        erased_vs_kept_chsh(quad=quad)
+    # The grid size is checked first.
+    with pytest.raises(ValueError, match="grid_n must be at least 1"):
+        erased_vs_kept_chsh(0, quad=quad)
+    assert bell._erased_kept_blocks.cache_info().currsize == 0
 
 
 def _random_amps(seed: int) -> np.ndarray:
@@ -1027,16 +1118,12 @@ def test_blocks_are_read_on_every_call_and_build_nothing_in_the_z_bases(monkeypa
     assert not hasattr(bell._correlation_block, "cache_info")
     pure, _ = _case_state("pure-2")
     kept, _ = _case_state("kept-5")
-    built = []
-    for cls in (StateVector, DensityOperator):
-        original = cls.__post_init__
-        monkeypatch.setattr(
-            cls, "__post_init__", lambda self, *a, _o=original: built.append(self) or _o(self, *a)
-        )
+    built = _spy_on_states(monkeypatch)
     for state in (pure, kept):
         first = bell._correlation_block(state)
         assert bell._correlation_block(state) == first
         chsh_scan(lambda a, b: quantum_correlation(a, b, state), 12)
+    bell._erased_kept_blocks.cache_clear()
     erased_vs_kept_chsh(4)
     # erased_vs_kept_chsh builds only the kept density.
     assert [type(x) for x in built] == [DensityOperator]

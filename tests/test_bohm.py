@@ -178,6 +178,40 @@ def test_compare_foliations_report(coupling):
     assert report.born_identical
 
 
+@pytest.mark.parametrize("coupling", ALL_COUPLINGS)
+def test_compare_foliations_is_memoized_in_a_bounded_cache(coupling):
+    assert 0 < compare_foliations.cache_info().maxsize < math.inf
+    first = compare_foliations(coupling)
+    assert compare_foliations(coupling) is first
+    compare_foliations.cache_clear()
+    cold = compare_foliations(coupling)
+    assert cold is not first and cold == first
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: compare_foliations("monotone"), "coupling must be a TransportCoupling, got str"),
+        (lambda: evolve(FOLIATION_F, "monotone"), "coupling must be a TransportCoupling, got str"),
+        (lambda: evolve("F"), "foliation must be a Foliation, got str"),
+        (lambda: evolve(FOLIATION_F.ordering), "foliation must be a Foliation, got tuple"),
+        (lambda: sample_paths("F", samples=10), "foliation must be a Foliation, got str"),
+    ],
+    ids=["compare-coupling", "evolve-coupling", "evolve-foliation", "evolve-ordering", "sample"],
+)
+def test_a_wrong_typed_foliation_or_coupling_is_refused_before_any_path_is_walked(
+    monkeypatch, call, message
+):
+    from wignerfriend import bohm
+
+    def refused():
+        raise AssertionError("paths were walked before the arguments were checked")
+
+    monkeypatch.setattr(bohm, "initial_distribution", refused)
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
 def test_total_weight_one_everywhere():
     sets = [evolve(f, c) for f in ALL_FOLIATIONS for c in ALL_COUPLINGS]
     for ts in sets:

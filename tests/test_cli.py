@@ -302,6 +302,7 @@ def test_chsh_erased_vs_kept_is_cross_checked_against_the_born_rule(monkeypatch,
 
     # The kept records' maximum solves on this block; the Born rule at its
     # argmax does not, and exits 1 in both formats.
+    bell._erased_kept_blocks.cache_clear()
     monkeypatch.setattr(bell, "_correlation_block", lambda obj: (-1.0, 0.0, 0.0, -0.5))
     for fmt in ("table", "json"):
         code, out, err = run_cli(capsys, "--format", fmt, "chsh", "--erased-vs-kept")
