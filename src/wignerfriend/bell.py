@@ -10,11 +10,10 @@ and ``chsh_scan`` solve in closed form.
 
 A quantum block, T_ij = Tr(rho sigma_i (x) sigma_j) for i, j in (z, x), is
 read in closed form from the state's or density's numbers in the pair's z
-bases, on every call for a given state.  The erased and the kept singlet's
-blocks, and the kept maximum, depend on the grid size alone:
-``erased_vs_kept_chsh`` computes them once per grid size and then keeps them.
-A hidden-variable model gives each side of each hidden configuration a Bloch
-vector in the plane, so its block T = sum p r s^T is bilinear by
+bases, on every call, except that ``erased_vs_kept_chsh`` keeps the erased
+and the kept singlet's blocks and the kept maximum, computed once per grid
+size.  A hidden-variable model gives each side of each hidden configuration
+a Bloch vector in the plane, so its block T = sum p r s^T is bilinear by
 construction.  The kept-versus-model gap of ``erased_vs_kept_chsh`` is the
 largest singular value of the difference of the two blocks: the supremum of
 |E_kept - E_model| over all settings.
@@ -452,12 +451,10 @@ class ErasedKeptReport(FrozenValue):
 
 @functools.lru_cache(maxsize=8)
 def _erased_kept_blocks(grid_n: int | None) -> tuple[tuple, tuple, float]:
-    """(coherent_block, kept_block, s_kept_max) of the singlet with its
-    records erased and kept, the kept maximum solved as :func:`chsh_max`
-    solves it, or by :func:`chsh_scan` on a grid of grid_n, and checked
-    against the Born rule.  They depend on the grid size alone, so they are
-    computed on the first call for each size and kept; an exception is
-    raised, not kept."""
+    """(coherent_block, kept_block, s_kept_max) for :func:`erased_vs_kept_chsh`,
+    which depend on the grid size alone: computed on the first call for each
+    size and kept.  An exception, the Born-rule check's included, is raised
+    and not kept."""
     from .memory import Friend, record_and_erase, record_and_keep
 
     run = record_and_erase(_SINGLET, Friend.FBAR, PAIR_Z)
@@ -466,10 +463,8 @@ def _erased_kept_blocks(grid_n: int | None) -> tuple[tuple, tuple, float]:
 
     kept: DensityOperator = record_and_keep(_SINGLET, (Friend.F, Friend.FBAR)).final_state
     kept_block = _correlation_block(_checked_pair(kept))
-    if grid_n is None:
-        scan = _block_max(kept_block)
-    else:
-        scan = chsh_scan(lambda a, b: _bilinear(kept_block, a, b), grid_n=grid_n)
+    kept_corr = functools.partial(_bilinear, kept_block)
+    scan = _block_max(kept_block) if grid_n is None else chsh_scan(kept_corr, grid_n=grid_n)
     born_rule_residual(scan, kept)
     return coherent_block, kept_block, scan.max_s
 
@@ -484,28 +479,24 @@ def erased_vs_kept_chsh(
     value of the difference of their blocks, the supremum of
     |E_kept - E_model| over all settings.  The erased and the kept S are
     taken at ``quad``, OPTIMAL_QUAD by default.  Each state's block is read
-    once, and every correlation reported is the bilinear form on it.
+    once per grid size, and every correlation reported is the bilinear form
+    on it.
 
     The kept-records maximum is solved as :func:`chsh_max` solves it, or by
     :func:`chsh_scan` on a given grid_n, and checked against the Born rule at
     its argmax: a residual above BILINEAR_TOL raises InvariantViolation.  The
-    two blocks and the kept maximum depend on the grid size alone: they are
-    computed on the first call for each size and kept, in a bounded memo.
-    The S values at ``quad``, the aligned correlation and the gap against
-    the facts model are computed on every call.  A grid_n that is not None
-    or an integer (a bool included) raises TypeError, and one below 1
-    ValueError; then a quad that is not an AngleQuad raises TypeError; both
-    before anything is computed."""
+    two blocks and the kept maximum are computed once per grid size and kept
+    in a bounded memo; the S values at ``quad``, the aligned correlation and
+    the gap are computed on every call.  A grid_n that is not None or an
+    integer (a bool included) raises TypeError, and one below 1 ValueError,
+    and then a quad that is not an AngleQuad TypeError, before anything is
+    computed."""
     grid_n = None if grid_n is None else _grid_size("grid_n", grid_n)
     if not isinstance(quad, AngleQuad):
         raise TypeError(f"quad must be an AngleQuad, got {type(quad).__name__}")
     coherent_block, kept_block, s_kept_max = _erased_kept_blocks(grid_n)
     s_erased = chsh(lambda a, b: _bilinear(coherent_block, a, b), quad)
-
-    def kept_corr(a, b):
-        return _bilinear(kept_block, a, b)
-
-    s_kept_at_quad = chsh(kept_corr, quad)
+    s_kept_at_quad = chsh(lambda a, b: _bilinear(kept_block, a, b), quad)
     gap = _block_svd([k - m for k, m in zip(kept_block, _FACTS_MODEL._block)])[2]
-    aligned = kept_corr(0.0, 0.0)
+    aligned = _bilinear(kept_block, 0.0, 0.0)
     return ErasedKeptReport(s_erased, s_kept_at_quad, s_kept_max, aligned, gap)
