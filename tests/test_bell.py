@@ -418,6 +418,18 @@ def test_chsh_max_has_no_default_source():
         bell.born_rule_residual(scan)
 
 
+def _spy_on_states(monkeypatch) -> list:
+    """Every StateVector and DensityOperator built from now to the end of
+    the test."""
+    built = []
+    for cls in (StateVector, DensityOperator):
+        original = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, *a, _o=original: built.append(self) or _o(self, *a)
+        )
+    return built
+
+
 def _count_blocks_and_born_rule(monkeypatch) -> dict[str, int]:
     """Counts of bell's calls to _correlation_block and born_distribution,
     from now to the end of the test."""
@@ -439,11 +451,17 @@ def _count_blocks_and_born_rule(monkeypatch) -> dict[str, int]:
 def test_erased_vs_kept_reads_each_block_once_and_the_born_rule_four_times(monkeypatch, grid_n):
     from wignerfriend import bell
 
-    # The count is of a cold call's work: a warm one reads the memo.
+    # Once per grid size: a cold call reads them, and a warm call, at
+    # another quad, reads the memo and builds no state.
     bell._erased_kept_blocks.cache_clear()
     counts = _count_blocks_and_born_rule(monkeypatch)
+    built = _spy_on_states(monkeypatch)
     erased_vs_kept_chsh(grid_n)
     assert counts == {"_correlation_block": 2, "born_distribution": 4}
+    assert [type(x) for x in built] == [DensityOperator]
+    erased_vs_kept_chsh(grid_n, quad=AngleQuad(0.1, 0.2, 0.3, 0.4))
+    assert counts == {"_correlation_block": 2, "born_distribution": 4}
+    assert [type(x) for x in built] == [DensityOperator]
 
 
 @pytest.mark.parametrize("grid_n", [None, 7])
@@ -461,37 +479,6 @@ def test_erased_vs_kept_and_chsh_max_check_the_maximum_against_the_born_rule(mon
 
 # The singlet's erased and kept blocks and the kept maximum are memoized by
 # grid size; what depends on the quad is computed on every call.
-
-
-def _spy_on_states(monkeypatch) -> list:
-    """Every StateVector and DensityOperator built from now to the end of
-    the test."""
-    built = []
-    for cls in (StateVector, DensityOperator):
-        original = cls.__post_init__
-        monkeypatch.setattr(
-            cls, "__post_init__", lambda self, *a, _o=original: built.append(self) or _o(self, *a)
-        )
-    return built
-
-
-@pytest.mark.parametrize("grid_n", [None, 7])
-def test_a_warm_erased_vs_kept_call_reads_no_block_and_builds_no_state(monkeypatch, grid_n):
-    from wignerfriend import bell
-
-    bell._erased_kept_blocks.cache_clear()
-    counts = _count_blocks_and_born_rule(monkeypatch)
-    built = _spy_on_states(monkeypatch)
-    erased_vs_kept_chsh(grid_n)
-    assert counts == {"_correlation_block": 2, "born_distribution": 4}
-    assert [type(x) for x in built] == [DensityOperator]
-    counts.update(dict.fromkeys(counts, 0))
-    built.clear()
-    erased_vs_kept_chsh(grid_n, quad=AngleQuad(0.1, 0.2, 0.3, 0.4))
-    assert counts == {"_correlation_block": 0, "born_distribution": 0}
-    assert built == []
-
-
 _ANGLES = st.floats(-100.0, 100.0)
 
 
