@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import TYPE_CHECKING, Callable
 
 from .qcore import (
@@ -54,6 +53,7 @@ from .qcore import (
     InvariantViolation,
     StateVector,
     System,
+    as_int,
     born_distribution,
     direction_basis,
     express,
@@ -310,11 +310,9 @@ class ScanResult(FrozenValue):
 
 
 def _grid_size(name: str, value) -> int:
-    """``value`` as an int of at least 1.  TypeError for what
-    ``operator.index`` refuses and for a bool; ValueError below 1."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    size = operator.index(value)
+    """``value`` read by :func:`qcore.as_int` (TypeError for a bool or a
+    non-integer), then ValueError below 1."""
+    size = as_int(value, name)
     if size < 1:
         raise ValueError(f"{name} must be at least 1, got {size}")
     return size

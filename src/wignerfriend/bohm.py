@@ -24,7 +24,6 @@ it was evolved under are its caller's inputs.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from enum import Enum
 from functools import lru_cache
@@ -37,8 +36,9 @@ from .qcore import (
     FrozenValue,
     InvariantViolation,
     StateVector,
-    apply_local,
-    basis_change,
+    as_int,
+    born_distribution,
+    express,
     project,
 )
 
@@ -165,18 +165,9 @@ INDEPENDENT = TransportCoupling(CouplingKind.INDEPENDENT)
 class HiddenConfig(FrozenValue):
     """The pair of hidden branch labels, in the pilot state's current bases."""
 
-    __slots__ = ("coin", "spin", "_hash")
+    __slots__ = ("coin", "spin")
     coin: str
     spin: str
-
-    def __init__(self, coin: str, spin: str) -> None:
-        FrozenValue.__init__(self, coin, spin)
-        object.__setattr__(self, "_hash", hash((coin, spin)))
-
-    def __hash__(self) -> int:
-        # Computed once: configurations key the dicts that origin_of and
-        # initial_distribution build.
-        return self._hash
 
     def label(self, system: int) -> str:
         return self.coin if system == 0 else self.spin
@@ -248,9 +239,9 @@ def conditional_wave(state: StateVector, fixed_system: int, fixed_branch: str) -
     return StateVector(other_bases, [z / norm for z in vec])
 
 
-def _born_1q(state: StateVector) -> dict[str, float]:
-    names = state.bases[0].labels
-    return {name: abs(z) ** 2 for name, z in zip(names, state.vec)}
+def _born_1q(state: StateVector, basis: Basis) -> dict[str, float]:
+    """A one-system state's Born distribution in ``basis``, keyed by label."""
+    return {key[0]: p for key, p in born_distribution(state, (basis,)).items()}
 
 
 def _walk(
@@ -270,9 +261,8 @@ def _walk(
     active = CTX_WBAR_W.bases.index(target)
     partner = 1 - active
     cond = conditional_wave(pilot, partner, config.label(partner))
-    out_wave = apply_local(cond, basis_change(0, cond.bases[0], target))
-    input_dist = _born_1q(cond)
-    output_dist = _born_1q(out_wave)
+    input_dist = _born_1q(cond, cond.bases[0])
+    output_dist = _born_1q(cond, target)
     joint = coupling.joint(input_dist, output_dist)
 
     branch = config.label(active)
@@ -281,7 +271,7 @@ def _walk(
         raise InvariantViolation(
             f"hidden branch {branch!r} has weight {weight} but zero conditional mass"
         )
-    pilot_bs = apply_local(pilot, basis_change(active, pilot.bases[active], target))
+    pilot_bs = express(pilot, pilot.bases[:active] + (target,) + pilot.bases[active + 1 :])
     for out_name in target.labels:
         p = joint.get((branch, out_name), 0.0) / in_mass
         if p <= WEIGHT_TOL:
@@ -470,17 +460,6 @@ def _binomial_btrs(rng: random.Random, n: int, p: float) -> int:
             return k
 
 
-def _count(value, name: str) -> int:
-    """``value`` as a Python int, read with ``operator.index``.  A bool, or
-    anything that is not an integer, raises TypeError naming ``name``."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, not a bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
-
-
 def binomial(rng: random.Random, n: int, p: float) -> int:
     """One exact Binomial(n, p) draw from ``rng``.
 
@@ -489,7 +468,7 @@ def binomial(rng: random.Random, n: int, p: float) -> int:
     as :func:`sample_paths` reads its count.  ValueError for a negative n or
     a p outside [0, 1].
     """
-    n = _count(n, "n")
+    n = as_int(n, "n")
     if n < 0 or not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial needs n >= 0 and 0 <= p <= 1, got n={n}, p={p}")
     if p > 0.5:
@@ -558,10 +537,10 @@ def sample_paths(
     draw: a bool or a non-integer raises TypeError and a negative value
     ValueError.
     """
-    samples = _count(samples, "samples")
+    samples = as_int(samples, "samples")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    seed = _count(seed, "seed")
+    seed = as_int(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)

@@ -46,7 +46,7 @@ class MeasurementContext(FrozenValue):
     ``ALL_CONTEXTS``; equality is structural.
     """
 
-    __slots__ = ("coin_basis", "spin_basis", "_hash")
+    __slots__ = ("coin_basis", "spin_basis")
     coin_basis: Basis
     spin_basis: Basis
 
@@ -59,11 +59,6 @@ class MeasurementContext(FrozenValue):
         if shared:
             raise ValueError(f"outcome not in context: {shared[0]!r} labels both systems")
         FrozenValue.__init__(self, coin_basis, spin_basis)
-        object.__setattr__(self, "_hash", hash((coin_basis, spin_basis)))
-
-    def __hash__(self) -> int:
-        # Computed once: every context_table lookup hashes its context.
-        return self._hash
 
     @property
     def bases(self) -> tuple[Basis, Basis]:

@@ -6,17 +6,19 @@ is safe for concurrent use without synchronization.
 
 Values: every value class of the package derives from :class:`Frozen`
 (identity equality) or :class:`FrozenValue` (equal, and hash-equal, when the
-class and the fields are), both defined here.  A value class is slotted, and
-its fields are named once, in ``__slots__`` (names starting with an
-underscore, and the ``__dict__`` a ``cached_property`` needs, are not
-fields).  One constructor, ``Frozen.__init__``, binds positional values to
-the fields in that order; a class that checks or converts its arguments does
-so in its own ``__init__`` and then calls it.  Afterwards assigning a field
-raises AttributeError("cannot assign to field 'x'"), and deleting one raises
-AttributeError too.  The shared constructor is plain code, not generated at
-import: generating the classes (``dataclasses``), and importing what the
-generator needs, cost a fresh process more time than the computation a CLI
-call runs.
+class and the fields are), both defined here.  A ``FrozenValue`` hashes its
+fields on the first ``hash`` and keeps the result in its ``_hash`` slot; a
+value with an unhashable field raises TypeError on every call.  A value
+class is slotted, and its fields are named once, in ``__slots__`` (names
+starting with an underscore, and the ``__dict__`` a ``cached_property``
+needs, are not fields).  One constructor, ``Frozen.__init__``, binds
+positional values to the fields in that order; a class that checks or
+converts its arguments does so in its own ``__init__`` and then calls it.
+Afterwards assigning a field raises AttributeError("cannot assign to field
+'x'"), and deleting one raises AttributeError too.  The shared constructor
+is plain code, not generated at import: generating the classes
+(``dataclasses``), and importing what the generator needs, cost a fresh
+process more time than the computation a CLI call runs.
 
 Bases and labels: a label is a name within its basis.  A ``Basis`` holds
 the kind of system it measures (``System.COIN`` or ``System.SPIN``) and the
@@ -31,7 +33,9 @@ systems are small (2**n amplitudes for a few systems), and at that size plain
 Python arithmetic costs less than numpy's per-call overhead.  A local 2x2 map
 on system k is a pairwise update of the amplitude pairs (i, i + 2**(n-k-1)),
 which works for any number of systems; on a density operator it updates the
-row pairs with U and then the column pairs of each row with conj(U).
+row pairs with U and then the column pairs of each row with conj(U).  A local
+map reaches a state only through a re-expression plan (below): there is no
+other way to apply one.
 
 Numpy views: ``StateVector.amps`` and ``DensityOperator.matrix`` are
 read-only numpy arrays of the same numbers, for callers that compute with
@@ -41,15 +45,16 @@ then kept.  Nothing in the package reads them.
 What is checked, and when: every constructor checks its value once, when it
 is built, by computing the largest residual directly and comparing it with
 ``NORM_TOL`` (1e-12); a value that is not finite fails the check.  ``Basis``
-and ``LocalUnitary`` check that their matrix is unitary (max |M^H M - I|) and
-raise ValueError("not unitary"); a ``Basis`` whose system is not a
-``System``, or whose labels are not a pair of distinct strings, raises
-ValueError too.  ``StateVector`` checks |norm - 1|,
-``OutcomeDistribution`` the sum and sign of its probabilities, and
-``DensityOperator`` Hermiticity (max |M - M^H|), unit trace and positivity;
-these raise :class:`InvariantViolation`.  Positivity has one rule: the LDL^H
-factorisation of H + NORM_TOL*I, with H = (M + M^H)/2, must have every pivot
-positive, which holds exactly when every eigenvalue of H is above -NORM_TOL
+and ``LocalUnitary`` (one checked 2x2 unitary, and nothing else) check that
+their matrix is unitary (max |M^H M - I|) and raise ValueError("not
+unitary"); a ``Basis`` whose system is not a ``System``, or whose labels are
+not a pair of distinct strings, raises ValueError too.  ``StateVector``
+checks |norm - 1|, ``OutcomeDistribution`` the sum and sign of its
+probabilities, and ``DensityOperator`` Hermiticity (max |M - M^H|), unit
+trace and positivity; these raise :class:`InvariantViolation`.  Positivity
+has one rule: the LDL^H factorisation of H + NORM_TOL*I, with H = (M +
+M^H)/2, must have every pivot positive, which holds exactly when every
+eigenvalue of H is above -NORM_TOL
 (an eigenvalue of exactly -NORM_TOL fails).  The factorisation is a fixed
 number of steps, with no iteration and no convergence tolerance.
 Input that is not numbers of the right shape raises ValueError("dimension
@@ -66,7 +71,8 @@ is planned once per pair of (value's bases, target bases) and kept: the
 rows of each checked basis change, the index pairs it mixes and the outcome
 keys.  The plan is keyed by the bases alone, never by a value or a result,
 and at most ``BASIS_CHANGE_CACHE`` plans are kept; a call that raises
-leaves none behind.
+leaves none behind.  The package's integer arguments (grid sizes, sample
+counts, seeds) are read by :func:`as_int`, which refuses a bool.
 
 Conventions, fixed so that emitted tables and files are deterministic:
 
@@ -84,16 +90,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from enum import Enum
 from functools import cached_property, lru_cache
-from operator import attrgetter
 
 NORM_TOL = 1e-12
 ZERO_BRANCH_TOL = 1e-15
 
-# Distinct (system, source, target) triples kept by basis_change, and
-# distinct (source bases, target bases) plans kept by _born_plan.  The fixed
-# bases need a few per system.
+# Distinct (source, target) basis pairs kept by basis_change, and distinct
+# (source bases, target bases) plans kept by _born_plan.  The fixed bases
+# need a few per system.
 BASIS_CHANGE_CACHE = 256
 # Distinct reduced angles kept by direction_basis.
 DIRECTION_CACHE = 64
@@ -147,13 +153,14 @@ class Frozen:
 
 class FrozenValue(Frozen):
     """A :class:`Frozen` class whose instances are equal, and hash equal,
-    when their class and their fields are."""
+    when their class and their fields are.  The hash is computed on first
+    use and kept."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*cls._fields)
+        cls._key = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -163,7 +170,18 @@ class FrozenValue(Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        # Values key memo caches and dicts, and hashing the fields afresh
+        # costs more than the lookup.  A field that cannot be hashed raises
+        # before anything is kept.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key(self))
+            _set_hash(self, h)
+            return h
+
+
+_set_hash = FrozenValue._hash.__set__
 
 
 class System(str, Enum):
@@ -201,6 +219,17 @@ def _square(values, d: int) -> _Rows:
     return rows
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as a Python int, read with ``operator.index``.  A bool, or
+    anything that is not an integer, raises TypeError naming ``name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def _read_only_array(values):
     """A read-only complex numpy array of ``values``; numpy is imported here,
     when a numpy view is first asked for."""
@@ -234,7 +263,7 @@ class Basis(FrozenValue):
     equality is structural.
     """
 
-    __slots__ = ("name", "system", "labels", "vectors", "_hash")
+    __slots__ = ("name", "system", "labels", "vectors")
     name: str
     system: System
     labels: tuple[str, str]
@@ -263,12 +292,6 @@ class Basis(FrozenValue):
         if not _is_unitary(*vectors):
             raise ValueError("not unitary")
         FrozenValue.__init__(self, name, system, labels, vectors)
-        object.__setattr__(self, "_hash", hash((name, system, labels, vectors)))
-
-    def __hash__(self) -> int:
-        # Computed once: every basis_change lookup hashes two bases, and
-        # hashing the fields afresh costs more than the lookup itself.
-        return self._hash
 
     def index(self, label_name: str) -> int:
         try:
@@ -372,24 +395,21 @@ def make_state(amplitudes, bases: tuple[Basis, ...]) -> StateVector:
 
 
 class LocalUnitary(Frozen):
-    """A 2x2 unitary acting on one system, mapping amplitudes expressed in
-    ``source`` to amplitudes expressed in ``target``."""
+    """A checked 2x2 unitary, as row tuples.  It names no system and no
+    bases: a re-expression plan says which system it acts on."""
 
-    __slots__ = ("system", "rows", "source", "target")
-    system: int
+    __slots__ = ("rows",)
     rows: _Rows
-    source: Basis
-    target: Basis
 
-    def __init__(self, system: int, rows, source: Basis, target: Basis) -> None:
-        self.__post_init__(system, rows, source, target)
+    def __init__(self, rows) -> None:
+        self.__post_init__(rows)
 
-    def __post_init__(self, system, rows, source, target) -> None:
+    def __post_init__(self, rows) -> None:
         rows = _square(rows, 2)
         (a, b), (c, d) = rows
         if not _is_unitary((a, c), (b, d)):
             raise ValueError("not unitary")
-        Frozen.__init__(self, system, rows, source, target)
+        Frozen.__init__(self, rows)
 
 
 def _dot(u: _Vec, v: _Vec) -> complex:
@@ -398,18 +418,21 @@ def _dot(u: _Vec, v: _Vec) -> complex:
 
 
 @lru_cache(maxsize=BASIS_CHANGE_CACHE)
-def basis_change(system: int, source: Basis, target: Basis) -> LocalUnitary:
-    """The unitary re-expressing one system from ``source`` into ``target``.
+def basis_change(source: Basis, target: Basis) -> LocalUnitary:
+    """The unitary re-expressing amplitudes in ``source`` as amplitudes in
+    ``target``, on whichever system of the same kind a plan applies it to.
 
-    Memoized: equal arguments return the same (immutable) LocalUnitary; the
-    least recently used entry is evicted first.
+    Memoized on the pair of bases, so every system that changes between
+    the same two bases shares one LocalUnitary; the least recently used
+    entry is evicted first.  Bases of different kinds of system raise
+    ValueError("basis mismatch"), which is not cached.
     """
     if source.system is not target.system:
         raise ValueError("basis mismatch: source and target address different systems")
     t0, t1 = target.vectors
     s0, s1 = source.vectors
     u = ((_dot(t0, s0), _dot(t0, s1)), (_dot(t1, s0), _dot(t1, s1)))
-    return LocalUnitary(system, u, source, target)
+    return LocalUnitary(u)
 
 
 @lru_cache(maxsize=64)
@@ -466,21 +489,6 @@ def _conjugated_diagonal(u: _Rows, pairs, rows) -> list[float]:
     return out
 
 
-def apply_local(state: StateVector, u: LocalUnitary) -> StateVector:
-    """Apply a local unitary; the norm is preserved and the system's basis tag
-    is updated to the unitary's target."""
-    if not 0 <= u.system < state.num_systems:
-        raise ValueError("system index out of range")
-    if state.bases[u.system] != u.source:
-        raise ValueError(
-            f"basis mismatch: system {u.system} is in {state.bases[u.system].name}, "
-            f"unitary expects {u.source.name}"
-        )
-    k = u.system
-    bases = state.bases[:k] + (u.target,) + state.bases[k + 1 :]
-    return StateVector(bases, _map_pairs(u.rows, _pairs(k, state.num_systems), state.vec))
-
-
 @lru_cache(maxsize=BASIS_CHANGE_CACHE)
 def _born_plan(source: tuple[Basis, ...], target: tuple[Basis, ...]):
     """What re-expressing a value from ``source`` bases into ``target`` needs,
@@ -496,7 +504,7 @@ def _born_plan(source: tuple[Basis, ...], target: tuple[Basis, ...]):
     if len(target) != n:
         raise ValueError("dimension mismatch")
     changes = tuple(
-        (basis_change(k, s, t).rows, _pairs(k, n))
+        (basis_change(s, t).rows, _pairs(k, n))
         for k, (s, t) in enumerate(zip(source, target))
         if s != t
     )

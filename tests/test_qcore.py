@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from wignerfriend.qcore import (
     SPIN_Z,
     Basis,
     DensityOperator,
+    Frozen,
+    FrozenValue,
     InvariantViolation,
     LocalUnitary,
     OutcomeDistribution,
     StateVector,
     System,
-    apply_local,
     basis_change,
     born_distribution,
     direction_basis,
@@ -74,51 +76,53 @@ def test_a_basis_names_its_system_and_two_distinct_labels():
     assert renamed != COIN_ZBAR
 
 
-def spin_bs():
-    # up -> (fail + ok)/sqrt2, down -> (fail - ok)/sqrt2, rows ordered (ok, fail)
-    return LocalUnitary(1, np.array([[-INV, INV], [INV, INV]]), SPIN_Z, SPIN_W)
+# The spin's beam splitter: up -> (fail + ok)/sqrt2, down -> (fail - ok)/sqrt2,
+# rows ordered (ok, fail).
+SPIN_BS = np.array([[-INV, INV], [INV, INV]])
+# The coin's: h -> (okbar + failbar)/sqrt2, t -> (failbar - okbar)/sqrt2.
+COIN_BS = np.array([[INV, -INV], [INV, INV]])
 
 
-def test_apply_local_single_branch():
+def test_express_single_branch():
     s = make_state([1, 0, 0, 0], HARDY_BASES)
-    out = apply_local(s, spin_bs())
+    out = express(s, (COIN_ZBAR, SPIN_W))
     # |h,down> -> (|h,fail> - |h,ok>)/sqrt2, amps ordered (h,ok),(h,fail),(t,ok),(t,fail)
     assert np.allclose(out.amps, [-INV, INV, 0, 0], atol=1e-15)
-    assert out.bases[1] == SPIN_W
+    assert out.bases == (COIN_ZBAR, SPIN_W)
 
 
-def test_apply_local_hardy_state():
-    out = apply_local(hardy(), spin_bs())
+def test_express_hardy_state():
+    out = express(hardy(), (COIN_ZBAR, SPIN_W))
     expected = np.array([-1, 1, 0, 2]) / math.sqrt(6.0)
     assert np.allclose(out.amps, expected, atol=1e-15)
     assert abs(out.amps[2]) < 1e-15  # no (t, ok) amplitude
 
 
-def test_apply_local_identity():
+def test_express_into_the_same_bases_is_the_identity():
     s = hardy()
-    ident = LocalUnitary(0, np.eye(2), COIN_ZBAR, COIN_ZBAR)
-    assert np.allclose(apply_local(s, ident).amps, s.amps)
+    assert express(s, HARDY_BASES) is s
+    assert express(s, list(HARDY_BASES)) is s
 
 
-def test_apply_local_rejects_non_unitary():
+def test_a_local_unitary_must_be_unitary():
     with pytest.raises(ValueError, match="not unitary"):
-        LocalUnitary(1, np.array([[1, 1], [0, 1]]), SPIN_Z, SPIN_W)
+        LocalUnitary(np.array([[1, 1], [0, 1]]))
+    assert LocalUnitary(SPIN_BS).rows == tuple(tuple(map(complex, row)) for row in SPIN_BS)
 
 
-def test_apply_local_rejects_basis_mismatch():
+def test_express_refuses_a_basis_of_the_other_kind_of_system():
     s = hardy()
-    u = basis_change(1, SPIN_W, SPIN_Z)
+    for bases in ((COIN_ZBAR, COIN_WBAR), (SPIN_W, SPIN_Z), (SPIN_Z, COIN_ZBAR)):
+        with pytest.raises(ValueError, match="basis mismatch"):
+            express(s, bases)
     with pytest.raises(ValueError, match="basis mismatch"):
-        apply_local(s, u)
+        basis_change(SPIN_W, COIN_ZBAR)
 
 
 @pytest.mark.parametrize("system", [-1, 2])
 def test_a_system_index_outside_the_state_is_refused(system):
-    s = hardy()
     with pytest.raises(ValueError, match="^system index out of range$"):
-        project(s, system, "h")
-    with pytest.raises(ValueError, match="^system index out of range$"):
-        apply_local(s, LocalUnitary(system, np.eye(2), SPIN_Z, SPIN_Z))
+        project(hardy(), system, "h")
 
 
 @pytest.mark.parametrize(
@@ -151,20 +155,15 @@ def test_born_distribution_frozen_values():
 
 
 def test_born_consistency_with_hand_applied_beam_splitters():
-    # Independent route for all four contexts: push the state through
-    # hand-built basis maps and square the amplitudes.
-    coin_bs = LocalUnitary(0, np.array([[INV, -INV], [INV, INV]]), COIN_ZBAR, COIN_WBAR)
+    # Independent route for all four contexts: push the amplitudes through
+    # hand-built beam-splitter matrices with numpy and square them.
     for use_coin_bs, use_spin_bs in [(False, False), (False, True), (True, False), (True, True)]:
-        out = hardy()
-        if use_spin_bs:
-            out = apply_local(out, spin_bs())
-        if use_coin_bs:
-            out = apply_local(out, coin_bs)
-        table = born_distribution(hardy(), out.bases)
-        coin_labels = out.bases[0].labels
-        spin_labels = out.bases[1].labels
-        for flat, (c, s) in enumerate([(c, s) for c in coin_labels for s in spin_labels]):
-            assert table[(c, s)] == pytest.approx(float(abs(out.amps[flat]) ** 2), abs=1e-12)
+        coin, spin = (COIN_WBAR if use_coin_bs else COIN_ZBAR), (SPIN_W if use_spin_bs else SPIN_Z)
+        op = np.kron(COIN_BS if use_coin_bs else np.eye(2), SPIN_BS if use_spin_bs else np.eye(2))
+        amps = op @ hardy().amps
+        table = born_distribution(hardy(), (coin, spin))
+        for flat, (c, s) in enumerate([(c, s) for c in coin.labels for s in spin.labels]):
+            assert table[(c, s)] == pytest.approx(float(abs(amps[flat]) ** 2), abs=1e-12)
 
 
 def test_project_on_tail():
@@ -276,10 +275,14 @@ angles = st.floats(0, 2 * math.pi, allow_nan=False, allow_infinity=False)
 
 @given(st.lists(st.tuples(st.integers(0, 1), angles, angles, angles), min_size=1, max_size=6))
 def test_norm_preserved_under_unitary_sequences(ops):
+    # Each step re-expresses one system in a basis whose label vectors are
+    # the columns of a random complex unitary.
     state = hardy()
-    for system, theta, phi, lam in ops:
+    for step, (system, theta, phi, lam) in enumerate(ops):
         basis = state.bases[system]
-        state = apply_local(state, LocalUnitary(system, _rotation(theta, phi, lam), basis, basis))
+        columns = tuple(map(tuple, _rotation(theta, phi, lam).T))
+        rotated = Basis(f"R{step}", basis.system, basis.labels, columns)
+        state = express(state, state.bases[:system] + (rotated,) + state.bases[system + 1 :])
         assert abs(float(np.linalg.norm(state.amps)) - 1.0) < 1e-12
 
 
@@ -360,14 +363,14 @@ def test_near_unitary_basis_is_rejected():
 
 def test_near_unitary_local_unitary_is_rejected():
     with pytest.raises(ValueError, match="not unitary"):
-        LocalUnitary(0, np.diag([1 + 4e-6, 1]), COIN_ZBAR, COIN_ZBAR)
+        LocalUnitary(np.diag([1 + 4e-6, 1]))
 
 
 def test_non_finite_values_are_rejected():
     with pytest.raises(ValueError, match="not unitary"):
         direction_basis(float("nan"))
     with pytest.raises(ValueError, match="not unitary"):
-        LocalUnitary(0, np.array([[1, float("nan")], [0, 1]]), COIN_ZBAR, COIN_ZBAR)
+        LocalUnitary(np.array([[1, float("nan")], [0, 1]]))
     with pytest.raises(InvariantViolation):
         StateVector(HARDY_BASES, np.array([float("nan"), 0, 0, 0]))
     with pytest.raises(InvariantViolation):
@@ -378,10 +381,87 @@ def test_non_finite_values_are_rejected():
 
 def test_basis_change_is_memoized_in_a_bounded_cache():
     assert 0 < basis_change.cache_info().maxsize < math.inf
-    assert basis_change(1, SPIN_Z, SPIN_W) is basis_change(1, SPIN_Z, SPIN_W)
+    assert basis_change(SPIN_Z, SPIN_W) is basis_change(SPIN_Z, SPIN_W)
     listed = Basis("Z", System.SPIN, ("down", "up"), [np.array([1, 0]), [0, 1]])
     assert listed == SPIN_Z
-    assert basis_change(1, listed, SPIN_W) is basis_change(1, SPIN_Z, SPIN_W)
+    assert basis_change(listed, SPIN_W) is basis_change(SPIN_Z, SPIN_W)
+
+
+def test_a_plan_changing_two_systems_between_the_same_bases_builds_one_unitary(monkeypatch):
+    from wignerfriend import qcore
+
+    built = []
+    check = LocalUnitary.__post_init__
+
+    def counted(self, *fields):
+        built.append(fields)
+        check(self, *fields)
+
+    monkeypatch.setattr(LocalUnitary, "__post_init__", counted)
+    qcore.basis_change.cache_clear()
+    qcore._born_plan.cache_clear()
+    fresh = Basis("fresh", System.SPIN, ("a", "b"), ((INV, 1j * INV), (1j * INV, INV)))
+    state = make_state([1, 2j, 3, 4], (SPIN_Z, SPIN_Z))
+    out = express(state, (fresh, fresh))
+    assert len(built) == 1
+    (u0, _), (u1, _) = qcore._born_plan((SPIN_Z, SPIN_Z), (fresh, fresh))[0]
+    assert u0 is u1 is basis_change(SPIN_Z, fresh).rows
+    assert out.bases == (fresh, fresh)
+
+
+class _CountedHash:
+    """A hashable field that counts how often it is hashed."""
+
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, _CountedHash) and self.value == other.value
+
+    def __hash__(self):
+        _CountedHash.calls += 1
+        return hash(self.value)
+
+
+class _Pair(FrozenValue):
+    __slots__ = ("field", "other")
+
+
+def test_a_value_hashes_its_fields_once():
+    value = _Pair(_CountedHash(7), "x")
+    before = _CountedHash.calls
+    first = hash(value)
+    assert [hash(value) for _ in range(5)] == [first] * 5
+    assert {value: 1}[_Pair(_CountedHash(7), "x")] == 1
+    assert _CountedHash.calls == before + 2  # value once, then its twin once
+    assert first == hash((value.field, value.other))
+    twin = pickle.loads(pickle.dumps(value))
+    assert twin == value and hash(twin) == first
+
+
+def test_only_frozen_value_keeps_a_hash():
+    from wignerfriend import bell, bohm, epistemic, hardy, memory, qcore
+
+    classes = {
+        obj
+        for mod in (qcore, hardy, bohm, epistemic, memory, bell)
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, Frozen) and obj is not FrozenValue
+    }
+    assert {qcore.Basis, hardy.MeasurementContext, bohm.HiddenConfig} <= classes
+    for cls in classes:
+        assert "__hash__" not in vars(cls), cls
+        assert "_hash" not in vars(cls).get("__slots__", ()), cls
+    assert LocalUnitary.__slots__ == ("rows",)
+
+
+def test_a_value_with_an_unhashable_field_raises_on_every_hash():
+    value = OutcomeDistribution({("h",): 0.5, ("t",): 0.5})
+    for _ in range(2):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 # Three systems (coin, spin, spin), to pin that local maps act on the right
@@ -418,9 +498,9 @@ def _oracle_operator(system):
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("system", [0, 1, 2])
-def test_apply_local_matches_kron_oracle_on_three_systems(system, seed):
+def test_express_matches_kron_oracle_on_three_systems(system, seed):
     state = _three_system_state(seed)
-    out = apply_local(state, basis_change(system, THREE_SOURCE[system], THREE_TARGET[system]))
+    out = express(state, _change_one(system))
     assert out.bases == _change_one(system)
     assert np.allclose(out.amps, _oracle_operator(system) @ state.amps, rtol=0, atol=1e-12)
 
@@ -503,14 +583,12 @@ def test_density_born_rule_is_the_full_diagonal_for_every_changed_subset(source,
 
 
 def _chained(obj, bases):
-    """``obj`` re-expressed one system at a time, in system order: by
-    apply_local for a state, by one-system express_density for a density."""
+    """``obj`` re-expressed one system at a time, in system order, by
+    one-system express or express_density."""
+    change = express if isinstance(obj, StateVector) else express_density
     for k, b in enumerate(bases):
         if obj.bases[k] != b:
-            if isinstance(obj, StateVector):
-                obj = apply_local(obj, basis_change(k, obj.bases[k], b))
-            else:
-                obj = express_density(obj, obj.bases[:k] + (b,) + obj.bases[k + 1 :])
+            obj = change(obj, obj.bases[:k] + (b,) + obj.bases[k + 1 :])
     return obj
 
 
@@ -705,7 +783,7 @@ def test_kernel_storage_is_tuples_of_complex():
         lambda: StateVector(HARDY_BASES, [[1.0, 0.0], [0.0, 0.0]]),
         lambda: DensityOperator(HARDY_BASES, [1.0, 0.0, 0.0, 0.0]),
         lambda: DensityOperator(HARDY_BASES, np.eye(2)),
-        lambda: LocalUnitary(0, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], COIN_ZBAR, COIN_ZBAR),
+        lambda: LocalUnitary([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
     ],
     ids=["nested-state", "flat-density", "small-density", "wide-unitary"],
 )

@@ -27,7 +27,7 @@ def _instances() -> dict:
     values = [
         qcore.COIN_WBAR,
         state,
-        qcore.basis_change(0, qcore.COIN_ZBAR, qcore.COIN_WBAR),
+        qcore.basis_change(qcore.COIN_ZBAR, qcore.COIN_WBAR),
         hardy.context_table(hardy.CTX_WBAR_W),
         memory.record_and_keep(state, [memory.Friend.F]).final_state,
         hardy.CTX_ZBAR_Z,
